@@ -4,25 +4,24 @@ Colour mass lives in [0, k) as finite unions of half-open rational intervals;
 a colouring assigns disjoint interval sets to stable sets, and the weighting
 form lists (stable set, weight) columns.  The three representations are
 interconvertible and a colouring can be extended onto an uncoloured set via
-Hall's condition and bipartite matching over unit colour slots.
+Hall's condition and an exact max-flow over interval atoms.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import GraphFormatError, HallViolation, SizeLimit
+from .errors import GraphFormatError, HallViolation
 from .graphs import Graph
 from .rationals import format_rational, parse_rational
 
 _ZERO = Fraction(0)
-
-HALL_SET_LIMIT = 20
 
 
 class IntervalSet:
@@ -303,18 +302,6 @@ def verify_certificate(
 # ── Hall extension ────────────────────────────────────────────────────────
 
 
-def _uncolour(kc: IntervalColouring, drop: frozenset[int]) -> IntervalColouring:
-    merged: dict[frozenset[int], IntervalSet] = {}
-    for s, iv in kc.assignment:
-        s2 = s - drop
-        merged[s2] = merged.get(s2, IntervalSet()).union(iv)
-    assignment = tuple(
-        (s, iv) for s, iv in sorted(merged.items(), key=lambda it: tuple(sorted(it[0])))
-        if not iv.is_empty()
-    )
-    return IntervalColouring(k=kc.k, assignment=assignment)
-
-
 def hall_extend(
     g: Graph,
     kc: IntervalColouring,
@@ -323,80 +310,78 @@ def hall_extend(
 ) -> IntervalColouring:
     """Extend a colouring onto `target` so each v gets coverage w(v).
 
-    Any colour already on `target` is first erased.  The availability
-    condition |union of alpha(v) over v in X'| >= sum of w(v) is checked for
-    every subset X' of the target (hence the size limit); the extension is
-    then realized by a saturating matching between weight copies and unit
-    colour slots.
+    Any colour already on `target` is first erased.  [0,k) is then cut into
+    atoms, each owned by one colour class or by none, and the demands are
+    routed by breadth-first augmenting paths from the target vertices to the
+    atoms whose owner has no neighbour of them (an exact max-flow with atom
+    lengths as capacities).  A saturating flow is realized by splitting each
+    atom left to right.  Otherwise the target vertices reached by the last
+    search violate Hall's condition by sum(w) - maxflow, the largest
+    deficiency sum(w(v)) - |union of alpha(v)| over all subsets.
     """
     X = frozenset(target)
-    if len(X) > HALL_SET_LIMIT:
-        raise SizeLimit(f"hall_extend handles |X| <= {HALL_SET_LIMIT}, got {len(X)}")
-    need = {v: Fraction(w[v]) for v in X}
-    if any(q < 0 for q in need.values()):
+    left = {v: Fraction(w[v]) for v in X}  # demand not yet routed
+    if any(q < 0 for q in left.values()):
         raise ValueError("negative demand")
     kc.validate(g)
-    work = _uncolour(kc, X)
-    avail = {v: alpha(g, work, v) for v in X}
 
-    members = sorted(X)
-    for size in range(1, len(members) + 1):
-        for sub in combinations(members, size):
-            union = IntervalSet()
-            for v in sub:
-                union = union.union(avail[v])
-            demand = sum((need[v] for v in sub), _ZERO)
-            if union.measure < demand:
-                raise HallViolation(sub, shortfall=demand - union.measure)
+    # atoms (lo, hi, owner): each interval of a class, owned by the class with
+    # the target erased, and each gap, owned by the empty set; validate() has
+    # checked that the classes' intervals are disjoint, so atoms do not overlap
+    owned = [(lo, hi, s - X) for s, iv in kc.assignment for lo, hi in iv.intervals]
+    gaps = interval_span(kc.k).subtract(IntervalSet((lo, hi) for lo, hi, _ in owned))
+    atoms = owned + [(lo, hi, frozenset()) for lo, hi in gaps.intervals]
+    usable = {v: [i for i, (_, _, s) in enumerate(atoms) if not s & g.adj[v]] for v in X}
+    room = [hi - lo for lo, hi, _ in atoms]
+    flow: list[dict[int, Fraction]] = [{} for _ in atoms]  # atom -> {vertex: amount}
 
-    # common denominator for slots: endpoints, k, and all demands
-    c = Fraction(work.k).denominator
-    for _, iv in work.assignment:
-        for lo, hi in iv.intervals:
-            c = c * lo.denominator // math.gcd(c, lo.denominator)
-            c = c * hi.denominator // math.gcd(c, hi.denominator)
-    for q in need.values():
-        c = c * q.denominator // math.gcd(c, q.denominator)
-    num_slots = (Fraction(work.k) * c).numerator
+    while True:
+        # breadth-first search from every vertex with demand left; a vertex
+        # is also reached backwards from an atom that holds some of its flow
+        via_atom = {v: None for v in sorted(X) if left[v] > 0}
+        if not via_atom:
+            break
+        via_vertex: dict[int, int] = {}  # atom -> vertex it was reached from
+        queue = deque(via_atom)
+        end = None
+        while queue and end is None:
+            v = queue.popleft()
+            for i in usable[v]:
+                if i in via_vertex:
+                    continue
+                via_vertex[i] = v
+                if room[i] > 0:
+                    end = i
+                    break
+                for u in flow[i]:
+                    if u not in via_atom:
+                        via_atom[u] = i
+                        queue.append(u)
+        if end is None:
+            raise HallViolation(via_atom, shortfall=sum(left.values(), _ZERO))
+        path, i = [], end  # (vertex, atom) steps, walked back from the sink
+        while i is not None:
+            path.append((via_vertex[i], i))
+            i = via_atom[path[-1][0]]
+        start = path[-1][0]
+        amount = min([left[start], room[end]] + [flow[via_atom[v]][v] for v, _ in path[:-1]])
+        left[start] -= amount
+        room[end] -= amount
+        for v, i in path:
+            flow[i][v] = flow[i].get(v, _ZERO) + amount
+            back = via_atom[v]
+            if back is not None:
+                flow[back][v] -= amount
+                if flow[back][v] == 0:
+                    del flow[back][v]
 
-    owner: list[frozenset[int] | None] = [None] * num_slots
-    for s, iv in work.assignment:
-        for lo, hi in iv.intervals:
-            for j in range((lo * c).numerator, (hi * c).numerator):
-                owner[j] = s
-
-    def compatible(v: int, j: int) -> bool:
-        s = owner[j]
-        return s is None or not (s & g.adj[v])
-
-    copies = [v for v in members for _ in range((need[v] * c).numerator)]
-    slot_match: dict[int, int] = {}  # slot -> copy index
-
-    def augment(ci: int, seen: set[int]) -> bool:
-        v = copies[ci]
-        for j in range(num_slots):
-            if j in seen or not compatible(v, j):
-                continue
-            seen.add(j)
-            if j not in slot_match or augment(slot_match[j], seen):
-                slot_match[j] = ci
-                return True
-        return False
-
-    for ci in range(len(copies)):
-        if not augment(ci, set()):
-            # unreachable once the subset condition above holds
-            raise HallViolation(X)
-
-    extra: dict[int, int] = {j: copies[ci] for j, ci in slot_match.items()}
     regrouped: dict[frozenset[int], list[tuple[Fraction, Fraction]]] = {}
-    for j in range(num_slots):
-        s = owner[j]
-        if j in extra:
-            s = (s or frozenset()) | {extra[j]}
-        if s is None or not s:
-            continue
-        regrouped.setdefault(s, []).append((Fraction(j, c), Fraction(j + 1, c)))
+    for (lo, hi, s), users in zip(atoms, flow):
+        for v, amount in sorted(users.items()):
+            regrouped.setdefault(s | {v}, []).append((lo, lo + amount))
+            lo += amount
+        if s and lo < hi:
+            regrouped.setdefault(s, []).append((lo, hi))
     assignment = tuple(
         (s, IntervalSet(pieces))
         for s, pieces in sorted(regrouped.items(), key=lambda it: tuple(sorted(it[0])))
@@ -428,14 +413,20 @@ def certificate_to_json(n: int, w: Sequence[Fraction], ssw: StableSetWeighting) 
     return json.dumps(payload, indent=1)
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # JSON floats and true/false are not vertex ids
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def certificate_from_json(text: str) -> CertificateFile:
     try:
         payload = json.loads(text)
-        n = int(payload["n"])
+        n = _json_int(payload["n"])
         k = parse_rational(payload["k"])
         w = tuple(parse_rational(x) for x in payload["w"])
         columns = tuple(
-            (frozenset(int(v) for v in col["vertices"]), parse_rational(col["weight"]))
+            (frozenset(_json_int(v) for v in col["vertices"]), parse_rational(col["weight"]))
             for col in payload["columns"]
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

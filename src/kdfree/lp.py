@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import HypothesisViolated, LpError
+from .errors import HypothesisViolated, LpError, SizeLimit
 from .graphs import Graph, clique_structure, degeneracy_order, reed_weight
 from .intervals import StableSetWeighting, verify_certificate
 
@@ -221,7 +221,7 @@ def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
     if any(x < 0 for x in weights):
         raise ValueError("weights must be nonnegative")
     if g.n > EXACT_SOLVE_VERTEX_CAP:
-        raise LpError(f"exact solves are capped at n <= {EXACT_SOLVE_VERTEX_CAP}")
+        raise SizeLimit(f"exact solves are capped at n <= {EXACT_SOLVE_VERTEX_CAP}")
     if g.n == 0:
         empty = StableSetWeighting((), _ZERO)
         return LpResult(_ZERO, empty, (), "optimal", 0, _ZERO)
@@ -279,7 +279,7 @@ def chi_f(g: Graph) -> LpResult:
 def enumerate_stable_sets(g: Graph, limit: int = 20) -> list[frozenset[int]]:
     """Every stable set of g (including the empty set), by bitmask sweep."""
     if g.n > limit:
-        raise LpError(f"full enumeration is capped at n <= {limit}")
+        raise SizeLimit(f"full enumeration is capped at n <= {limit}")
     out = []
     for mask in range(1 << g.n):
         vs = [v for v in range(g.n) if (mask >> v) & 1]

@@ -6,10 +6,21 @@ from fractions import Fraction
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a plain integer/decimal string into a Fraction."""
+    """Parse "p/q" or a plain integer/decimal string into a Fraction.
+
+    Raises ValueError for a non-string, a zero denominator, or exponent
+    notation (an exponent such as 1e-4000000 makes the value's size
+    exponential in the length of the text).
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational as a string, got {text!r}")
     text = text.strip()
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation is not accepted: {text!r}")
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(text)
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import instance_a
 from kdfree.cli import main
-from kdfree.graphs import complete_graph, write_edge_list
+from kdfree.graphs import Graph, complete_graph, write_edge_list
 from kdfree.intervals import certificate_from_json
 
 
@@ -173,3 +173,42 @@ def test_pipeline_ineligible_graph(graph_file, capsys):
 
 def test_missing_graph_file_is_input_error(capsys):
     assert main(["chif", "--graph", "/nonexistent/g.el"]) == 2
+
+
+@pytest.mark.parametrize(
+    "entry, reason", [("1/0", "zero denominator"), ("1e-4000000", "exponent notation")]
+)
+def test_chif_rejects_bad_rational_weight(tmp_path, entry, reason, capsys):
+    el = tmp_path / "k2.el"
+    el.write_text(write_edge_list(complete_graph(2)))
+    weights = tmp_path / "w.txt"
+    weights.write_text(f"1\n{entry}\n")
+    assert main(["chif", "--graph", str(el), "--weights", str(weights)]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"k": 1},  # a JSON number where a rational string belongs
+        {"columns": [{"vertices": [0.9, True], "weight": "1"}]},  # not vertex ids
+    ],
+    ids=["numeric-k", "non-integer-vertices"],
+)
+def test_certify_rejects_malformed_fields(graph_file, tmp_path, edit, capsys):
+    el = graph_file("empty3.el", Graph(3))
+    cert = tmp_path / "cert.json"
+    main(["chif", "--graph", el, "--emit-cert", str(cert)])
+    payload = json.loads(cert.read_text())
+    payload.update(edit)
+    payload["w"] = ["0"] * 3
+    cert.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["certify", "--graph", el, "--cert", str(cert)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
+def test_chif_over_vertex_cap_is_input_error(graph_file, capsys):
+    el = graph_file("big.el", Graph(61))
+    assert main(["chif", "--graph", el]) == 2
+    assert "capped at n <= 60" in capsys.readouterr().err

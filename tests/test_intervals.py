@@ -5,12 +5,20 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from conftest import random_graph
-from kdfree.errors import GraphFormatError, HallViolation, SizeLimit
-from kdfree.graphs import Graph, complete_graph, cycle_graph
+from kdfree.errors import GraphFormatError, HallViolation
+from kdfree.graphs import (
+    Graph,
+    clique_structure,
+    complete_graph,
+    cycle_graph,
+    cycle_power,
+    strong_product,
+)
 from kdfree.intervals import (
     CertificateFile,
     IntervalColouring,
@@ -230,10 +238,82 @@ def test_hall_extend_pigeonhole_violation():
     assert err.value.witness == frozenset({0, 1})
 
 
-def test_hall_extend_size_limit():
-    g = Graph(21)
-    with pytest.raises(SizeLimit):
-        hall_extend(g, empty_colouring(F(25)), range(21), [ONE] * 21)
+def assert_extends(g, kc, out, x, w):
+    """`out` is valid, gives each v in x exactly w(v), and keeps other colours."""
+    out.validate(g)
+    for v in range(g.n):
+        if v in x:
+            assert out.coverage(v) == w[v]
+        else:
+            assert out.colour_of(v) == kc.colour_of(v)
+
+
+def test_hall_extend_twenty_one_vertices():
+    g, kc, w = Graph(21), empty_colouring(F(25)), [ONE] * 21
+    assert_extends(g, kc, hall_extend(g, kc, range(21), w), range(21), w)
+
+
+def max_deficiency_brute_force(g, kc, x, w):
+    """Largest sum(w) - |union of alpha| over the nonempty subsets of x."""
+    erased = IntervalColouring(kc.k, tuple((s - x, ivs) for s, ivs in kc.assignment))
+    avail = {v: alpha(g, erased, v) for v in x}
+
+    def deficiency(sub):
+        union = IntervalSet()
+        for v in sub:
+            union = union.union(avail[v])
+        return sum((w[v] for v in sub), F(0)) - union.measure
+
+    worst = max(
+        deficiency(sub)
+        for size in range(1, len(x) + 1)
+        for sub in combinations(sorted(x), size)
+    )
+    return worst, deficiency
+
+
+def test_hall_extend_matches_subset_brute_force():
+    # chi_f colourings of small random graphs, random demands on a random
+    # target: feasible exactly when no subset is deficient, and a violation
+    # names a subset of largest deficiency
+    rng = random.Random(41)
+    outcomes = {"extended": 0, "violated": 0}
+    for _ in range(120):
+        g = random_graph(rng.randint(2, 7), 0.5, rng)
+        kc = to_intervals(chi_f(g).primal)
+        x = frozenset(rng.sample(range(g.n), rng.randint(1, g.n)))
+        w = [F(0)] * g.n
+        for v in x:
+            w[v] = F(rng.randint(0, 4), rng.randint(1, 3))
+        worst, deficiency = max_deficiency_brute_force(g, kc, x, w)
+        try:
+            out = hall_extend(g, kc, x, w)
+        except HallViolation as err:
+            outcomes["violated"] += 1
+            assert worst > 0 and err.witness <= x
+            assert deficiency(err.witness) == err.shortfall == worst
+            continue
+        outcomes["extended"] += 1
+        assert worst <= 0
+        assert_extends(g, kc, out, x, w)
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize(
+    "g, den",
+    [
+        # the recursive slot matching this replaced overflowed the stack here
+        (strong_product(cycle_graph(5), complete_graph(5)), 61),
+        # and took time growing with the denominator here
+        (cycle_power(11, 2), 3000),
+    ],
+    ids=["c5xk5-den61", "c11sq-den3000"],
+)
+def test_hall_extend_near_full_coverage(g, den):
+    kc = to_intervals(chi_f(g).primal)
+    target = sorted(clique_structure(g).max_cliques[0])
+    w = [kc.coverage(v) * F(den - 1, den) for v in range(g.n)]
+    assert_extends(g, kc, hall_extend(g, kc, target, w), target, w)
 
 
 def test_hall_extend_postcondition_certified():
@@ -295,7 +375,19 @@ def test_certificate_json_round_trip():
     assert verify_certificate(g, cert.weighting, list(cert.w)).ok
 
 
-@pytest.mark.parametrize("text", ["{}", "nonsense", '{"n": 2, "k": "1"}'])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        "nonsense",
+        '{"n": 2, "k": "1"}',
+        '{"n": 1, "k": 1, "w": ["1"], "columns": []}',
+        '{"n": 2, "k": "1/0", "w": ["0", "0"], "columns": []}',
+        '{"n": 2.0, "k": "1", "w": ["0", "0"], "columns": []}',
+        '{"n": 2, "k": "1", "w": ["1", "1"],'
+        ' "columns": [{"vertices": [0.9, true], "weight": "1"}]}',
+    ],
+)
 def test_certificate_json_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
         certificate_from_json(text)
