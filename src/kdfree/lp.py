@@ -1,18 +1,21 @@
 """Exact computation of weighted fractional chromatic numbers.
 
-The master problem (minimise total column weight subject to per-vertex
-coverage) is solved through its dual -- maximise w.y subject to y(S) <= 1 for
-every generated stable-set column -- because the slack basis of the dual is
-immediately feasible.  Columns are priced in by an exact branch-and-bound
-maximum-weight stable set oracle until none is violated, at which point the
-dual solution certifies optimality over all stable sets.  Every number on the
-optimality path is a Fraction.
+The master problem (minimise the total weight of the primal stable-set
+columns subject to per-vertex coverage) is solved through its dual --
+maximise w.y subject to y(S) <= 1 for every generated column -- because the
+slack basis of the dual is immediately feasible.  Columns are priced in by an
+exact branch-and-bound maximum-weight stable set oracle until none is
+violated, at which point the dual vector y certifies optimality over all
+stable sets.  One integer simplex tableau lives for the whole solve: each
+priced column is one new dual row, and dual simplex pivots re-optimise from
+the current basis.  Values leave the solver as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import HypothesisViolated, LpError, SizeLimit
@@ -25,76 +28,139 @@ _ONE = Fraction(1)
 EXACT_SOLVE_VERTEX_CAP = 60
 
 
-# ── exact primal simplex, Bland's rule ────────────────────────────────────
+# ── exact integer tableau: primal then dual simplex, Bland's rules ──────
 
 
-def _simplex_max(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Maximise c.x subject to rows.x <= rhs, x >= 0, with rhs >= 0.
+class _DualTableau:
+    """max w.y subject to y(S) <= 1 for every row S and y >= 0, kept optimal
+    while rows are added.
 
-    Returns (value, x, duals).  Bland's smallest-index rule guarantees
-    termination; the nonnegative right-hand side makes the slack basis the
-    starting point, so no phase one is needed.
+    The tableau is integer over one common denominator D: the true entries
+    are T/D, and the objective row is further scaled by the lcm of the weight
+    denominators.  Pivots use Bareiss exact division, so every entry stays an
+    integer (a subdeterminant of the constraint matrix); D stays positive
+    because a negative pivot row is negated first.  The tableau is compact:
+    one row per basic variable (``basis``), one column per nonbasic variable
+    (``cols``).  Variables 0..n-1 are y; variable n+i is the slack of row i.
+
+    The first solve is primal simplex from the slack basis with Bland's rule.
+    A new row enters basic in its own slack, and dual simplex with the dual
+    Bland rule restores feasibility: the leaving row is the infeasible one
+    with the smallest basic variable, and ratio ties enter the smallest.
     """
-    m, n = len(rows), len(objective)
-    width = n + m + 1
-    tab: list[list[Fraction]] = []
-    for i, row in enumerate(rows):
-        line = [Fraction(x) for x in row]
-        line.extend(_ONE if j == i else _ZERO for j in range(m))
-        line.append(Fraction(rhs[i]))
-        if line[-1] < 0:
-            raise LpError("negative right-hand side")
-        tab.append(line)
-    z = [-Fraction(x) for x in objective] + [_ZERO] * (m + 1)
-    basis = list(range(n, n + m))
 
-    while True:
-        enter = -1
-        for j in range(n + m):
-            if z[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave = -1
-        best: Fraction | None = None
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+    def __init__(self, weights: Sequence[Fraction], rows: Sequence[frozenset[int]]):
+        self.n = len(weights)
+        self.scale = lcm(*(x.denominator for x in weights))
+        self.d = 1
+        self.cols = list(range(self.n))
+        self.z = [-(x.numerator * (self.scale // x.denominator)) for x in weights]
+        self.z_rhs = 0
+        self.rows: list[list[int]] = []
+        self.rhs: list[int] = []
+        self.basis: list[int] = []
+        for s in rows:
+            self._append(s)
+        rows, rhs, basis, z = self.rows, self.rhs, self.basis, self.z
+        while True:
+            entering = [(v, j) for j, v in enumerate(self.cols) if z[j] < 0]
+            if not entering:
+                return
+            enter = min(entering)[1]
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    # minimise rhs[i]/a; ties leave the smallest basic variable
+                    diff = -1 if leave < 0 else rhs[i] * rows[leave][enter] - rhs[leave] * a
+                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                raise LpError("unbounded linear program")
+            self._pivot(leave, enter)
+
+    def _append(self, s: frozenset[int]) -> None:
+        """The row y(s) <= 1, basic in a new slack and reduced against the
+        current basis: D*a_s minus the rows whose basic y lies in s."""
+        row = [self.d if v in s else 0 for v in self.cols]
+        rhs = self.d
+        for i, b in enumerate(self.basis):
+            if b in s:
+                row = [x - y for x, y in zip(row, self.rows[i])]
+                rhs -= self.rhs[i]
+        self.basis.append(self.n + len(self.rows))
+        self.rows.append(row)
+        self.rhs.append(rhs)
+
+    def add_row(self, s: frozenset[int]) -> None:
+        self._append(s)
+        rows, rhs, basis, cols, z = self.rows, self.rhs, self.basis, self.cols, self.z
+        while True:
+            leave = -1
+            for i, b in enumerate(rhs):
+                if b < 0 and (leave < 0 or basis[i] < basis[leave]):
                     leave = i
-        if leave < 0:
-            raise LpError("unbounded linear program")
-        prow = tab[leave]
-        piv = prow[enter]
-        if piv != 1:
-            inv = _ONE / piv
-            prow = [x * inv if x else x for x in prow]
-            tab[leave] = prow
-        for i in range(m):
-            if i == leave:
-                continue
-            f = tab[i][enter]
-            if f:
-                row = tab[i]
-                tab[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-        f = z[enter]
-        if f:
-            z = [a - f * b if b else a for a, b in zip(z, prow)]
-        basis[leave] = enter
+            if leave < 0:
+                return
+            row = rows[leave]
+            enter = -1
+            for j, a in enumerate(row):
+                if a < 0:
+                    # minimise z[j]/-a; ties enter the smallest variable
+                    diff = -1 if enter < 0 else z[enter] * a - z[j] * row[enter]
+                    if diff < 0 or (diff == 0 and cols[j] < cols[enter]):
+                        enter = j
+            if enter < 0:
+                raise LpError("infeasible row in the dual simplex")
+            self._pivot(leave, enter)
 
-    x = [_ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][-1]
-    duals = z[n : n + m]
-    return z[-1], x, duals
+    def _pivot(self, r: int, e: int) -> None:
+        rows, rhs, z, d = self.rows, self.rhs, self.z, self.d
+        prow, prhs = rows[r], rhs[r]
+        p = prow[e]
+        sign = 1
+        if p < 0:
+            sign, p, prhs = -1, -p, -prhs
+            prow = [-b for b in prow]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[e]
+            if f:
+                row = rows[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                row[e] = -sign * f
+                rhs[i] = (rhs[i] * p - f * prhs) // d
+            elif p != d:
+                rows[i] = [a * p // d for a in row]
+                rhs[i] = rhs[i] * p // d
+        f = z[e]
+        z[:] = [(a * p - f * b) // d for a, b in zip(z, prow)]
+        z[e] = -sign * f
+        self.z_rhs = (self.z_rhs * p - f * prhs) // d
+        # the leaving variable takes the entering one's column
+        prow[e] = sign * d
+        rows[r], rhs[r] = prow, prhs
+        self.basis[r], self.cols[e] = self.cols[e], self.basis[r]
+        self.d = p
+
+    def scaled_dual(self) -> list[int]:
+        """D*y for the current basis."""
+        y = [0] * self.n
+        for i, b in enumerate(self.basis):
+            if b < self.n:
+                y[b] = self.rhs[i]
+        return y
+
+    def value(self) -> Fraction:
+        return Fraction(self.z_rhs, self.d * self.scale)
+
+    def primal(self) -> list[Fraction]:
+        """Row weights of the covering LP: the reduced costs of the slacks."""
+        x = [_ZERO] * len(self.rows)
+        for j, v in enumerate(self.cols):
+            if v >= self.n:
+                x[v - self.n] = Fraction(self.z[j], self.d * self.scale)
+        return x
 
 
 # ── maximum-weight stable set oracle ──────────────────────────────────────
@@ -228,26 +294,29 @@ def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
 
     columns = _seed_columns(g)
     known = set(columns)
+    tableau = _DualTableau(weights, columns)
     while True:
-        rows = [[(_ONE if v in s else _ZERO) for v in range(g.n)] for s in columns]
-        value, duals, col_weights = _simplex_max(weights, rows, [_ONE] * len(columns))
-        pricing_set, pricing_value = max_weight_stable_set(g, duals)
-        if pricing_value <= 1:
+        scaled_dual = tableau.scaled_dual()
+        pricing_set, mass = max_weight_stable_set(g, scaled_dual)
+        if mass <= tableau.d:
             break
         if pricing_set in known:
             raise LpError("pricing returned a known column; simplex inconsistency")
         known.add(pricing_set)
         columns.append(pricing_set)
+        tableau.add_row(pricing_set)
 
-    primal_cols = tuple(
-        (s, x) for s, x in zip(columns, col_weights) if x > 0
+    value = tableau.value()
+    dual = [Fraction(y, tableau.d) for y in scaled_dual]
+    pricing_value = mass / tableau.d
+    primal = StableSetWeighting(
+        tuple((s, x) for s, x in zip(columns, tableau.primal()) if x > 0), value
     )
-    primal = StableSetWeighting(primal_cols, value)
-    _check_optimal(g, weights, value, primal, duals, pricing_value)
+    _check_optimal(g, weights, value, primal, dual, pricing_value)
     return LpResult(
         value=value,
         primal=primal,
-        dual=tuple(duals),
+        dual=tuple(dual),
         status="optimal",
         columns_generated=len(columns),
         pricing_value=pricing_value,
@@ -299,9 +368,7 @@ def chi_f_brute_force(g: Graph, w: Sequence[Fraction]) -> Fraction:
         return _ZERO
     everything = [s for s in enumerate_stable_sets(g) if s]
     cols = [s for s in everything if not any(s < t for t in everything)]
-    rows = [[(_ONE if v in s else _ZERO) for v in range(g.n)] for s in cols]
-    value, _, _ = _simplex_max(weights, rows, [_ONE] * len(cols))
-    return value
+    return _DualTableau(weights, cols).value()
 
 
 # ── theorem verification reports ──────────────────────────────────────────

@@ -164,10 +164,11 @@ def test_pipeline_default_y_and_montecarlo(graph_file, capsys):
     assert "statistically supported" in capsys.readouterr().out
 
 
-def test_pipeline_ineligible_graph(graph_file, capsys):
-    assert main(["gen", "--family", "c8sq", "--out", "/tmp/c8.el"]) == 0
+def test_pipeline_ineligible_graph(tmp_path, capsys):
+    el = tmp_path / "c8.el"
+    assert main(["gen", "--family", "c8sq", "--out", str(el)]) == 0
     capsys.readouterr()
-    assert main(["pipeline", "--graph", "/tmp/c8.el"]) == 1
+    assert main(["pipeline", "--graph", str(el)]) == 1
     assert "ineligible" in capsys.readouterr().err
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
 )
 from kdfree.errors import HypothesisViolated
 from kdfree.graphs import (
+    NAMED_GRAPHS,
     Graph,
     block_graph,
     clique_structure,
@@ -28,6 +30,7 @@ from kdfree.lp import (
     chi_f,
     chi_f_brute_force,
     chi_f_weighted,
+    enumerate_stable_sets,
     max_weight_stable_set,
     verify_aharoni,
     verify_reed_bounds,
@@ -108,6 +111,61 @@ def test_strong_duality_and_oracle_on_randoms():
         _, pricing = max_weight_stable_set(g, list(res.dual))
         assert pricing <= 1
         assert res.value == chi_f_brute_force(g, w)
+
+
+def assert_optimal_by_enumeration(g, w, res):
+    """Weak duality over every stable set, with no call into the simplex."""
+    y = res.dual
+    assert all(yv >= 0 for yv in y)
+    for s in enumerate_stable_sets(g):
+        assert sum((y[v] for v in s), F(0)) <= 1
+    assert sum(yv * wv for yv, wv in zip(y, w)) == res.value
+    cover = [F(0)] * g.n
+    for s, x in res.primal.columns:
+        assert x > 0 and g.is_stable(s)
+        for v in s:
+            cover[v] += x
+    assert sum(x for _, x in res.primal.columns) == res.value
+    assert all(c >= wv for c, wv in zip(cover, w))
+
+
+def test_optimality_by_enumeration_on_randoms():
+    rng = random.Random(71)
+    for _ in range(150):
+        g = random_graph(rng.randint(1, 12), rng.uniform(0.1, 0.9), rng)
+        w = random_weights(g.n, rng)
+        assert_optimal_by_enumeration(g, w, chi_f_weighted(g, w))
+
+
+@pytest.mark.parametrize("name", ["c8sq", "c11sq", "p72", "c5xk2", "c7xk2", "c5xk3"])
+def test_optimality_by_enumeration_on_vertex_transitive(name):
+    g = NAMED_GRAPHS[name]()
+    assert_optimal_by_enumeration(g, ones(g.n), chi_f(g))
+
+
+def test_chi_f_c30_cube():
+    start = time.monotonic()
+    assert chi_f(cycle_power(30, 3)).value == F(30, 30 // 4)
+    assert time.monotonic() - start < 10
+
+
+def primes_above(lo: int, count: int) -> list[int]:
+    out = []
+    c = lo + 1
+    while len(out) < count:
+        if all(c % q for q in range(2, int(c**0.5) + 1)):
+            out.append(c)
+        c += 1
+    return out
+
+
+def test_crafted_prime_denominators():
+    g = cycle_power(19, 3)
+    w = [F(p // 2 + i, p) for i, p in enumerate(primes_above(10**6, g.n))]
+    start = time.monotonic()
+    res = chi_f_weighted(g, w)
+    assert time.monotonic() - start < 10
+    assert_optimal_by_enumeration(g, w, res)
 
 
 def test_solves_are_deterministic():
