@@ -6,8 +6,10 @@ probability floor of an outside vertex with d block neighbours is
     p(Delta, d) = [ sum_{i=0..3} 1/4 * Pr(Bin(d, 4/omega) <= i) ] / (Delta - d + 1),
 
 its minima mu_k / mu over d, the per-clique-size step caps ytilde_k, their
-minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).  All
-arithmetic is exact; decimal output is rounded only for display.
+minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).  The
+whole p-curve is built in one integer pass over d, and main_bound derives
+every other constant from that one curve.  All arithmetic is exact; decimal
+output is rounded only for display.
 """
 
 from __future__ import annotations
@@ -83,12 +85,31 @@ def p_value(delta: int, d: int) -> Fraction:
 
 
 def p_curve(delta: int) -> tuple[Fraction, ...]:
-    return tuple(p_value(delta, d) for d in range(delta + 1))
+    """p(Delta, d) for d = 0..Delta in one integer pass.
+
+    With omega = Delta - 1 and q = omega - 4, the binomial terms share the
+    denominator omega^d, so
+
+        p(Delta, d) = sum_{j<=3} (4-j) C(d,j) 4^j q^(d-j) / (4 omega^d (Delta-d+1)),
+
+    built from running powers of q and omega with one Fraction per d.
+    """
+    if delta < 5:
+        raise ValueError(f"needs Delta >= 5, got {delta}")
+    omega = delta - 1
+    q = omega - 4
+    q_pow = [0, 0, 0, 1]  # q^(d-3) .. q^d; a negative power meets C(d, j) = 0
+    omega_pow = 1
+    curve = []
+    for d in range(delta + 1):
+        numerator = sum((4 - j) * comb(d, j) * 4**j * q_pow[3 - j] for j in range(4))
+        curve.append(Fraction(numerator, 4 * omega_pow * (delta - d + 1)))
+        q_pow = q_pow[1:] + [q_pow[3] * q]
+        omega_pow *= omega
+    return tuple(curve)
 
 
-def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
-    """Prefix minima mu_k of the p-curve, the overall mu, and its first argmin."""
-    curve = p_curve(delta)
+def _prefix_minima(curve: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction, int]:
     mu_k: dict[int, Fraction] = {}
     running = curve[0]
     argmin = 0
@@ -100,12 +121,23 @@ def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
     return mu_k, running, argmin
 
 
+def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
+    """Prefix minima mu_k of the p-curve, the overall mu, and its first argmin."""
+    return _prefix_minima(p_curve(delta))
+
+
 def ytilde_values(delta: int) -> tuple[dict[int, Fraction], Fraction]:
     """Step caps ytilde_k for k in [1, Delta-2] and their convenience-capped min."""
     if delta < 6:
         raise ValueError(f"needs Delta >= 6, got {delta}")
-    omega = delta - 1
     mu_k, mu, _ = mu_values(delta)
+    return _ytilde(delta, mu_k, mu)
+
+
+def _ytilde(
+    delta: int, mu_k: Mapping[int, Fraction], mu: Fraction
+) -> tuple[dict[int, Fraction], Fraction]:
+    omega = delta - 1
     ytilde_k: dict[int, Fraction] = {}
     for k in range(1, delta - 1):
         numerator = _HALF * (delta - 1 - k)
@@ -143,8 +175,9 @@ def main_bound(delta: int) -> BoundReport:
     """Assemble the full report; also checks ytilde*mu < 1/5 for this Delta."""
     if delta < 6:
         raise ValueError(f"needs Delta >= 6, got {delta}")
-    mu_k, mu, argmin = mu_values(delta)
-    ytilde_k, ytilde = ytilde_values(delta)
+    curve = p_curve(delta)
+    mu_k, mu, argmin = _prefix_minima(curve)
+    ytilde_k, ytilde = _ytilde(delta, mu_k, mu)
     product = ytilde * mu
     if not product < Fraction(1, 5):
         raise BoundViolation(f"ytilde*mu = {product} >= 1/5 at Delta={delta}")
@@ -152,7 +185,7 @@ def main_bound(delta: int) -> BoundReport:
     return BoundReport(
         delta=delta,
         omega=delta - 1,
-        p_curve=p_curve(delta),
+        p_curve=curve,
         mu_k=mu_k,
         mu=mu,
         argmin_d=argmin,

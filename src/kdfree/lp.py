@@ -173,14 +173,18 @@ def max_weight_stable_set(
 
     Branches on the heaviest candidate; the upper bound is a greedy clique
     cover (a stable set meets each clique at most once).  Among maximisers the
-    lexicographically least set of positive-weight vertices is returned.
+    lexicographically least set of positive-weight vertices is returned.  The
+    weights are scaled once by the lcm of their denominators, so the search
+    runs on integers.
     """
     w = [Fraction(x) for x in weights]
     if len(w) != g.n:
         raise ValueError(f"expected {g.n} weights, got {len(w)}")
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
-    order = sorted((v for v in range(g.n) if w[v] > 0), key=lambda v: (-w[v], v))
+    scale = lcm(*(x.denominator for x in w))
+    iw = [x.numerator * (scale // x.denominator) for x in w]
+    order = sorted((v for v in range(g.n) if iw[v] > 0), key=lambda v: (-iw[v], v))
     if not order:
         return frozenset(), _ZERO
     masks = g.masks
@@ -188,8 +192,8 @@ def max_weight_stable_set(
     for v in order:
         full |= 1 << v
 
-    def cover_bound(mask: int) -> Fraction:
-        total = _ZERO
+    def cover_bound(mask: int) -> int:
+        total = 0
         cliques: list[int] = []
         for v in order:
             if not (mask >> v) & 1:
@@ -201,12 +205,12 @@ def max_weight_stable_set(
                     break
             else:
                 cliques.append(bit)
-                total += w[v]
+                total += iw[v]
         return total
 
-    best = _ZERO
+    best = 0
 
-    def search(mask: int, acc: Fraction) -> None:
+    def search(mask: int, acc: int) -> None:
         nonlocal best
         if acc > best:
             best = acc
@@ -215,37 +219,37 @@ def max_weight_stable_set(
         if acc + cover_bound(mask) <= best:
             return
         v = next(u for u in order if (mask >> u) & 1)
-        search(mask & ~masks[v] & ~(1 << v), acc + w[v])
+        search(mask & ~masks[v] & ~(1 << v), acc + iw[v])
         search(mask & ~(1 << v), acc)
 
-    search(full, _ZERO)
+    search(full, 0)
     target = best
 
-    def reaches(mask: int, acc: Fraction, needed: Fraction) -> bool:
+    def reaches(mask: int, acc: int, needed: int) -> bool:
         if acc >= needed:
             return True
         if not mask or acc + cover_bound(mask) < needed:
             return False
         v = next(u for u in order if (mask >> u) & 1)
-        if reaches(mask & ~masks[v] & ~(1 << v), acc + w[v], needed):
+        if reaches(mask & ~masks[v] & ~(1 << v), acc + iw[v], needed):
             return True
         return reaches(mask & ~(1 << v), acc, needed)
 
     chosen: list[int] = []
     mask = full
-    acc = _ZERO
+    acc = 0
     for v in sorted(order):
         if not (mask >> v) & 1:
             continue
-        if reaches(mask & ~masks[v] & ~(1 << v), acc + w[v], target):
+        if reaches(mask & ~masks[v] & ~(1 << v), acc + iw[v], target):
             chosen.append(v)
-            acc += w[v]
+            acc += iw[v]
             mask &= ~masks[v] & ~(1 << v)
         else:
             mask &= ~(1 << v)
     if acc != target:
         raise LpError("lexicographic extraction lost the optimum")
-    return frozenset(chosen), target
+    return frozenset(chosen), Fraction(target, scale)
 
 
 # ── column generation ─────────────────────────────────────────────────────

@@ -6,7 +6,9 @@ theorem applies), converts the colouring to a uniform column pool with exact
 quarter marginals, and draws one column.  Stage two inserts the outside
 vertices greedily in a uniform random order.  Tiny instances admit full
 enumeration, giving exact marginals against which the Monte Carlo estimator
-is validated.
+is validated: every joint 4-subset choice and pool column, and for stage two
+a recursion on the set of still-insertable outside vertices (the first of
+them in a uniform order is uniform among them), memoised per call.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from random import Random
 from typing import Iterable, Mapping, Sequence
 
@@ -34,9 +36,10 @@ ENUMERATION_WORK_LIMIT = 10**7
 HOEFFDING_DELTA = 1e-3
 
 
-def trial_rng(seed: int, trial: int) -> Random:
-    """Counter-based per-trial stream; identical for serial and parallel runs."""
-    return Random(f"{seed}:{trial}")
+def trial_rng(seed: int, *key: int) -> Random:
+    """Counter-based per-trial stream, seeded by the string "seed:key:...";
+    identical for serial and parallel runs."""
+    return Random(":".join(map(str, (seed, *key))))
 
 
 class StableSetSampler:
@@ -145,6 +148,15 @@ class StableSetSampler:
     # ── exact enumeration ─────────────────────────────────────────────────
 
     def enumerate_exact(self, active: Sequence[int] | None = None) -> "ExactMarginals":
+        """Exact two-stage distribution by recursion on the insertable set.
+
+        In a uniform order of the outside vertices, the first one still
+        insertable is uniform over the insertable set I, and the rest of the
+        order stays uniform.  So the sets stage two inserts are distributed as
+        g(0) = {0: 1} and g(I) = the average over u in I of {u} | g(I - N[u]).
+        g is memoised by the insertable bitmask for this call only, so its cost
+        is the number of distinct insertable sets, not k! orders.
+        """
         outside = list(self.outside if active is None else sorted(active))
         if len(outside) > OUTSIDE_ENUMERATION_LIMIT:
             raise SizeLimit(
@@ -154,9 +166,23 @@ class StableSetSampler:
         n_choices = math.prod(len(opts) for opts in self.block_choices)
         if n_choices > ENUMERATION_WORK_LIMIT:
             raise SizeLimit("too many joint 4-subset choices")
-        perms = list(permutations(outside)) or [()]
         masks = self.g.masks
         closed = [masks[v] | (1 << v) for v in range(n)]
+        memo: dict[int, dict[int, Fraction]] = {0: {0: _ONE}}
+
+        def inserted(free: int) -> dict[int, Fraction]:
+            out = memo.get(free)
+            if out is None:
+                out = {}
+                share = Fraction(1, free.bit_count())
+                rest = free
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    for t, p in inserted(free & ~closed[bit.bit_length() - 1]).items():
+                        out[t | bit] = out.get(t | bit, _ZERO) + p * share
+                memo[free] = out
+            return out
 
         pr_s = [_ZERO] * n
         pr_s_omega = [_ZERO] * n
@@ -166,24 +192,22 @@ class StableSetSampler:
         work = 0
         for joint in product(*self.block_choices):
             pool = self.pool(joint)
-            work += len(pool)
-            if work > ENUMERATION_WORK_LIMIT:
-                raise SizeLimit("enumeration work limit exceeded")
             col_p = Fraction(1, n_choices * len(pool))
             for col in pool:
                 for v in range(n):
                     if (col >> v) & 1:
                         pr_s_omega[v] += col_p
+                free = 0
                 for v in outside:
                     if not masks[v] & col:
                         nb_empty[v] += col_p
-                perm_p = col_p / len(perms)
-                for perm in perms:
-                    s = col
-                    for u in perm:
-                        if not masks[u] & s:
-                            s |= 1 << u
-                    dist[s] = dist.get(s, _ZERO) + perm_p
+                        free |= 1 << v
+                tails = inserted(free)
+                work += len(tails)
+                if work > ENUMERATION_WORK_LIMIT:
+                    raise SizeLimit("enumeration work limit exceeded")
+                for t, p in tails.items():
+                    dist[col | t] = dist.get(col | t, _ZERO) + col_p * p
         for s, p in dist.items():
             for v in range(n):
                 if (s >> v) & 1:

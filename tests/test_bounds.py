@@ -16,6 +16,7 @@ from kdfree.bounds import (
     mu_values,
     p_curve,
     p_value,
+    quarter_tail_sum,
     table_rows,
     ytilde_values,
 )
@@ -54,11 +55,25 @@ def test_p_curve_rewritten_form():
             assert p_value(delta, d) * (delta - d + 1) * 4 == rhs
 
 
+def test_p_curve_equals_quarter_tail_form():
+    for delta in range(5, 41):
+        curve = p_curve(delta)
+        assert len(curve) == delta + 1
+        for d, value in enumerate(curve):
+            assert value == quarter_tail_sum(d, delta - 1) / (delta - d + 1)
+    curve = p_curve(1000)
+    rng = random.Random(1000)
+    for d in [0, 1, 2, 3, 4, 1000] + rng.sample(range(5, 1000), 8):
+        assert curve[d] == quarter_tail_sum(d, 999) / (1001 - d)
+
+
 def test_p_value_range_checks():
     with pytest.raises(ValueError):
         p_value(4, 0)
     with pytest.raises(ValueError):
         p_value(6, 7)
+    with pytest.raises(ValueError):
+        p_curve(4)
 
 
 def test_mu6_exact_and_argmin():

@@ -81,6 +81,26 @@ def test_mwis_matches_brute_force_on_randoms():
         assert value == brute_max_weight_stable(g, w)
 
 
+def test_mwis_set_matches_brute_force_with_mixed_denominators():
+    # the returned set is the lexicographically least maximiser restricted to
+    # positive-weight vertices, checked over every stable set
+    rng = random.Random(43)
+    for _ in range(80):
+        g = random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng)
+        w = random_weights(g.n, rng)
+        for v in rng.sample(range(g.n), rng.randint(0, g.n // 2)):
+            w[v] = F(0)
+        best = max(sum((w[v] for v in s), F(0)) for s in enumerate_stable_sets(g))
+        winners = {
+            tuple(sorted(v for v in s if w[v] > 0))
+            for s in enumerate_stable_sets(g)
+            if sum((w[v] for v in s), F(0)) == best
+        }
+        s, value = max_weight_stable_set(g, w)
+        assert value == best and isinstance(value, Fraction)
+        assert tuple(sorted(s)) == min(winners)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_chi_f_complete(n):
     assert chi_f(complete_graph(n)).value == n

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import instance_a, instance_b, instance_c
+from conftest import instance_a, instance_b, instance_c, medium_instance, random_graph
 from kdfree.bounds import main_bound, mu_values
 from kdfree.errors import EligibilityError
 from kdfree.graphs import (
@@ -18,7 +20,12 @@ from kdfree.graphs import (
     strong_product,
 )
 from kdfree.intervals import verify_certificate
-from kdfree.pipeline import end_to_end, initial_colouring, verify_theorem_initial
+from kdfree.pipeline import (
+    check_weight_conditions,
+    end_to_end,
+    initial_colouring,
+    verify_theorem_initial,
+)
 
 F = Fraction
 ONE = F(1)
@@ -158,3 +165,46 @@ def test_end_to_end_rejects_low_degree():
         end_to_end(cycle_graph(5))
     with pytest.raises(EligibilityError):
         end_to_end(complete_graph(8))  # omega = Delta + 1 frame
+
+
+def clique_conditions_by_subsets(g, cs, y, w, band):
+    """clique_floor and large_clique_floor over every subclique of size
+    1..omega-1 of every maximal clique."""
+    delta = g.max_degree()
+    mu_k, mu, _ = mu_values(delta)
+    cliques = {
+        frozenset(sub)
+        for clique in cs.maximal_cliques
+        for size in range(1, min(len(clique), cs.omega - 1) + 1)
+        for sub in combinations(sorted(clique), size)
+    }
+    floor = min(mu * y, ONE)
+    small = all(sum((w[v] for v in c), F(0)) >= len(c) * (floor - band) for c in cliques)
+    large = all(
+        sum((w[v] for v in c), F(0)) >= len(c) * (min(mu_k[delta + 1 - len(c)] * y, ONE) - band)
+        for c in cliques
+        if len(c) >= 4
+    )
+    return small, large
+
+
+def test_clique_conditions_match_subset_enumeration():
+    rng = random.Random(61)
+    graphs = [instance_a(), instance_b(), instance_c(), medium_instance()]
+    graphs += [random_graph(rng.randint(8, 11), rng.uniform(0.55, 0.8), rng) for _ in range(6)]
+    seen = set()
+    for g in graphs:
+        cs = clique_structure(g)
+        if g.max_degree() < 5:
+            continue
+        _, mu, _ = mu_values(g.max_degree())
+        for _ in range(25):
+            y = F(rng.randint(1, 8), rng.randint(1, 3))
+            low = rng.choice((0, 3, 4))
+            w = [mu * y * F(rng.randint(low, 8), 4) for _ in range(g.n)]
+            band = rng.choice((F(0), mu * y / 8))
+            checks = {c.name: c.ok for c in check_weight_conditions(g, cs, y, w, band)}
+            got = (checks["clique_floor"], checks["large_clique_floor"])
+            assert got == clique_conditions_by_subsets(g, cs, y, w, band)
+            seen.add(got)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}

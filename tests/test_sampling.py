@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -12,7 +12,9 @@ from conftest import instance_a, instance_b, instance_c, medium_instance
 from kdfree.bounds import p_value, quarter_tail_sum
 from kdfree.errors import AharoniHypothesisError, EligibilityError, SizeLimit
 from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph
+from kdfree import sampling
 from kdfree.sampling import (
+    ExactMarginals,
     StableSetSampler,
     estimate,
     exact_marginals,
@@ -190,8 +192,6 @@ def test_sampler_rejects_small_blocks():
 
 
 def test_sampler_rejects_intersecting_blocks():
-    from itertools import combinations
-
     edges = [e for e in combinations(range(6), 2) if e != (0, 1)]
     with pytest.raises(EligibilityError):
         StableSetSampler(Graph(6, edges))
@@ -218,3 +218,98 @@ def test_enumeration_size_limit():
     g = block_graph(2, 5, outside=[[] for _ in range(9)])
     with pytest.raises(SizeLimit):
         exact_marginals(g)
+
+
+def test_enumeration_work_counts_inserted_sets(monkeypatch):
+    # two isolated outside vertices: each of the 4 pool columns has one
+    # inserted set, while an outside edge gives each column two
+    for edges, pairs in (((), 4), (((0, 1),), 8)):
+        g = block_graph(1, 4, outside=[[], []], outside_edges=edges)
+        sampler = StableSetSampler(g)
+        assert len(sampler.pool(tuple(sampler.block_choices[0]))) == 4
+        monkeypatch.setattr(sampling, "ENUMERATION_WORK_LIMIT", pairs)
+        sampler.enumerate_exact()
+        monkeypatch.setattr(sampling, "ENUMERATION_WORK_LIMIT", pairs - 1)
+        with pytest.raises(SizeLimit):
+            sampler.enumerate_exact()
+
+
+# ── differential check against the k!-order walk ─────────────────────────
+
+
+def enumerate_by_orders(sampler: StableSetSampler, active=None) -> ExactMarginals:
+    """Stage two as k! equally likely insertion orders, walked one by one."""
+    outside = list(sampler.outside if active is None else sorted(active))
+    g = sampler.g
+    n, masks = g.n, g.masks
+    closed = [masks[v] | (1 << v) for v in range(n)]
+    joints = list(product(*sampler.block_choices))
+    orders = list(permutations(outside))
+    pr_s_omega = [F(0)] * n
+    nb_empty = {v: F(0) for v in outside}
+    dist: dict[int, Fraction] = {}
+    for joint in joints:
+        pool = sampler.pool(joint)
+        col_p = F(1, len(joints) * len(pool))
+        for col in pool:
+            for v in range(n):
+                if (col >> v) & 1:
+                    pr_s_omega[v] += col_p
+            for v in outside:
+                if not masks[v] & col:
+                    nb_empty[v] += col_p
+            hits: dict[int, int] = {}
+            for order in orders:
+                s = col
+                for u in order:
+                    if not masks[u] & s:
+                        s |= 1 << u
+                hits[s] = hits.get(s, 0) + 1
+            for s, count in hits.items():
+                dist[s] = dist.get(s, F(0)) + col_p * F(count, len(orders))
+    pr_s = [sum((p for s, p in dist.items() if (s >> v) & 1), F(0)) for v in range(n)]
+    e_closed = [sum((p * (closed[v] & s).bit_count() for s, p in dist.items()), F(0)) for v in range(n)]
+    return ExactMarginals(
+        pr_s=tuple(pr_s),
+        pr_s_omega=tuple(pr_s_omega),
+        block_nb_empty=nb_empty,
+        expected_closed=tuple(e_closed),
+        distribution=tuple((mask_set(s, n), p) for s, p in sorted(dist.items())),
+    )
+
+
+def random_block_graph(rng: random.Random, outside_count: int, omega: int) -> Graph:
+    """Planted K_omega blocks (the only maximum cliques), an optional bridge,
+    and outside vertices seeing at most one vertex of each block."""
+    while True:
+        blocks = rng.choice((1, 2))
+        cross = []
+        if blocks == 2 and rng.random() < 0.5:
+            cross = [(rng.randrange(omega), omega + rng.randrange(omega))]
+        outside = [
+            [b * omega + rng.randrange(omega) for b in range(blocks) if rng.random() < 0.6]
+            for _ in range(outside_count)
+        ]
+        edges = [e for e in combinations(range(outside_count), 2) if rng.random() < 0.35]
+        g = block_graph(blocks, omega, cross, outside, edges)
+        cs = clique_structure(g)
+        if cs.omega == omega and len(cs.max_cliques) == blocks:
+            return g
+
+
+@pytest.mark.parametrize("outside_count", range(1, 8))
+def test_enumerate_exact_matches_order_walk(outside_count):
+    rng = random.Random(f"order-walk:{outside_count}")
+    for case in range(4 if outside_count < 7 else 2):
+        sampler = StableSetSampler(random_block_graph(rng, outside_count, 4 + case % 2))
+        subsets = [None, sorted(rng.sample(sampler.outside, rng.randint(0, outside_count)))]
+        for active in subsets:
+            assert sampler.enumerate_exact(active) == enumerate_by_orders(sampler, active)
+
+
+def test_trial_rng_keeps_the_seed_strings():
+    for seed, trial, step in ((0, 0, 0), (7, 3, 11), (123, 9, 10**6)):
+        assert trial_rng(seed, trial).random() == random.Random(f"{seed}:{trial}").random()
+        want = random.Random(f"{seed}:{trial}:{step}")
+        got = trial_rng(seed, trial, step)
+        assert [got.random() for _ in range(5)] == [want.random() for _ in range(5)]
