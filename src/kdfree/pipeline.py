@@ -11,6 +11,7 @@ is an exact certificate for the resulting vertex weights.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -98,15 +99,14 @@ def initial_colouring(
                 if prob[v] != Fraction(1, omega):
                     raise LpError(f"block vertex {v} has step probability {prob[v]} != 1/{omega}")
         else:
-            counts = {v: 0 for v in active}
-            seen: dict[int, int] = {}
-            for t in range(trials):
-                rng = trial_rng(seed, len(iterations), t)
-                _, s = sampler.sample(rng, active_outside)
-                seen[s] = seen.get(s, 0) + 1
-                for v in active:
-                    counts[v] += (s >> v) & 1
-            prob = {v: Fraction(c, trials) for v, c in counts.items()}
+            seen = Counter(
+                sampler.sample(trial_rng(seed, len(iterations), t), active_outside)[1]
+                for t in range(trials)
+            )
+            prob = {
+                v: Fraction(sum(c for s, c in seen.items() if (s >> v) & 1), trials)
+                for v in active
+            }
             dist = [
                 (_mask_to_set(s, n), Fraction(c, trials)) for s, c in sorted(seen.items())
             ]

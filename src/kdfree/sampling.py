@@ -3,17 +3,21 @@
 Stage one draws a uniform 4-subset of every block, fractionally 4-colours the
 induced subgraph (its maximum degree is at most 5, so the clique-partition
 theorem applies), converts the colouring to a uniform column pool with exact
-quarter marginals, and draws one column.  Stage two inserts the outside
-vertices greedily in a uniform random order.  Tiny instances admit full
-enumeration, giving exact marginals against which the Monte Carlo estimator
-is validated: every joint 4-subset choice and pool column, and for stage two
-a recursion on the set of still-insertable outside vertices (the first of
-them in a uniform order is uniform among them), memoised per call.
+quarter marginals, and draws one column.  The pool LP depends only on the
+choice's shape (the relabelled 4-subset graph and the chosen 4-subsets in its
+labels), so a sampler solves it once per shape and relabels it for each joint
+choice; both memos keep at most POOL_CACHE_LIMIT entries.  Stage two inserts
+the outside vertices greedily in a uniform random order.  Tiny instances
+admit full enumeration, giving exact marginals against which the Monte Carlo
+estimator is validated: every joint 4-subset choice and pool column, and for
+stage two a recursion on the set of still-insertable outside vertices (the
+first of them in a uniform order is uniform among them), memoised per call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -31,6 +35,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 OUTSIDE_ENUMERATION_LIMIT = 8
+POOL_CACHE_LIMIT = 4096  # entries kept per sampler, each of choices and of shapes
 ENUMERATION_WORK_LIMIT = 10**7
 
 HOEFFDING_DELTA = 1e-3
@@ -66,74 +71,48 @@ class StableSetSampler:
         self.block_choices = [list(combinations(b, 4)) for b in self.blocks]
         self.outside = tuple(sorted(set(range(g.n)) - set(self.cs.v_omega)))
         self._pools: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+        # (relabelled 4-subset graph, chosen 4-subsets in its labels) -> local pool
+        self._shapes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
     # ── stage one ─────────────────────────────────────────────────────────
 
     def draw_choice(self, rng: Random) -> tuple[tuple[int, ...], ...]:
-        return tuple(opts[rng.randrange(len(opts))] for opts in self.block_choices)
+        return tuple(map(rng.choice, self.block_choices))
 
     def pool(self, choice: tuple[tuple[int, ...], ...]) -> list[int]:
         """Column pool (as vertex bitmasks) for one joint 4-subset choice.
 
         Uniform over the pool, every tilde vertex appears with probability
-        exactly 1/4 and every column meets every chosen 4-subset.
+        exactly 1/4 and every column meets every chosen 4-subset.  The pool
+        depends only on the choice's shape, the induced 4-subset graph
+        relabelled in vertex order together with the chosen 4-subsets in those
+        labels, so its LP is solved once per shape and relabelled per choice.
         """
         cached = self._pools.get(choice)
         if cached is not None:
             return cached
         tilde_vertices = sorted(v for sub in choice for v in sub)
-        tilde = self.g.induced(tilde_vertices)
-        if tilde.max_degree() > 5:
-            raise AharoniHypothesisError(
-                f"induced 4-subset graph has degree {tilde.max_degree()} > 5"
-            )
-        result = chi_f_weighted(tilde, [_ONE] * tilde.n)
-        if result.value != 4:
-            raise AharoniHypothesisError(f"chi_f of the 4-subset graph is {result.value} != 4")
-        columns = to_multiset(result.primal)
-        scale = len(columns) // 4
-        if len(columns) != 4 * scale:
-            raise AharoniHypothesisError("column pool size is not a multiple of 4")
-        # trim any over-covered vertex down to exactly `scale` occurrences
-        counts = {v: 0 for v in range(tilde.n)}
-        trimmed: list[set[int]] = []
-        for col in columns:
-            keep = set()
-            for v in col:
-                if counts[v] < scale:
-                    counts[v] += 1
-                    keep.add(v)
-            trimmed.append(keep)
-        if any(c != scale for c in counts.values()):
-            raise AharoniHypothesisError("pool coverage is not exactly a quarter")
-        tilde_index = {v: i for i, v in enumerate(tilde_vertices)}
-        subsets = [{tilde_index[v] for v in sub} for sub in choice]
-        for col in trimmed:
-            if any(len(col & sub) != 1 for sub in subsets):
-                # equality of the coverage sums forces one hit per 4-subset;
-                # a miss here would break maximality of the final draw
-                raise AharoniHypothesisError("a pool column misses a 4-subset")
-        pool = []
-        for col in trimmed:
-            mask = 0
-            for v in col:
-                mask |= 1 << tilde_vertices[v]
-            pool.append(mask)
-        self._pools[choice] = pool
+        index = {v: i for i, v in enumerate(tilde_vertices)}
+        shape = (
+            self.g.induced(tilde_vertices),
+            tuple(tuple(index[v] for v in sub) for sub in choice),
+        )
+        local = self._shapes.get(shape)
+        if local is None:
+            local = _shape_pool(*shape)
+            _remember(self._shapes, shape, local)
+        pool = [sum(1 << tilde_vertices[i] for i in col) for col in local]
+        _remember(self._pools, choice, pool)
         return pool
 
     def sample_s_omega(self, rng: Random) -> int:
-        choice = self.draw_choice(rng)
-        pool = self.pool(choice)
-        return pool[rng.randrange(len(pool))]
+        return rng.choice(self.pool(self.draw_choice(rng)))
 
     # ── stage two ─────────────────────────────────────────────────────────
 
     def extend(self, rng: Random, s_omega_mask: int, active: Sequence[int] | None = None) -> int:
         vertices = list(self.outside if active is None else sorted(active))
-        for i in range(len(vertices) - 1, 0, -1):  # Fisher-Yates
-            j = rng.randrange(i + 1)
-            vertices[i], vertices[j] = vertices[j], vertices[i]
+        rng.shuffle(vertices)
         s = s_omega_mask
         for u in vertices:
             if not self.g.masks[u] & s:
@@ -227,6 +206,51 @@ class StableSetSampler:
         )
 
 
+def _remember(cache: dict, key, value) -> None:
+    """Store key -> value, first dropping the oldest entry if the cache is full."""
+    if len(cache) >= POOL_CACHE_LIMIT:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _shape_pool(
+    tilde: Graph, subsets: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Uniform column pool of the 4-subset graph `tilde` (columns as sorted
+    vertex tuples) with exact quarter coverage and one hit per 4-subset.
+
+    Raises AharoniHypothesisError when the hypotheses behind it fail."""
+    if tilde.max_degree() > 5:
+        raise AharoniHypothesisError(
+            f"induced 4-subset graph has degree {tilde.max_degree()} > 5"
+        )
+    result = chi_f_weighted(tilde, [_ONE] * tilde.n)
+    if result.value != 4:
+        raise AharoniHypothesisError(f"chi_f of the 4-subset graph is {result.value} != 4")
+    columns = to_multiset(result.primal)
+    scale = len(columns) // 4
+    if len(columns) != 4 * scale:
+        raise AharoniHypothesisError("column pool size is not a multiple of 4")
+    # trim any over-covered vertex down to exactly `scale` occurrences
+    counts = [0] * tilde.n
+    trimmed: list[tuple[int, ...]] = []
+    for col in columns:
+        keep = []
+        for v in sorted(col):
+            if counts[v] < scale:
+                counts[v] += 1
+                keep.append(v)
+        trimmed.append(tuple(keep))
+    if any(c != scale for c in counts):
+        raise AharoniHypothesisError("pool coverage is not exactly a quarter")
+    for col in trimmed:
+        if any(len(set(col).intersection(sub)) != 1 for sub in subsets):
+            # equality of the coverage sums forces one hit per 4-subset;
+            # a miss here would break maximality of the final draw
+            raise AharoniHypothesisError("a pool column misses a 4-subset")
+    return tuple(trimmed)
+
+
 @dataclass(frozen=True)
 class ExactMarginals:
     """Full enumeration of the two-stage distribution on a tiny instance."""
@@ -316,7 +340,9 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
     """Seeded Monte Carlo estimates checked against the theoretical floors.
 
     Deterministic for fixed (graph, seed, trials): trial t uses its own
-    counter-derived stream, so aggregation order cannot matter.
+    counter-derived stream, so aggregation order cannot matter.  Draws are
+    tallied by their (S_omega, S) masks and each distinct pair is counted
+    into the per-vertex figures once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -331,17 +357,17 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
     count_nb_empty = {v: 0 for v in sampler.outside}
     total_closed = [0] * n
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        s_omega, s = sampler.sample(rng)
+    draws = Counter(sampler.sample(trial_rng(seed, t)) for t in range(trials))
+    for (s_omega, s), c in draws.items():
         for v in range(n):
-            bit = (s >> v) & 1
-            count_s[v] += bit
-            count_s_omega[v] += (s_omega >> v) & 1
-            total_closed[v] += (closed[v] & s).bit_count()
+            if (s >> v) & 1:
+                count_s[v] += c
+            if (s_omega >> v) & 1:
+                count_s_omega[v] += c
+            total_closed[v] += c * (closed[v] & s).bit_count()
         for v in sampler.outside:
             if not masks[v] & s_omega:
-                count_nb_empty[v] += 1
+                count_nb_empty[v] += c
 
     freq_s = tuple(Fraction(c, trials) for c in count_s)
     freq_s_omega = tuple(Fraction(c, trials) for c in count_s_omega)

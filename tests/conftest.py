@@ -7,6 +7,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from kdfree.graphs import Graph, block_graph
+from kdfree.intervals import to_multiset
+from kdfree.lp import chi_f_weighted
+from kdfree.sampling import StableSetSampler
 
 
 # ── eligible block instances (max degree 6, omega 5) ──────────────────────
@@ -48,6 +51,23 @@ def medium_instance() -> Graph:
         cross_edges=[(0, 5), (5, 10)],
         outside=[[1], [6], [11], [2, 7]],
         outside_edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    )
+
+
+OUTSIDE_K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+def three_k7() -> Graph:
+    """Three K7 blocks chained through vertex 7, plus an outside K4 (Delta 8)."""
+    return block_graph(3, 7, [(0, 7), (7, 14)], [[1], [8], [15], [2, 9]], OUTSIDE_K4)
+
+
+def four_k9() -> Graph:
+    """Four K9 blocks chained, plus an outside K4 with a pendant (Delta 10)."""
+    return block_graph(
+        4, 9, [(0, 9), (9, 18), (18, 27)],
+        [[1], [10], [19], [28], [2, 11]],
+        OUTSIDE_K4 + [(3, 4)],
     )
 
 
@@ -176,3 +196,45 @@ def brute_near_cliques(g: Graph, delta: int, pattern: str) -> list[tuple[int, ..
         if shapes == want:
             hits.append(sub)
     return hits
+
+
+class TrialLoopSampler:
+    """The two-stage draw as one loop per trial: `randrange` picks, a written
+    out Fisher-Yates shuffle, and one pool LP per joint 4-subset choice."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.sampler = StableSetSampler(g)  # blocks, choices and outside only
+        self.pools: dict[tuple, list[int]] = {}
+
+    def pool(self, choice) -> list[int]:
+        if choice not in self.pools:
+            tilde_vertices = sorted(v for sub in choice for v in sub)
+            tilde = self.g.induced(tilde_vertices)
+            columns = to_multiset(chi_f_weighted(tilde, [Fraction(1)] * tilde.n).primal)
+            scale = len(columns) // 4
+            counts = [0] * tilde.n
+            pool = []
+            for col in columns:
+                mask = 0
+                for v in col:
+                    if counts[v] < scale:
+                        counts[v] += 1
+                        mask |= 1 << tilde_vertices[v]
+                pool.append(mask)
+            self.pools[choice] = pool
+        return self.pools[choice]
+
+    def sample(self, rng: random.Random, active=None) -> tuple[int, int]:
+        choice = tuple(opts[rng.randrange(len(opts))] for opts in self.sampler.block_choices)
+        pool = self.pool(choice)
+        s_omega = pool[rng.randrange(len(pool))]
+        vertices = list(self.sampler.outside if active is None else sorted(active))
+        for i in range(len(vertices) - 1, 0, -1):
+            j = rng.randrange(i + 1)
+            vertices[i], vertices[j] = vertices[j], vertices[i]
+        s = s_omega
+        for u in vertices:
+            if not self.g.masks[u] & s:
+                s |= 1 << u
+        return s_omega, s

@@ -8,7 +8,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import instance_a, instance_b, instance_c, medium_instance, random_graph
+from conftest import (
+    TrialLoopSampler,
+    instance_a,
+    instance_b,
+    instance_c,
+    medium_instance,
+    random_graph,
+)
 from kdfree.bounds import main_bound, mu_values
 from kdfree.errors import EligibilityError
 from kdfree.graphs import (
@@ -20,6 +27,7 @@ from kdfree.graphs import (
     strong_product,
 )
 from kdfree.intervals import verify_certificate
+from kdfree.sampling import trial_rng
 from kdfree.pipeline import (
     check_weight_conditions,
     end_to_end,
@@ -114,6 +122,38 @@ def test_montecarlo_mode_runs_and_is_exact_for_achieved_weights():
     assert verify_certificate(g, weighting, trace.final_w).ok
     again, _ = initial_colouring(g, F(1, 2), mode="montecarlo", trials=400, seed=3)
     assert again == trace
+
+
+def test_montecarlo_steps_match_per_trial_loop():
+    # each step's probabilities and columns, tallied vertex by vertex after
+    # every draw of the per-trial loop on that step's own streams; the cases
+    # cover several steps and zero estimates
+    cases = (
+        (instance_b(), F(4), 2, 300),
+        (medium_instance(), F(4), 5, 300),
+        (instance_c(), F(1, 2), 0, 3),
+    )
+    steps = flagged = 0
+    for g, y, seed, trials in cases:
+        cs = clique_structure(g)
+        trace, weighting = initial_colouring(g, y, mode="montecarlo", trials=trials, seed=seed)
+        oracle = TrialLoopSampler(g)
+        columns: dict[frozenset[int], Fraction] = {}
+        for i, step in enumerate(trace.iterations):
+            active_outside = [v for v in step.active if v not in cs.v_omega]
+            counts = {v: 0 for v in step.active}
+            for t in range(trials):
+                _, s = oracle.sample(trial_rng(seed, i, t), active_outside)
+                key = frozenset(v for v in range(g.n) if (s >> v) & 1)
+                columns[key] = columns.get(key, F(0)) + step.y_step / trials
+                for v in step.active:
+                    counts[v] += (s >> v) & 1
+            assert step.prob == {v: F(c, trials) for v, c in counts.items()}
+            assert step.zero_prob_flagged == tuple(v for v in step.active if counts[v] == 0)
+            flagged += len(step.zero_prob_flagged)
+        assert dict(weighting.columns) == columns
+        steps = max(steps, len(trace.iterations))
+    assert steps > 1 and flagged > 0
 
 
 def test_montecarlo_zero_estimates_are_flagged_not_fatal():

@@ -8,7 +8,15 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import instance_a, instance_b, instance_c, medium_instance
+from conftest import (
+    TrialLoopSampler,
+    four_k9,
+    instance_a,
+    instance_b,
+    instance_c,
+    medium_instance,
+    three_k7,
+)
 from kdfree.bounds import p_value, quarter_tail_sum
 from kdfree.errors import AharoniHypothesisError, EligibilityError, SizeLimit
 from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph
@@ -214,6 +222,26 @@ def test_aharoni_guard_fires_on_overloaded_tilde():
         sampler.pool(bad)
 
 
+def test_aharoni_guard_fires_with_a_warm_memo():
+    # a failing shape is never memoised: the overloaded choice, and a second
+    # choice of the same shape, raise every time, before and after a good
+    # choice has warmed the memo
+    g = block_graph(4, 5, cross_edges=[(0, 5), (0, 10), (0, 15)])
+    sampler = StableSetSampler(g)
+    bad = ((0, 1, 2, 3), (5, 6, 7, 8), (10, 11, 12, 13), (15, 16, 17, 18))
+    same_shape = ((0, 1, 2, 4), (5, 6, 7, 9), (10, 11, 12, 14), (15, 16, 17, 19))
+    good = ((1, 2, 3, 4), (6, 7, 8, 9), (11, 12, 13, 14), (16, 17, 18, 19))
+    for choice in (bad, bad, same_shape):
+        with pytest.raises(AharoniHypothesisError):
+            sampler.pool(choice)
+    assert not sampler._pools and not sampler._shapes
+    sampler.pool(good)
+    for choice in (bad, same_shape, bad):
+        with pytest.raises(AharoniHypothesisError):
+            sampler.pool(choice)
+    assert list(sampler._pools) == [good] and len(sampler._shapes) == 1
+
+
 def test_enumeration_size_limit():
     g = block_graph(2, 5, outside=[[] for _ in range(9)])
     with pytest.raises(SizeLimit):
@@ -313,3 +341,122 @@ def test_trial_rng_keeps_the_seed_strings():
         want = random.Random(f"{seed}:{trial}:{step}")
         got = trial_rng(seed, trial, step)
         assert [got.random() for _ in range(5)] == [want.random() for _ in range(5)]
+
+
+# ── differential check against the per-trial loop ─────────────────────────
+
+
+def estimate_by_trials(g: Graph, trials: int, seed: int):
+    """freq_s, freq_s_omega, freq_nb_empty and mean_closed tallied vertex by
+    vertex after every draw of the per-trial loop."""
+    oracle = TrialLoopSampler(g)
+    outside = oracle.sampler.outside
+    n, masks = g.n, g.masks
+    closed = [masks[v] | (1 << v) for v in range(n)]
+    count_s, count_s_omega, total_closed = [0] * n, [0] * n, [0] * n
+    count_nb_empty = {v: 0 for v in outside}
+    for t in range(trials):
+        s_omega, s = oracle.sample(trial_rng(seed, t))
+        for v in range(n):
+            count_s[v] += (s >> v) & 1
+            count_s_omega[v] += (s_omega >> v) & 1
+            total_closed[v] += (closed[v] & s).bit_count()
+        for v in outside:
+            if not masks[v] & s_omega:
+                count_nb_empty[v] += 1
+    return (
+        tuple(F(c, trials) for c in count_s),
+        tuple(F(c, trials) for c in count_s_omega),
+        {v: F(c, trials) for v, c in count_nb_empty.items()},
+        tuple(F(c, trials) for c in total_closed),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, trials",
+    [
+        (instance_a, 1500),
+        (instance_b, 1500),
+        (instance_c, 1500),
+        (medium_instance, 1500),
+        (three_k7, 60),
+        (four_k9, 30),
+    ],
+)
+def test_estimate_matches_per_trial_loop(build, trials):
+    g = build()
+    for seed in (0, 7, 2024):
+        report = estimate(g, trials, seed)
+        got = (report.freq_s, report.freq_s_omega, report.freq_nb_empty, report.mean_closed)
+        assert got == estimate_by_trials(g, trials, seed)
+
+
+def test_sampler_draws_match_per_trial_loop():
+    # the same streams give the same draws, with and without an active subset
+    g = medium_instance()
+    sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
+    for active in (None, [15, 17, 18], []):
+        for t in range(300):
+            assert sampler.sample(trial_rng(5, t), active) == oracle.sample(trial_rng(5, t), active)
+
+
+class CountedLp:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = sampling.chi_f_weighted
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "chi_f_weighted", counted)
+
+
+def test_one_pool_lp_per_shape(monkeypatch):
+    lp = CountedLp(monkeypatch)
+    sampler = StableSetSampler(medium_instance())
+    sampler.enumerate_exact()
+    assert len(sampler._pools) == 125
+    assert lp.calls == len(sampler._shapes) <= 4
+    lp.calls = 0
+    estimate(three_k7(), 300, 11)
+    assert lp.calls <= 4
+
+
+def test_shared_shape_pools_are_exact_in_g(monkeypatch):
+    # neither choice meets a bridge end, so both are three disjoint K4s
+    g = three_k7()
+    sampler = StableSetSampler(g)
+    first = ((1, 2, 3, 4), (8, 9, 10, 11), (15, 16, 17, 18))
+    second = ((2, 3, 5, 6), (9, 10, 12, 13), (16, 17, 19, 20))
+    lp = CountedLp(monkeypatch)
+    pools = [sampler.pool(first), sampler.pool(second)]
+    assert lp.calls == 1
+    for choice, pool in zip((first, second), pools):
+        tilde = {v for sub in choice for v in sub}
+        assert len(pool) % 4 == 0
+        for col in pool:
+            s = mask_set(col, g.n)
+            assert s <= tilde and g.is_stable(s)
+            assert all(len(s & set(sub)) == 1 for sub in choice)
+        for v in tilde:
+            assert F(sum((col >> v) & 1 for col in pool), len(pool)) == F(1, 4)
+
+
+def test_pool_caches_stay_within_their_cap(monkeypatch):
+    g = medium_instance()
+    want = estimate(g, 1500, 4)
+    built: list[StableSetSampler] = []
+
+    class Recorded(StableSetSampler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(sampling, "StableSetSampler", Recorded)
+    monkeypatch.setattr(sampling, "POOL_CACHE_LIMIT", 3)
+    assert estimate(g, 1500, 4) == want
+    (sampler,) = built
+    assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
+    sampler.enumerate_exact()
+    assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
