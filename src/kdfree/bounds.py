@@ -21,11 +21,15 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
-from .errors import BoundViolation
+from .errors import BoundViolation, SizeLimit
 from .rationals import format_rational, round_half_even, truncate_decimal
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
+
+# The p-curve's integers grow with Delta: main_bound takes about 0.2 s at
+# Delta = 1000 and 1.2 s at Delta = 2000 on a 2-core x86 machine.
+DELTA_CAP = 2000
 
 # Display rules per table column, chosen to agree with as many published
 # digits as a single rule per column can (the published table itself mixes
@@ -93,9 +97,12 @@ def p_curve(delta: int) -> tuple[Fraction, ...]:
         p(Delta, d) = sum_{j<=3} (4-j) C(d,j) 4^j q^(d-j) / (4 omega^d (Delta-d+1)),
 
     built from running powers of q and omega with one Fraction per d.
+    Delta is capped at DELTA_CAP.
     """
     if delta < 5:
         raise ValueError(f"needs Delta >= 5, got {delta}")
+    if delta > DELTA_CAP:
+        raise SizeLimit(f"the p-curve is capped at Delta <= {DELTA_CAP}, got {delta}")
     omega = delta - 1
     q = omega - 4
     q_pow = [0, 0, 0, 1]  # q^(d-3) .. q^d; a negative power meets C(d, j) = 0

@@ -41,8 +41,6 @@ from .rationals import format_rational, parse_rational, round_half_even
 from .sampling import estimate, hoeffding_band
 from .structure import NEAR_CLIQUE_PATTERNS, find_bump, find_near_clique, pipeline_eligibility
 
-BIG_DELTA_GATE = 200
-
 
 def _show(value: Fraction, places: int = 6) -> str:
     return f"{format_rational(value)} (~{round_half_even(value, places)})"
@@ -79,10 +77,6 @@ def cmd_bounds(args) -> int:
         raise GraphFormatError("no Delta values given")
     if any(d < 6 for d in deltas):
         raise GraphFormatError("bounds needs Delta >= 6")
-    if max(deltas) > BIG_DELTA_GATE and not args.big:
-        raise GraphFormatError(
-            f"Delta > {BIG_DELTA_GATE} is big-integer heavy; pass --big to allow"
-        )
     if args.p_curve:
         if len(deltas) != 1:
             raise GraphFormatError("--p-curve expects a single Delta")
@@ -287,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="constants table as CSV")
     p.add_argument("--delta", required=True, help="comma-separated Delta list, e.g. 6,7,8")
     p.add_argument("--p-curve", action="store_true", help="emit the d -> p(Delta,d) curve instead")
-    p.add_argument("--big", action="store_true", help="allow Delta > 200")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bounds)
 

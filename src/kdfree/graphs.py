@@ -7,7 +7,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import GraphFormatError
+from .errors import GraphFormatError, SizeLimit
+
+VERTEX_CAP = 1000
+
+
+def _check_vertex_count(n: int) -> None:
+    """Reject a graph of more than VERTEX_CAP vertices before anything of
+    size n is allocated: Graph, the edge-list header and the generators
+    check it first."""
+    if n > VERTEX_CAP:
+        raise SizeLimit(f"graphs are capped at n <= {VERTEX_CAP}, got n={n}")
 
 
 class Graph:
@@ -22,6 +32,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
+        _check_vertex_count(n)
         neighbours: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -103,6 +114,7 @@ def cycle_power(n: int, k: int) -> Graph:
         raise GraphFormatError("cycle_power needs n >= 3 and k >= 1")
     if 2 * k >= n:
         raise GraphFormatError(f"cycle_power needs k < n/2, got n={n}, k={k}")
+    _check_vertex_count(n)
     edges = []
     for i in range(n):
         for d in range(1, k + 1):
@@ -116,6 +128,7 @@ def cycle_graph(n: int) -> Graph:
 
 def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: (u1,v1)~(u2,v2) iff both coordinates are equal-or-adjacent."""
+    _check_vertex_count(g.n * h.n)
     edges = []
     for u1 in range(g.n):
         for v1 in range(h.n):
@@ -136,6 +149,7 @@ def generalized_petersen(n: int, k: int) -> Graph:
     """P(n,k): outer n-cycle, inner {n,k}-star polygon, spokes between them."""
     if n < 3 or k < 1 or 2 * k >= n:
         raise GraphFormatError(f"generalized_petersen needs n >= 3, 1 <= k < n/2, got ({n},{k})")
+    _check_vertex_count(2 * n)
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))          # outer cycle
@@ -172,6 +186,8 @@ def block_graph(
     outside_edges are pairs of outside indices.
     """
     base = num_blocks * omega
+    n = base + len(outside)
+    _check_vertex_count(n)
     edges = []
     for b in range(num_blocks):
         edges.extend(combinations(range(b * omega, (b + 1) * omega), 2))
@@ -179,7 +195,6 @@ def block_graph(
     for j, nbrs in enumerate(outside):
         edges.extend((base + j, u) for u in nbrs)
     edges.extend((base + a, base + b) for a, b in outside_edges)
-    n = base + len(outside)
     return Graph(n, ((min(u, v), max(u, v)) for u, v in edges))
 
 
@@ -376,6 +391,7 @@ def read_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {rows[0]!r}") from exc
+    _check_vertex_count(n)
     if len(rows) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     seen = set()

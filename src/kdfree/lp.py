@@ -262,7 +262,6 @@ class LpResult:
     value: Fraction
     primal: StableSetWeighting
     dual: tuple[Fraction, ...]
-    status: str
     columns_generated: int
     pricing_value: Fraction  # max over stable sets of dual mass; <= 1 at optimality
 
@@ -294,7 +293,7 @@ def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
         raise SizeLimit(f"exact solves are capped at n <= {EXACT_SOLVE_VERTEX_CAP}")
     if g.n == 0:
         empty = StableSetWeighting((), _ZERO)
-        return LpResult(_ZERO, empty, (), "optimal", 0, _ZERO)
+        return LpResult(_ZERO, empty, (), 0, _ZERO)
 
     columns = _seed_columns(g)
     known = set(columns)
@@ -321,7 +320,6 @@ def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
         value=value,
         primal=primal,
         dual=tuple(dual),
-        status="optimal",
         columns_generated=len(columns),
         pricing_value=pricing_value,
     )
@@ -344,35 +342,6 @@ def _check_optimal(g, weights, value, primal, duals, pricing_value):
 
 def chi_f(g: Graph) -> LpResult:
     return chi_f_weighted(g, [_ONE] * g.n)
-
-
-# ── brute-force oracle over the explicit stable-set polytope ──────────────
-
-
-def enumerate_stable_sets(g: Graph, limit: int = 20) -> list[frozenset[int]]:
-    """Every stable set of g (including the empty set), by bitmask sweep."""
-    if g.n > limit:
-        raise SizeLimit(f"full enumeration is capped at n <= {limit}")
-    out = []
-    for mask in range(1 << g.n):
-        vs = [v for v in range(g.n) if (mask >> v) & 1]
-        if g.is_stable(vs):
-            out.append(frozenset(vs))
-    return out
-
-
-def chi_f_brute_force(g: Graph, w: Sequence[Fraction]) -> Fraction:
-    """Solve the covering LP over the explicitly enumerated stable sets.
-
-    Dominated (non-maximal) columns are dropped first; for nonnegative
-    weights this does not change the optimum.
-    """
-    weights = [Fraction(x) for x in w]
-    if g.n == 0:
-        return _ZERO
-    everything = [s for s in enumerate_stable_sets(g) if s]
-    cols = [s for s in everything if not any(s < t for t in everything)]
-    return _DualTableau(weights, cols).value()
 
 
 # ── theorem verification reports ──────────────────────────────────────────

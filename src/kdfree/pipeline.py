@@ -4,7 +4,10 @@ The initial phase spends total weight y on random stable sets drawn from the
 two-stage distribution, re-instantiated on the shrinking subgraphs H_i: each
 step takes the largest y_i that no remaining capacity can overrun, pays
 prob_i(v) * y_i to every vertex, removes the vertices that become full, and
-stops when the budget is spent.  Block vertices always survive, every step's
+stops when the budget is spent.  Each step's distribution over S comes from
+exact enumeration or from a seeded Monte Carlo tally; either way the step
+probabilities are its Pr(v in S) from StableSetSampler.marginals, and the
+rest of the step is the same.  Block vertices always survive, every step's
 distribution is itself a fractional colouring, and the accumulated weighting
 is an exact certificate for the resulting vertex weights.
 """
@@ -21,7 +24,7 @@ from .errors import BoundViolation, EligibilityError, LpError
 from .graphs import CliqueStructure, Graph, clique_structure, reed_weight
 from .intervals import StableSetWeighting, verify_certificate
 from .lp import LpResult, chi_f, chi_f_weighted
-from .sampling import OUTSIDE_ENUMERATION_LIMIT, StableSetSampler, trial_rng
+from .sampling import OUTSIDE_ENUMERATION_LIMIT, StableSetSampler, mask_to_set, trial_rng
 from .structure import pipeline_eligibility
 
 _ZERO = Fraction(0)
@@ -46,10 +49,6 @@ class PipelineTrace:
     final_w: tuple[Fraction, ...]
     y_total: Fraction
     exact: bool
-
-
-def _mask_to_set(mask: int, n: int) -> frozenset[int]:
-    return frozenset(v for v in range(n) if (mask >> v) & 1)
 
 
 def initial_colouring(
@@ -90,31 +89,25 @@ def initial_colouring(
         if len(iterations) > n:
             raise LpError("pipeline failed to terminate within |V| iterations")
         active = sorted(cs.v_omega) + active_outside
-        flagged: tuple[int, ...] = ()
         if mode == "exact":
             ex = sampler.enumerate_exact(active_outside)
-            prob = {v: ex.pr_s[v] for v in active}
-            dist = [(s, p) for s, p in ex.distribution]
-            for v in cs.v_omega:
-                if prob[v] != Fraction(1, omega):
-                    raise LpError(f"block vertex {v} has step probability {prob[v]} != 1/{omega}")
+            pr_s, dist = ex.pr_s, ex.distribution
         else:
             seen = Counter(
                 sampler.sample(trial_rng(seed, len(iterations), t), active_outside)[1]
                 for t in range(trials)
             )
-            prob = {
-                v: Fraction(sum(c for s, c in seen.items() if (s >> v) & 1), trials)
-                for v in active
-            }
-            dist = [
-                (_mask_to_set(s, n), Fraction(c, trials)) for s, c in sorted(seen.items())
-            ]
-            flagged = tuple(v for v in active if prob[v] == 0)
-
+            pr_s = sampler.marginals(seen.items(), trials, ())[0]
+            dist = tuple((mask_to_set(s), Fraction(c, trials)) for s, c in sorted(seen.items()))
+        prob = {v: pr_s[v] for v in active}
         positive = [v for v in active if prob[v] > 0]
-        if mode == "exact" and len(positive) != len(active):
-            raise LpError("zero step probability in exact mode")
+        flagged = tuple(v for v in active if prob[v] == 0)
+        if mode == "exact":
+            for v in cs.v_omega:
+                if prob[v] != Fraction(1, omega):
+                    raise LpError(f"block vertex {v} has step probability {prob[v]} != 1/{omega}")
+            if flagged:
+                raise LpError("zero step probability in exact mode")
         y_prime = min(capacity[v] / prob[v] for v in positive)
         y_step = min(leftover, y_prime)
         w_step = {v: prob[v] * y_step for v in active}
@@ -306,7 +299,7 @@ class EndToEndReport:
         return self.chi_f <= self.bound
 
 
-def end_to_end(g: Graph, compose: bool | None = None) -> EndToEndReport:
+def end_to_end(g: Graph) -> EndToEndReport:
     """Verify chi_f(G) <= Delta - min(1/2, ytilde*mu) on a concrete graph.
 
     chi_f is computed exactly; on eligible instances small enough for exact
@@ -327,13 +320,10 @@ def end_to_end(g: Graph, compose: bool | None = None) -> EndToEndReport:
         raise BoundViolation(f"chi_f = {lp.value} exceeds {bound} at Delta={delta}")
 
     composed = None
-    eligibility = pipeline_eligibility(g, cs)
-    sampler_fits = (
-        len(set(range(g.n)) - set(cs.v_omega)) <= OUTSIDE_ENUMERATION_LIMIT
-    )
-    if compose is None:
-        compose = eligibility.passed and sampler_fits
-    if compose:
+    if (
+        pipeline_eligibility(g, cs).passed
+        and g.n - len(cs.v_omega) <= OUTSIDE_ENUMERATION_LIMIT
+    ):
         y = bounds.ytilde
         trace, initial = initial_colouring(g, y, mode="exact", cs=cs)
         residual = [_ONE - wv for wv in trace.final_w]

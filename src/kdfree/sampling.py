@@ -12,6 +12,9 @@ admit full enumeration, giving exact marginals against which the Monte Carlo
 estimator is validated: every joint 4-subset choice and pool column, and for
 stage two a recursion on the set of still-insertable outside vertices (the
 first of them in a uniform order is uniform among them), memoised per call.
+Exact enumeration, the Monte Carlo estimate and both pipeline modes reduce a
+distribution over S masks to its marginals through one routine,
+StableSetSampler.marginals.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ class StableSetSampler:
         self.blocks = [tuple(sorted(b)) for b in self.cs.max_cliques]
         self.block_choices = [list(combinations(b, 4)) for b in self.blocks]
         self.outside = tuple(sorted(set(range(g.n)) - set(self.cs.v_omega)))
+        self.block_mask = sum(1 << v for v in self.cs.v_omega)
+        self.closed = tuple(m | (1 << v) for v, m in enumerate(g.masks))
         self._pools: dict[tuple[tuple[int, ...], ...], list[int]] = {}
         # (relabelled 4-subset graph, chosen 4-subsets in its labels) -> local pool
         self._shapes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
@@ -141,12 +146,10 @@ class StableSetSampler:
             raise SizeLimit(
                 f"exact enumeration handles at most {OUTSIDE_ENUMERATION_LIMIT} outside vertices"
             )
-        n = self.g.n
         n_choices = math.prod(len(opts) for opts in self.block_choices)
         if n_choices > ENUMERATION_WORK_LIMIT:
             raise SizeLimit("too many joint 4-subset choices")
-        masks = self.g.masks
-        closed = [masks[v] | (1 << v) for v in range(n)]
+        masks, closed = self.g.masks, self.closed
         memo: dict[int, dict[int, Fraction]] = {0: {0: _ONE}}
 
         def inserted(free: int) -> dict[int, Fraction]:
@@ -163,23 +166,15 @@ class StableSetSampler:
                 memo[free] = out
             return out
 
-        pr_s = [_ZERO] * n
-        pr_s_omega = [_ZERO] * n
-        nb_empty = {v: _ZERO for v in outside}
-        e_closed = [_ZERO] * n
         dist: dict[int, Fraction] = {}
         work = 0
         for joint in product(*self.block_choices):
             pool = self.pool(joint)
             col_p = Fraction(1, n_choices * len(pool))
             for col in pool:
-                for v in range(n):
-                    if (col >> v) & 1:
-                        pr_s_omega[v] += col_p
                 free = 0
                 for v in outside:
                     if not masks[v] & col:
-                        nb_empty[v] += col_p
                         free |= 1 << v
                 tails = inserted(free)
                 work += len(tails)
@@ -187,23 +182,49 @@ class StableSetSampler:
                     raise SizeLimit("enumeration work limit exceeded")
                 for t, p in tails.items():
                     dist[col | t] = dist.get(col | t, _ZERO) + col_p * p
-        for s, p in dist.items():
+        return ExactMarginals(
+            *self.marginals(dist.items(), 1, outside),
+            distribution=tuple((mask_to_set(s), p) for s, p in sorted(dist.items())),
+        )
+
+    def marginals(
+        self, weighted: Iterable[tuple[int, Fraction | int]], total: int, outside: Iterable[int]
+    ) -> tuple[
+        tuple[Fraction, ...], tuple[Fraction, ...], dict[int, Fraction], tuple[Fraction, ...]
+    ]:
+        """Pr(v in S), Pr(v in S_omega), Pr(N(v) misses S_omega) for each v in
+        `outside`, and E|N[v] & S|, from (S mask, weight) pairs whose weights
+        sum to `total`.
+
+        S_omega is read off S as its part in the blocks: pool columns lie in
+        the blocks, stage two inserts only outside vertices, and S_omega meets
+        every block, so every other block vertex has a neighbour in S.
+        """
+        n = self.g.n
+        masks, closed, blocks = self.g.masks, self.closed, self.block_mask
+        in_s = [0] * n
+        nb_empty = dict.fromkeys(outside, 0)
+        closed_hits = [0] * n
+        for s, c in weighted:
             for v in range(n):
                 if (s >> v) & 1:
-                    pr_s[v] += p
-            for v in range(n):
-                e_closed[v] += p * (closed[v] & s).bit_count()
-        distribution = tuple(
-            (frozenset(v for v in range(n) if (s >> v) & 1), p)
-            for s, p in sorted(dist.items())
+                    in_s[v] += c
+                closed_hits[v] += c * (closed[v] & s).bit_count()
+            for v in nb_empty:
+                if not masks[v] & s & blocks:
+                    nb_empty[v] += c
+        pr_s = tuple(Fraction(c, total) for c in in_s)
+        return (
+            pr_s,
+            tuple(p if (blocks >> v) & 1 else _ZERO for v, p in enumerate(pr_s)),
+            {v: Fraction(c, total) for v, c in nb_empty.items()},
+            tuple(Fraction(c, total) for c in closed_hits),
         )
-        return ExactMarginals(
-            pr_s=tuple(pr_s),
-            pr_s_omega=tuple(pr_s_omega),
-            block_nb_empty=nb_empty,
-            expected_closed=tuple(e_closed),
-            distribution=distribution,
-        )
+
+
+def mask_to_set(mask: int) -> frozenset[int]:
+    """The vertices of a bitmask."""
+    return frozenset(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 
 
 def _remember(cache: dict, key, value) -> None:
@@ -265,34 +286,6 @@ class ExactMarginals:
 # ── module-level operations ───────────────────────────────────────────────
 
 
-def sample_S_omega(g: Graph, cs: CliqueStructure, rng: Random) -> frozenset[int]:
-    """Random stable set over the blocks with Pr(v in S_omega) = 1/omega exactly."""
-    sampler = StableSetSampler(g, cs)
-    mask = sampler.sample_s_omega(rng)
-    return frozenset(v for v in range(g.n) if (mask >> v) & 1)
-
-
-def extend_to_S(
-    g: Graph, cs: CliqueStructure, s_omega: Iterable[int], rng: Random
-) -> frozenset[int]:
-    """Greedy extension of s_omega over a uniform ordering of the outside.
-
-    Maximality of the result relies on s_omega meeting every block, which
-    draws from sample_S_omega do.
-    """
-    s = frozenset(s_omega)
-    if not s <= cs.v_omega:
-        raise ValueError("s_omega must lie inside the blocks")
-    if not g.is_stable(s):
-        raise ValueError("s_omega must be stable")
-    sampler = StableSetSampler(g, cs)
-    mask = 0
-    for v in s:
-        mask |= 1 << v
-    out = sampler.extend(rng, mask)
-    return frozenset(v for v in range(g.n) if (out >> v) & 1)
-
-
 def exact_marginals(g: Graph, cs: CliqueStructure | None = None) -> ExactMarginals:
     """Exact per-vertex Pr(v in S) (and companions) by full enumeration."""
     return StableSetSampler(g, cs).enumerate_exact()
@@ -341,8 +334,8 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
 
     Deterministic for fixed (graph, seed, trials): trial t uses its own
     counter-derived stream, so aggregation order cannot matter.  Draws are
-    tallied by their (S_omega, S) masks and each distinct pair is counted
-    into the per-vertex figures once.
+    tallied by their S masks and each distinct S is counted into the
+    per-vertex figures once, by StableSetSampler.marginals.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -350,29 +343,10 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
         cs = clique_structure(g)
     sampler = StableSetSampler(g, cs)
     n = g.n
-    masks = g.masks
-    closed = [masks[v] | (1 << v) for v in range(n)]
-    count_s = [0] * n
-    count_s_omega = [0] * n
-    count_nb_empty = {v: 0 for v in sampler.outside}
-    total_closed = [0] * n
-
-    draws = Counter(sampler.sample(trial_rng(seed, t)) for t in range(trials))
-    for (s_omega, s), c in draws.items():
-        for v in range(n):
-            if (s >> v) & 1:
-                count_s[v] += c
-            if (s_omega >> v) & 1:
-                count_s_omega[v] += c
-            total_closed[v] += c * (closed[v] & s).bit_count()
-        for v in sampler.outside:
-            if not masks[v] & s_omega:
-                count_nb_empty[v] += c
-
-    freq_s = tuple(Fraction(c, trials) for c in count_s)
-    freq_s_omega = tuple(Fraction(c, trials) for c in count_s_omega)
-    freq_nb_empty = {v: Fraction(c, trials) for v, c in count_nb_empty.items()}
-    mean_closed = tuple(Fraction(c, trials) for c in total_closed)
+    draws = Counter(sampler.sample(trial_rng(seed, t))[1] for t in range(trials))
+    freq_s, freq_s_omega, freq_nb_empty, mean_closed = sampler.marginals(
+        draws.items(), trials, sampler.outside
+    )
 
     delta = g.max_degree()
     omega = cs.omega

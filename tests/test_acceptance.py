@@ -14,6 +14,7 @@ from fractions import Fraction
 from conftest import (
     brute_bumps,
     brute_near_cliques,
+    brute_stable_sets,
     instance_a,
     instance_b,
     instance_c,
@@ -31,13 +32,7 @@ from kdfree.graphs import (
     strong_product,
 )
 from kdfree.intervals import verify_certificate
-from kdfree.lp import (
-    chi_f,
-    chi_f_brute_force,
-    chi_f_weighted,
-    max_weight_stable_set,
-    verify_aharoni,
-)
+from kdfree.lp import chi_f, chi_f_weighted, verify_aharoni
 from kdfree.pipeline import end_to_end, verify_theorem_initial
 from kdfree.sampling import estimate, exact_marginals
 from kdfree.structure import (
@@ -155,10 +150,12 @@ def test_criterion_4_lp_integrity_suite():
             violations.append((trial, "duality"))
         if not verify_certificate(g, res.primal, w).ok:
             violations.append((trial, "certificate"))
-        if max_weight_stable_set(g, list(res.dual))[1] > 1:
+        # with the two checks above, a dual that is nonnegative and loads no
+        # stable set past 1 proves optimality by weak duality
+        if any(y < 0 for y in res.dual) or any(
+            sum((res.dual[v] for v in s), F(0)) > 1 for s in brute_stable_sets(g)
+        ):
             violations.append((trial, "dual feasibility"))
-        if res.value != chi_f_brute_force(g, w):
-            violations.append((trial, "brute-force mismatch"))
     elapsed = time.monotonic() - start
     _report(
         "4 (LP integrity, 500 graphs)",

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kdfree.bounds import (
+    DELTA_CAP,
     emit_p_curve,
     emit_table,
     format_table_value,
@@ -20,6 +21,7 @@ from kdfree.bounds import (
     table_rows,
     ytilde_values,
 )
+from kdfree.errors import SizeLimit
 from kdfree.rationals import round_half_even, truncate_decimal
 
 F = Fraction
@@ -74,6 +76,13 @@ def test_p_value_range_checks():
         p_value(6, 7)
     with pytest.raises(ValueError):
         p_curve(4)
+
+
+def test_p_curve_rejects_delta_above_cap():
+    with pytest.raises(SizeLimit, match=f"Delta <= {DELTA_CAP}"):
+        p_curve(DELTA_CAP + 1)
+    with pytest.raises(SizeLimit):
+        main_bound(10**6)
 
 
 def test_mu6_exact_and_argmin():

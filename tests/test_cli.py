@@ -59,9 +59,14 @@ def test_bounds_p_curve(capsys):
     assert lines[0] == "d,p,p_dec" and len(lines) == 9
 
 
-def test_bounds_gates_big_delta(capsys):
-    assert main(["bounds", "--delta", "1000"]) == 2
-    assert "--big" in capsys.readouterr().err
+def test_bounds_delta_1000_needs_no_flag(capsys):
+    assert main(["bounds", "--delta", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("1000,")
+
+
+def test_bounds_delta_above_cap_is_input_error(capsys):
+    assert main(["bounds", "--delta", "2001"]) == 2
+    assert "capped at Delta <= 2000" in capsys.readouterr().err
 
 
 def test_bounds_rejects_small_delta():
@@ -213,3 +218,21 @@ def test_chif_over_vertex_cap_is_input_error(graph_file, capsys):
     el = graph_file("big.el", Graph(61))
     assert main(["chif", "--graph", el]) == 2
     assert "capped at n <= 60" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["chif", "check", "sample", "pipeline"])
+def test_edge_list_over_vertex_cap_is_input_error(tmp_path, capsys, command):
+    el = tmp_path / "huge.el"
+    el.write_text("100000000 0\n")
+    extra = ["--trials", "1", "--seed", "0"] if command == "sample" else []
+    assert main([command, "--graph", str(el), *extra]) == 2
+    assert "capped at n <= 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("cycle-power", "n=100000000,k=2"), ("complete", "n=100000"), ("petersen", "n=501,k=2")],
+)
+def test_gen_over_vertex_cap_is_input_error(capsys, family, params):
+    assert main(["gen", "--family", family, "--params", params]) == 2
+    assert "capped at n <= 1000" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from conftest import (
     instance_a,
     random_graph,
 )
-from kdfree.errors import GraphFormatError
+from kdfree.errors import GraphFormatError, SizeLimit
 from kdfree.graphs import (
+    VERTEX_CAP,
     Graph,
+    block_graph,
     c5xk3_minus,
     clique_structure,
     complete_graph,
@@ -257,3 +260,34 @@ def test_edge_list_round_trip():
 def test_edge_list_rejects_malformed(text):
     with pytest.raises(GraphFormatError):
         read_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Graph(n),
+        lambda n: read_edge_list(f"{n} 0\n"),
+        lambda n: complete_graph(n),
+        lambda n: cycle_power(n, 2),
+        lambda n: generalized_petersen((n + 1) // 2, 2),
+        lambda n: block_graph((n + 4) // 5, 5),
+        lambda n, factors=(cycle_graph(40), complete_graph(30)): strong_product(*factors),
+    ],
+    ids=["graph", "edge-list", "complete", "cycle-power", "petersen", "blocks", "product"],
+)
+def test_vertex_cap_is_checked_before_allocation(build):
+    # one vertex past the cap raises before the adjacency (some 200 kB at
+    # this size) or an edge list is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="capped at n <= "):
+            build(VERTEX_CAP + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+
+
+def test_vertex_cap_admits_its_bound():
+    assert Graph(VERTEX_CAP).n == VERTEX_CAP
+    assert read_edge_list(f"{VERTEX_CAP} 0\n").n == VERTEX_CAP

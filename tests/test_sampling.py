@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -26,8 +27,6 @@ from kdfree.sampling import (
     StableSetSampler,
     estimate,
     exact_marginals,
-    extend_to_S,
-    sample_S_omega,
     trial_rng,
 )
 
@@ -118,12 +117,10 @@ def test_block_tilde_membership_independent():
 
 
 def test_extend_no_outside_returns_s_omega():
-    g = block_graph(2, 5)
-    cs = clique_structure(g)
+    sampler = StableSetSampler(block_graph(2, 5))
     rng = random.Random(11)
-    s_omega = sample_S_omega(g, cs, rng)
-    s = extend_to_S(g, cs, s_omega, rng)
-    assert s == s_omega
+    s_omega = sampler.sample_s_omega(rng)
+    assert sampler.extend(rng, s_omega) == s_omega
 
 
 def test_extend_outside_vertex_without_conflicts_always_joins():
@@ -139,15 +136,6 @@ def test_outside_pair_each_half():
     g = block_graph(2, 5, outside=[[], []], outside_edges=[(0, 1)])
     ex = exact_marginals(g)
     assert ex.pr_s[10] == F(1, 2) and ex.pr_s[11] == F(1, 2)
-
-
-def test_extend_validates_input():
-    g = instance_a()
-    cs = clique_structure(g)
-    with pytest.raises(ValueError):
-        extend_to_S(g, cs, {10}, random.Random(1))  # outside vertex
-    with pytest.raises(ValueError):
-        extend_to_S(g, cs, {0, 1}, random.Random(1))  # not stable
 
 
 def test_sampler_draws_are_maximal_stable():
@@ -167,6 +155,18 @@ def test_estimate_matches_exact_within_bands():
     band = float(report.checks[0].band)
     for v in range(g.n):
         assert abs(float(report.freq_s[v] - ex.pr_s[v])) <= band
+
+
+def test_marginals_of_counts_match_exact_marginals():
+    # the exact distribution as integer counts over a common denominator
+    # reduces to the same marginals as its probabilities do
+    for g in (instance_b(), medium_instance()):
+        sampler = StableSetSampler(g)
+        ex = sampler.enumerate_exact()
+        total = math.lcm(*(p.denominator for _, p in ex.distribution))
+        counts = [(sum(1 << v for v in s), int(p * total)) for s, p in ex.distribution]
+        got = sampler.marginals(counts, total, sampler.outside)
+        assert got == (ex.pr_s, ex.pr_s_omega, ex.block_nb_empty, ex.expected_closed)
 
 
 def test_estimate_is_deterministic():
