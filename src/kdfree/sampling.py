@@ -15,6 +15,14 @@ first of them in a uniform order is uniform among them), memoised per call.
 Exact enumeration, the Monte Carlo estimate and both pipeline modes reduce a
 distribution over S masks to its marginals through one routine,
 StableSetSampler.marginals.
+
+Monte Carlo draws come from TrialStream, one counter-based stream per
+(seed, trial) key: its bits are blake2b digests of the key string
+"seed:key:..." with the block number as the digest's salt, so a trial's
+draws depend only on its key, never on which other trials ran or in which
+order.  It replaced a Mersenne Twister per trial in this version, which
+changed every seeded Monte Carlo output (estimate, kdfree sample, the
+pipeline's montecarlo mode); exact enumeration does not draw.
 """
 
 from __future__ import annotations
@@ -24,8 +32,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from random import Random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, MutableSequence, Protocol, Sequence, TypeVar
+
+from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 
 from .bounds import mu_values, p_value, quarter_tail_sum
 from .errors import AharoniHypothesisError, EligibilityError, SizeLimit
@@ -38,16 +47,73 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 OUTSIDE_ENUMERATION_LIMIT = 8
+CHOICE_LIST_LIMIT = 10**6  # 4-subsets listed over all blocks, about 80 bytes each
 POOL_CACHE_LIMIT = 4096  # entries kept per sampler, each of choices and of shapes
 ENUMERATION_WORK_LIMIT = 10**7
 
 HOEFFDING_DELTA = 1e-3
 
 
-def trial_rng(seed: int, *key: int) -> Random:
-    """Counter-based per-trial stream, seeded by the string "seed:key:...";
-    identical for serial and parallel runs."""
-    return Random(":".join(map(str, (seed, *key))))
+_T = TypeVar("_T")
+
+
+class Draws(Protocol):
+    """The draws a sampler makes: TrialStream, or any random.Random."""
+
+    def randrange(self, n: int, /) -> int: ...
+
+    def choice(self, seq: Sequence[_T], /) -> _T: ...
+
+    def shuffle(self, x: MutableSequence, /) -> None: ...
+
+
+class TrialStream:
+    """Counter-based stream over the bits of blake2b digests of one key.
+
+    Block b is the 512-bit digest of the key with b as blake2b's salt (block
+    0 is the plain digest), fetched only when the bits drawn so far run out.
+    randrange(n) rejects draws of (n - 1).bit_length() bits until one is
+    below n; choice and shuffle use it exactly as random.Random uses its
+    own: seq[randrange(len(seq))], and a Fisher-Yates loop from the end.
+    """
+
+    __slots__ = ("_key", "_bits", "_left", "_blocks")
+
+    def __init__(self, key: bytes):
+        self._key = key
+        self._bits = self._left = self._blocks = 0
+
+    def randrange(self, n: int) -> int:
+        if n < 1:
+            raise ValueError(f"empty range for randrange({n})")
+        k = (n - 1).bit_length()
+        mask = (1 << k) - 1
+        while True:
+            while self._left < k:
+                salt = self._blocks.to_bytes(16, "little")
+                digest = blake2b(self._key, salt=salt).digest()
+                self._bits |= int.from_bytes(digest, "little") << self._left
+                self._left += 512
+                self._blocks += 1
+            r = self._bits & mask
+            self._bits >>= k
+            self._left -= k
+            if r < n:
+                return r
+
+    def choice(self, seq: Sequence[_T]) -> _T:
+        return seq[self.randrange(len(seq))]
+
+    def shuffle(self, x: MutableSequence) -> None:
+        for i in range(len(x) - 1, 0, -1):
+            j = self.randrange(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+
+def trial_rng(seed: int, *key: int) -> TrialStream:
+    """The stream of the key string "seed:key:...", e.g. "7:3" for trial 3 of
+    seed 7; identical for serial and parallel runs."""
+    return TrialStream(":".join(map(str, (seed, *key))).encode())
 
 
 class StableSetSampler:
@@ -71,6 +137,11 @@ class StableSetSampler:
         if witness is not None:
             raise EligibilityError(f"vertex {witness[0]} sees a block twice")
         self.blocks = [tuple(sorted(b)) for b in self.cs.max_cliques]
+        listed = sum(math.comb(len(b), 4) for b in self.blocks)
+        if listed > CHOICE_LIST_LIMIT:
+            raise SizeLimit(
+                f"blocks have {listed} 4-subsets; a sampler lists at most {CHOICE_LIST_LIMIT}"
+            )
         self.block_choices = [list(combinations(b, 4)) for b in self.blocks]
         self.outside = tuple(sorted(set(range(g.n)) - set(self.cs.v_omega)))
         self.block_mask = sum(1 << v for v in self.cs.v_omega)
@@ -81,7 +152,7 @@ class StableSetSampler:
 
     # ── stage one ─────────────────────────────────────────────────────────
 
-    def draw_choice(self, rng: Random) -> tuple[tuple[int, ...], ...]:
+    def draw_choice(self, rng: Draws) -> tuple[tuple[int, ...], ...]:
         return tuple(map(rng.choice, self.block_choices))
 
     def pool(self, choice: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -110,12 +181,12 @@ class StableSetSampler:
         _remember(self._pools, choice, pool)
         return pool
 
-    def sample_s_omega(self, rng: Random) -> int:
+    def sample_s_omega(self, rng: Draws) -> int:
         return rng.choice(self.pool(self.draw_choice(rng)))
 
     # ── stage two ─────────────────────────────────────────────────────────
 
-    def extend(self, rng: Random, s_omega_mask: int, active: Sequence[int] | None = None) -> int:
+    def extend(self, rng: Draws, s_omega_mask: int, active: Sequence[int] | None = None) -> int:
         vertices = list(self.outside if active is None else sorted(active))
         rng.shuffle(vertices)
         s = s_omega_mask
@@ -124,7 +195,7 @@ class StableSetSampler:
                 s |= 1 << u
         return s
 
-    def sample(self, rng: Random, active: Sequence[int] | None = None) -> tuple[int, int]:
+    def sample(self, rng: Draws, active: Sequence[int] | None = None) -> tuple[int, int]:
         """One draw; returns (S_omega mask, S mask)."""
         s_omega = self.sample_s_omega(rng)
         return s_omega, self.extend(rng, s_omega, active)

@@ -229,6 +229,13 @@ def test_edge_list_over_vertex_cap_is_input_error(tmp_path, capsys, command):
     assert "capped at n <= 1000" in capsys.readouterr().err
 
 
+def test_sample_over_block_choice_cap_is_input_error(tmp_path, capsys):
+    el = tmp_path / "k150.el"
+    el.write_text(write_edge_list(complete_graph(150)))
+    assert main(["sample", "--graph", str(el), "--trials", "1", "--seed", "0"]) == 2
+    assert "a sampler lists at most 1000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "family, params",
     [("cycle-power", "n=100000000,k=2"), ("complete", "n=100000"), ("petersen", "n=501,k=2")],

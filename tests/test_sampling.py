@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -335,12 +340,99 @@ def test_enumerate_exact_matches_order_walk(outside_count):
             assert sampler.enumerate_exact(active) == enumerate_by_orders(sampler, active)
 
 
-def test_trial_rng_keeps_the_seed_strings():
-    for seed, trial, step in ((0, 0, 0), (7, 3, 11), (123, 9, 10**6)):
-        assert trial_rng(seed, trial).random() == random.Random(f"{seed}:{trial}").random()
-        want = random.Random(f"{seed}:{trial}:{step}")
-        got = trial_rng(seed, trial, step)
-        assert [got.random() for _ in range(5)] == [want.random() for _ in range(5)]
+def test_trial_streams_depend_only_on_their_key():
+    # the same key gives the same draws however many other streams were
+    # drawn from, and in whatever order
+    def draws(rng):
+        return [rng.randrange(n) for n in (5, 6, 2, 1000, 7)]
+
+    alone = {t: draws(trial_rng(3, t)) for t in range(40)}
+    streams = {t: trial_rng(3, t) for t in reversed(range(40))}
+    interleaved: dict[int, list[int]] = {t: [] for t in streams}
+    for n in (5, 6, 2, 1000, 7):
+        for t, rng in streams.items():
+            interleaved[t].append(rng.randrange(n))
+    assert interleaved == alone
+    assert len({tuple(d) for d in alone.values()}) == 40
+    assert draws(trial_rng(3, 0, 0)) != draws(trial_rng(3, 0)) != draws(trial_rng(30))
+
+
+def test_trial_stream_blocks_are_salted_blake2b_digests():
+    blocks = trial_rng(7, 3).randrange(2**1024)
+    want = [hashlib.blake2b(b"7:3", salt=b.to_bytes(16, "little")).digest() for b in (0, 1)]
+    assert want[0] == hashlib.blake2b(b"7:3").digest()
+    assert blocks == int.from_bytes(b"".join(want), "little")
+
+
+def test_trial_stream_draws_across_block_boundaries():
+    # a 300-item shuffle reads about 2400 bits, several 512-bit blocks
+    for t in range(5):
+        items = list(range(300))
+        trial_rng(1, t).shuffle(items)
+        assert sorted(items) == list(range(300)) and items != list(range(300))
+    wide = [trial_rng(2, t).randrange(2**600) for t in range(20)]
+    assert all(0 <= r < 2**600 for r in wide)
+    assert any(r >= 2**512 for r in wide)
+
+
+def test_trial_stream_range_ends():
+    rng = trial_rng(0, 0)
+    assert [rng.randrange(1) for _ in range(3)] == [0, 0, 0]
+    assert rng.choice("x") == "x"
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            rng.randrange(n)
+
+
+def test_trial_stream_pinned_outputs():
+    rng = trial_rng(7, 3)
+    assert [rng.randrange(10**6) for _ in range(4)] == [406579, 95106, 852651, 859128]
+    rng = trial_rng(0, 0, 11)
+    items = list(range(8))
+    rng.shuffle(items)
+    assert items == [3, 5, 6, 7, 1, 4, 2, 0] and rng.choice("abcdef") == "f"
+    assert trial_rng(123).randrange(2**600) % 10**12 == 946986740966
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_trial_stream_draws_are_uniform(n):
+    trials = 60000
+    counts = [0] * n
+    for t in range(trials):
+        counts[trial_rng(n, t).randrange(n)] += 1
+    band = float(sampling.hoeffding_band(trials, delta_fail=1e-9))
+    assert all(abs(c / trials - 1 / n) <= band for c in counts)
+
+
+def test_estimate_loads_no_openssl_hash():
+    # hashlib imports OpenSSL, which costs several MB of resident memory
+    code = (
+        "import sys, kdfree\n"
+        "g = kdfree.block_graph(2, 5, outside=[[0, 5], [1]])\n"
+        "assert kdfree.estimate(g, 200, 1).ok\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sampling.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_block_choice_cap_is_checked_before_listing():
+    g = complete_graph(150)  # C(150, 4) is about 2e7 4-subsets
+    cs = clique_structure(g)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match=f"lists at most {sampling.CHOICE_LIST_LIMIT}"):
+            StableSetSampler(g, cs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+    # one block of up to 71 vertices fits (README)
+    assert math.comb(71, 4) <= sampling.CHOICE_LIST_LIMIT < math.comb(72, 4)
 
 
 # ── differential check against the per-trial loop ─────────────────────────
@@ -392,12 +484,14 @@ def test_estimate_matches_per_trial_loop(build, trials):
 
 
 def test_sampler_draws_match_per_trial_loop():
-    # the same streams give the same draws, with and without an active subset
+    # the same streams give the same draws, with and without an active
+    # subset, from trial streams and from a plain random.Random alike
     g = medium_instance()
     sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
-    for active in (None, [15, 17, 18], []):
-        for t in range(300):
-            assert sampler.sample(trial_rng(5, t), active) == oracle.sample(trial_rng(5, t), active)
+    for stream in (lambda t: trial_rng(5, t), lambda t: random.Random(f"draw:5:{t}")):
+        for active in (None, [15, 17, 18], []):
+            for t in range(300):
+                assert sampler.sample(stream(t), active) == oracle.sample(stream(t), active)
 
 
 class CountedLp:
