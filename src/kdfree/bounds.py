@@ -6,10 +6,13 @@ probability floor of an outside vertex with d block neighbours is
     p(Delta, d) = [ sum_{i=0..3} 1/4 * Pr(Bin(d, 4/omega) <= i) ] / (Delta - d + 1),
 
 its minima mu_k / mu over d, the per-clique-size step caps ytilde_k, their
-minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).  The
-whole p-curve is built in one integer pass over d, and main_bound derives
-every other constant from that one curve.  All arithmetic is exact; decimal
-output is rounded only for display.
+minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).  One
+integer pass over d yields each p(Delta, d) as an unreduced numerator and
+denominator.  mu_k, mu and the argmin are prefix minima taken on those
+integer terms by cross-multiplying, so a term becomes a Fraction only where
+the running minimum drops, and main_bound derives every other constant from
+those minima.  All arithmetic is exact; decimal output is rounded only for
+display.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BoundViolation, SizeLimit
 from .rationals import format_rational, round_half_even, truncate_decimal
@@ -27,8 +30,10 @@ from .rationals import format_rational, round_half_even, truncate_decimal
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
-# The p-curve's integers grow with Delta: main_bound takes about 0.2 s at
-# Delta = 1000 and 1.2 s at Delta = 2000 on a 2-core x86 machine.
+# The p-curve's integers grow with Delta (about 22,000 bits at Delta = 2000).
+# On a 2-core x86 machine main_bound takes about 0.03 s at Delta = 1000 and
+# 0.15 s at Delta = 2000; emitting the whole reduced curve takes about 0.16 s
+# and 1.1 s.
 DELTA_CAP = 2000
 
 # Display rules per table column, chosen to agree with as many published
@@ -88,16 +93,16 @@ def p_value(delta: int, d: int) -> Fraction:
     return quarter_tail_sum(d, delta - 1) / (delta - d + 1)
 
 
-def p_curve(delta: int) -> tuple[Fraction, ...]:
-    """p(Delta, d) for d = 0..Delta in one integer pass.
+def _p_terms(delta: int) -> Iterator[tuple[int, int]]:
+    """Unreduced (numerator, denominator) of p(Delta, d) for d = 0..Delta.
 
     With omega = Delta - 1 and q = omega - 4, the binomial terms share the
     denominator omega^d, so
 
         p(Delta, d) = sum_{j<=3} (4-j) C(d,j) 4^j q^(d-j) / (4 omega^d (Delta-d+1)),
 
-    built from running powers of q and omega with one Fraction per d.
-    Delta is capped at DELTA_CAP.
+    built from running powers of q and omega in one integer pass.  Delta is
+    capped at DELTA_CAP; the checks run when iteration starts.
     """
     if delta < 5:
         raise ValueError(f"needs Delta >= 5, got {delta}")
@@ -107,22 +112,31 @@ def p_curve(delta: int) -> tuple[Fraction, ...]:
     q = omega - 4
     q_pow = [0, 0, 0, 1]  # q^(d-3) .. q^d; a negative power meets C(d, j) = 0
     omega_pow = 1
-    curve = []
     for d in range(delta + 1):
         numerator = sum((4 - j) * comb(d, j) * 4**j * q_pow[3 - j] for j in range(4))
-        curve.append(Fraction(numerator, 4 * omega_pow * (delta - d + 1)))
+        yield numerator, 4 * omega_pow * (delta - d + 1)
         q_pow = q_pow[1:] + [q_pow[3] * q]
         omega_pow *= omega
-    return tuple(curve)
 
 
-def _prefix_minima(curve: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction, int]:
+def p_curve(delta: int) -> tuple[Fraction, ...]:
+    """p(Delta, d) for d = 0..Delta: every term of the integer pass, reduced.
+
+    mu_values and main_bound never build this tuple; they take the minima
+    from the unreduced integer terms.
+    """
+    return tuple(Fraction(n, den) for n, den in _p_terms(delta))
+
+
+def _prefix_minima(terms: Iterable[tuple[int, int]]) -> tuple[dict[int, Fraction], Fraction, int]:
+    """Prefix minima of unreduced positive-denominator terms, compared by
+    cross-multiplying; a Fraction is built only where the minimum drops."""
     mu_k: dict[int, Fraction] = {}
-    running = curve[0]
-    argmin = 0
-    for d, value in enumerate(curve):
-        if value < running:
-            running = value
+    best_num, best_den = 1, 0  # stands for +infinity
+    for d, (num, den) in enumerate(terms):
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+            running = Fraction(num, den)
             argmin = d
         mu_k[d] = running
     return mu_k, running, argmin
@@ -130,7 +144,7 @@ def _prefix_minima(curve: Sequence[Fraction]) -> tuple[dict[int, Fraction], Frac
 
 def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
     """Prefix minima mu_k of the p-curve, the overall mu, and its first argmin."""
-    return _prefix_minima(p_curve(delta))
+    return _prefix_minima(_p_terms(delta))
 
 
 def ytilde_values(delta: int) -> tuple[dict[int, Fraction], Fraction]:
@@ -167,7 +181,6 @@ class BoundReport:
 
     delta: int
     omega: int
-    p_curve: tuple[Fraction, ...]
     mu_k: Mapping[int, Fraction]
     mu: Fraction
     argmin_d: int
@@ -177,13 +190,17 @@ class BoundReport:
     epsilon: Fraction
     bound: Fraction
 
+    @property
+    def p_curve(self) -> tuple[Fraction, ...]:
+        """p(Delta, d) for d = 0..Delta, rebuilt on each read rather than stored."""
+        return p_curve(self.delta)
+
 
 def main_bound(delta: int) -> BoundReport:
     """Assemble the full report; also checks ytilde*mu < 1/5 for this Delta."""
     if delta < 6:
         raise ValueError(f"needs Delta >= 6, got {delta}")
-    curve = p_curve(delta)
-    mu_k, mu, argmin = _prefix_minima(curve)
+    mu_k, mu, argmin = mu_values(delta)
     ytilde_k, ytilde = _ytilde(delta, mu_k, mu)
     product = ytilde * mu
     if not product < Fraction(1, 5):
@@ -192,7 +209,6 @@ def main_bound(delta: int) -> BoundReport:
     return BoundReport(
         delta=delta,
         omega=delta - 1,
-        p_curve=curve,
         mu_k=mu_k,
         mu=mu,
         argmin_d=argmin,

@@ -28,9 +28,33 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
     value = Fraction(value)
+    numerator = _decimal_digits(value.numerator)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return numerator
+    return f"{numerator}/{_decimal_digits(value.denominator)}"
+
+
+# Below 10**600 str() works under any integer string conversion limit Python
+# accepts (the least is 640 digits), so the split stops there.
+_STR_SAFE = 10**600
+
+
+def _decimal_digits(n: int) -> str:
+    """Exact decimal form of the integer n, however many digits it has.
+
+    str() refuses an int past the interpreter's integer string conversion
+    limit (4300 digits by default).  Raising that limit process-wide would
+    also lift it for parse_rational, which relies on it to reject huge
+    input, so a large n is split at a power of ten and each half is
+    converted on its own.
+    """
+    if -_STR_SAFE < n < _STR_SAFE:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal_digits(-n)
+    places = n.bit_length() * 3 // 20  # about half the digits (log10 2 > 3/10)
+    high, low = divmod(n, 10**places)
+    return _decimal_digits(high) + _decimal_digits(low).rjust(places, "0")
 
 
 def round_half_even(value: Fraction, places: int) -> str:
@@ -55,7 +79,7 @@ def truncate_decimal(value: Fraction, places: int) -> str:
 
 
 def _place_point(sign: str, units: int, places: int) -> str:
-    digits = str(units).rjust(places + 1, "0")
+    digits = _decimal_digits(units).rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from conftest import instance_a
+from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
 from kdfree.graphs import Graph, complete_graph, write_edge_list
 from kdfree.intervals import certificate_from_json
+from kdfree.rationals import parse_rational
 
 
 @pytest.fixture
@@ -57,6 +60,22 @@ def test_bounds_p_curve(capsys):
     assert main(["bounds", "--delta", "7", "--p-curve"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "d,p,p_dec" and len(lines) == 9
+
+
+def test_bounds_p_curve_at_the_cap(capsys):
+    # the terms near d = Delta = 2000 have about 6,600 digits, past str()'s limit
+    assert main(["bounds", "--delta", "2000", "--p-curve"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "d,p,p_dec" and len(lines) == 2002
+    curve = p_curve(2000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for d in (0, mu_values(2000)[2], 1500, 2000):
+            row, value, _ = lines[d + 1].split(",")
+            assert int(row) == d and parse_rational(value) == curve[d]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_bounds_delta_1000_needs_no_flag(capsys):
