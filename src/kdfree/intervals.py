@@ -429,7 +429,7 @@ def certificate_from_json(text: str) -> CertificateFile:
             (frozenset(_json_int(v) for v in col["vertices"]), parse_rational(col["weight"]))
             for col in payload["columns"]
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise GraphFormatError(f"malformed certificate: {exc}") from exc
     if len(w) != n:
         raise GraphFormatError(f"certificate lists {len(w)} weights for n={n}")

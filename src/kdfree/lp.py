@@ -169,13 +169,15 @@ class _DualTableau:
 def max_weight_stable_set(
     g: Graph, weights: Sequence[Fraction]
 ) -> tuple[frozenset[int], Fraction]:
-    """Exact maximiser via branch and bound.
+    """Exact maximiser via one branch and bound.
 
-    Branches on the heaviest candidate; the upper bound is a greedy clique
-    cover (a stable set meets each clique at most once).  Among maximisers the
-    lexicographically least set of positive-weight vertices is returned.  The
-    weights are scaled once by the lcm of their denominators, so the search
-    runs on integers.
+    Branches on the heaviest candidate, including it first; the upper bound is
+    a greedy clique cover (a stable set meets each clique at most once).  The
+    first maximiser reached is returned: among the maximisers over
+    positive-weight vertices, the one whose membership, read along the
+    branching order (weight descending, ties to the smaller vertex), is
+    greatest.  The weights are scaled once by the lcm of their denominators,
+    so the search runs on integers.
     """
     w = [Fraction(x) for x in weights]
     if len(w) != g.n:
@@ -209,47 +211,21 @@ def max_weight_stable_set(
         return total
 
     best = 0
+    best_set = 0
 
-    def search(mask: int, acc: int) -> None:
-        nonlocal best
+    def search(mask: int, acc: int, chosen: int) -> None:
+        nonlocal best, best_set
         if acc > best:
-            best = acc
-        if not mask:
-            return
-        if acc + cover_bound(mask) <= best:
+            best, best_set = acc, chosen
+        if not mask or acc + cover_bound(mask) <= best:
             return
         v = next(u for u in order if (mask >> u) & 1)
-        search(mask & ~masks[v] & ~(1 << v), acc + iw[v])
-        search(mask & ~(1 << v), acc)
+        bit = 1 << v
+        search(mask & ~masks[v] & ~bit, acc + iw[v], chosen | bit)
+        search(mask & ~bit, acc, chosen)
 
-    search(full, 0)
-    target = best
-
-    def reaches(mask: int, acc: int, needed: int) -> bool:
-        if acc >= needed:
-            return True
-        if not mask or acc + cover_bound(mask) < needed:
-            return False
-        v = next(u for u in order if (mask >> u) & 1)
-        if reaches(mask & ~masks[v] & ~(1 << v), acc + iw[v], needed):
-            return True
-        return reaches(mask & ~(1 << v), acc, needed)
-
-    chosen: list[int] = []
-    mask = full
-    acc = 0
-    for v in sorted(order):
-        if not (mask >> v) & 1:
-            continue
-        if reaches(mask & ~masks[v] & ~(1 << v), acc + iw[v], target):
-            chosen.append(v)
-            acc += iw[v]
-            mask &= ~masks[v] & ~(1 << v)
-        else:
-            mask &= ~(1 << v)
-    if acc != target:
-        raise LpError("lexicographic extraction lost the optimum")
-    return frozenset(chosen), Fraction(target, scale)
+    search(full, 0, 0)
+    return frozenset(v for v in order if (best_set >> v) & 1), Fraction(best, scale)
 
 
 # ── column generation ─────────────────────────────────────────────────────

@@ -63,6 +63,8 @@ def initial_colouring(
     the accumulated fractional y-over-w colouring as an exact certificate."""
     if mode not in ("exact", "montecarlo"):
         raise ValueError(f"mode must be 'exact' or 'montecarlo', got {mode!r}")
+    if mode == "montecarlo" and trials < 1:
+        raise ValueError("trials must be >= 1")
     y = Fraction(y)
     if cs is None:
         cs = clique_structure(g)

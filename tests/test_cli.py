@@ -188,6 +188,14 @@ def test_pipeline_default_y_and_montecarlo(graph_file, capsys):
     assert "statistically supported" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_pipeline_montecarlo_rejects_nonpositive_trials(graph_file, capsys, trials):
+    el = graph_file("a.el", instance_a())
+    assert main(["pipeline", "--graph", el, "--mode", "montecarlo", "--trials", trials]) == 2
+    err = capsys.readouterr().err
+    assert "trials must be >= 1" in err and "Traceback" not in err
+
+
 def test_pipeline_ineligible_graph(tmp_path, capsys):
     el = tmp_path / "c8.el"
     assert main(["gen", "--family", "c8sq", "--out", str(el)]) == 0
@@ -231,6 +239,15 @@ def test_certify_rejects_malformed_fields(graph_file, tmp_path, edit, capsys):
     capsys.readouterr()
     assert main(["certify", "--graph", el, "--cert", str(cert)]) == 2
     assert "malformed certificate" in capsys.readouterr().err
+
+
+def test_certify_rejects_deeply_nested_certificate(graph_file, tmp_path, capsys):
+    el = graph_file("empty3.el", Graph(3))
+    cert = tmp_path / "cert.json"
+    cert.write_text("[" * 100_000)
+    assert main(["certify", "--graph", el, "--cert", str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed certificate" in err and "Traceback" not in err
 
 
 def test_chif_over_vertex_cap_is_input_error(graph_file, capsys):

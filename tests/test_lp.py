@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_independence_number,
@@ -60,9 +62,15 @@ def test_mwis_c11_squared():
 
 
 def test_mwis_lexicographic_ties():
+    # ties go to the greatest membership read along the branching order
     g = cycle_graph(4)  # maximisers {0,2} and {1,3}
     s, value = max_weight_stable_set(g, ones(4))
     assert value == 2 and s == frozenset({0, 2})
+    path = Graph(3, [(0, 1), (1, 2)])  # maximisers {0,2} and {1}; 1 is branched first
+    assert max_weight_stable_set(path, [ONE, F(2), ONE]) == (frozenset({1}), F(2))
+    # {1} and {2} tie and the search reaches both; the first one reached is kept
+    diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert max_weight_stable_set(diamond, [ONE, F(3), F(3), ONE]) == (frozenset({1}), F(3))
 
 
 def test_mwis_ignores_zero_weight_vertices():
@@ -80,24 +88,55 @@ def test_mwis_matches_brute_force_on_randoms():
         assert value == brute_max_weight_stable(g, w)
 
 
+def branching_order_maximiser(g, w):
+    """Brute-force tie rule: among the maximisers over positive-weight
+    vertices, the one whose membership is greatest read in weight-descending
+    order, ties to the smaller vertex."""
+    order = sorted((v for v in range(g.n) if w[v] > 0), key=lambda v: (-w[v], v))
+    sets = brute_stable_sets(g)
+    best = max(sum((w[v] for v in s), F(0)) for s in sets)
+    winners = {
+        frozenset(v for v in s if w[v] > 0)
+        for s in sets
+        if sum((w[v] for v in s), F(0)) == best
+    }
+    return max(winners, key=lambda s: [v in s for v in order]), best
+
+
+def tie_prone_weights(n, rng):
+    # small integers, zeros and mixed denominators, so maximisers tie often
+    return [F(rng.choice([0, 0, 1, 1, 2, 3]), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+
+
 def test_mwis_set_matches_brute_force_with_mixed_denominators():
-    # the returned set is the lexicographically least maximiser restricted to
-    # positive-weight vertices, checked over every stable set
     rng = random.Random(43)
-    for _ in range(80):
-        g = random_graph(rng.randint(1, 11), rng.uniform(0.15, 0.7), rng)
-        w = random_weights(g.n, rng)
-        for v in rng.sample(range(g.n), rng.randint(0, g.n // 2)):
-            w[v] = F(0)
-        best = max(sum((w[v] for v in s), F(0)) for s in brute_stable_sets(g))
-        winners = {
-            tuple(sorted(v for v in s if w[v] > 0))
-            for s in brute_stable_sets(g)
-            if sum((w[v] for v in s), F(0)) == best
-        }
+    for _ in range(400):
+        g = random_graph(rng.randint(1, 10), rng.uniform(0.15, 0.7), rng)
+        w = tie_prone_weights(g.n, rng)
         s, value = max_weight_stable_set(g, w)
-        assert value == best and isinstance(value, Fraction)
-        assert tuple(sorted(s)) == min(winners)
+        assert isinstance(value, Fraction)
+        assert (s, value) == branching_order_maximiser(g, w)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+            st.lists(
+                st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), ONE, F(3, 2), F(2)]),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_mwis_tie_rule_property(case):
+    n, present, w = case
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
+    assert max_weight_stable_set(g, w) == branching_order_maximiser(g, w)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6])

@@ -124,6 +124,12 @@ def test_montecarlo_mode_runs_and_is_exact_for_achieved_weights():
     assert again == trace
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_montecarlo_mode_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        initial_colouring(instance_a(), F(1, 2), mode="montecarlo", trials=trials)
+
+
 def test_montecarlo_steps_match_per_trial_loop():
     # each step's probabilities and columns, tallied vertex by vertex after
     # every draw of the per-trial loop on that step's own streams; the cases
