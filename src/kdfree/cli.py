@@ -46,15 +46,19 @@ def _show(value: Fraction, places: int = 6) -> str:
     return f"{format_rational(value)} (~{round_half_even(value, places)})"
 
 
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return read_edge_list(text)
+    return read_edge_list(sys.stdin.read() if path == "-" else _read_text(path))
 
 
 def _read_weights(path: str | None, n: int) -> list[Fraction]:
     if path is None:
         return [Fraction(1)] * n
-    lines = [ln.strip() for ln in open(path).read().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if len(lines) != n:
         raise GraphFormatError(f"weights file has {len(lines)} entries, graph has {n}")
     return [parse_rational(ln) for ln in lines]
@@ -227,7 +231,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_certify(args) -> int:
     g = _read_graph(args.graph)
-    cert = certificate_from_json(open(args.cert).read())
+    cert = certificate_from_json(_read_text(args.cert))
     if cert.n != g.n:
         raise GraphFormatError(f"certificate is for n={cert.n}, graph has n={g.n}")
     check = verify_certificate(g, cert.weighting, list(cert.w))

@@ -419,15 +419,30 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_list(value) -> list:
+    if type(value) is not list:  # a string or object would be iterated, not rejected
+        raise ValueError(f"expected a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _json_vertices(value) -> frozenset[int]:
+    vertices: set[int] = set()
+    for v in _json_list(value):
+        if _json_int(v) in vertices:
+            raise ValueError(f"a column lists vertex {v} twice")
+        vertices.add(v)
+    return frozenset(vertices)
+
+
 def certificate_from_json(text: str) -> CertificateFile:
     try:
         payload = json.loads(text)
         n = _json_int(payload["n"])
         k = parse_rational(payload["k"])
-        w = tuple(parse_rational(x) for x in payload["w"])
+        w = tuple(parse_rational(x) for x in _json_list(payload["w"]))
         columns = tuple(
-            (frozenset(_json_int(v) for v in col["vertices"]), parse_rational(col["weight"]))
-            for col in payload["columns"]
+            (_json_vertices(col["vertices"]), parse_rational(col["weight"]))
+            for col in _json_list(payload["columns"])
         )
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise GraphFormatError(f"malformed certificate: {exc}") from exc

@@ -14,7 +14,6 @@ is an exact certificate for the resulting vertex weights.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,7 +23,7 @@ from .errors import BoundViolation, EligibilityError, LpError
 from .graphs import CliqueStructure, Graph, clique_structure, reed_weight
 from .intervals import StableSetWeighting, verify_certificate
 from .lp import LpResult, chi_f, chi_f_weighted
-from .sampling import OUTSIDE_ENUMERATION_LIMIT, StableSetSampler, mask_to_set, trial_rng
+from .sampling import OUTSIDE_ENUMERATION_LIMIT, StableSetSampler, mask_to_set
 from .structure import pipeline_eligibility
 
 _ZERO = Fraction(0)
@@ -95,10 +94,7 @@ def initial_colouring(
             ex = sampler.enumerate_exact(active_outside)
             pr_s, dist = ex.pr_s, ex.distribution
         else:
-            seen = Counter(
-                sampler.sample(trial_rng(seed, len(iterations), t), active_outside)[1]
-                for t in range(trials)
-            )
+            seen = sampler.tally(seed, (len(iterations),), trials, active_outside)
             pr_s = sampler.marginals(seen.items(), trials, ())[0]
             dist = tuple((mask_to_set(s), Fraction(c, trials)) for s, c in sorted(seen.items()))
         prob = {v: pr_s[v] for v in active}

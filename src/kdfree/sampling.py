@@ -16,13 +16,15 @@ Exact enumeration, the Monte Carlo estimate and both pipeline modes reduce a
 distribution over S masks to its marginals through one routine,
 StableSetSampler.marginals.
 
-Monte Carlo draws come from TrialStream, one counter-based stream per
-(seed, trial) key: its bits are blake2b digests of the key string
-"seed:key:..." with the block number as the digest's salt, so a trial's
-draws depend only on its key, never on which other trials ran or in which
-order.  It replaced a Mersenne Twister per trial in this version, which
-changed every seeded Monte Carlo output (estimate, kdfree sample, the
-pipeline's montecarlo mode); exact enumeration does not draw.
+Monte Carlo draws come from one counter-based stream per (seed, trial)
+key: its bits are blake2b digests of the key string "seed:key:..." with the
+block number as the digest's salt, so a trial's draws depend only on its
+key, never on which other trials ran or in which order.  Monte Carlo
+callers (estimate, the pipeline's montecarlo mode) tally their trials
+through StableSetSampler.tally, one loop that reads these bits directly;
+TrialStream (trial_rng) serves the same stream one draw at a time to
+sample(), which also takes a caller's own random.Random.  Exact
+enumeration does not draw.
 """
 
 from __future__ import annotations
@@ -86,13 +88,10 @@ class TrialStream:
     def randrange(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"empty range for randrange({n})")
-        k = (n - 1).bit_length()
-        mask = (1 << k) - 1
+        _, k, mask = _plan(n)
         while True:
             while self._left < k:
-                salt = self._blocks.to_bytes(16, "little")
-                digest = blake2b(self._key, salt=salt).digest()
-                self._bits |= int.from_bytes(digest, "little") << self._left
+                self._bits |= _block(self._key, self._blocks) << self._left
                 self._left += 512
                 self._blocks += 1
             r = self._bits & mask
@@ -108,6 +107,20 @@ class TrialStream:
         for i in range(len(x) - 1, 0, -1):
             j = self.randrange(i + 1)
             x[i], x[j] = x[j], x[i]
+
+
+def _block(key: bytes, b: int) -> int:
+    """Block b of the key's stream as a little-endian int: the blake2b digest
+    of the key with b as its 16-byte little-endian salt.  Block 0's all-zero
+    salt is blake2b's default, so it is the plain digest."""
+    digest = blake2b(key, salt=b.to_bytes(16, "little")) if b else blake2b(key)
+    return int.from_bytes(digest.digest(), "little")
+
+
+def _plan(n: int) -> tuple[int, int, int]:
+    """(n, bits, mask) of randrange(n): draw `bits` bits, keep them if below n."""
+    k = (n - 1).bit_length()
+    return n, k, (1 << k) - 1
 
 
 def trial_rng(seed: int, *key: int) -> TrialStream:
@@ -199,6 +212,79 @@ class StableSetSampler:
         """One draw; returns (S_omega mask, S mask)."""
         s_omega = self.sample_s_omega(rng)
         return s_omega, self.extend(rng, s_omega, active)
+
+    def tally(
+        self, seed: int, key: Sequence[int], trials: int, active: Sequence[int] | None = None
+    ) -> Counter[int]:
+        """The S masks of trials t < `trials`, trial t drawn from
+        trial_rng(seed, *key, t): equal to Counter(self.sample(trial_rng(seed,
+        *key, t), active)[1] for t in range(trials)).
+
+        One loop reads the digest bits directly: each randrange is an inline
+        rejection step (a method call per draw cost more than the hashing),
+        the shuffle and the greedy insertion are written out, and pools are
+        memoised by the tuple of block indices drawn.
+        """
+        prefix = ":".join(map(str, (seed, *key, ""))).encode()
+        choices = self.block_choices
+        block_plans = [_plan(len(c)) for c in choices]
+        order = tuple(self.outside if active is None else sorted(active))
+        swap_plans = [(*_plan(i + 1), i) for i in range(len(order) - 1, 0, -1)]
+        masks = self.g.masks
+        pools: dict[tuple[int, ...], tuple[list[int], int, int, int]] = {}
+        counts: Counter[int] = Counter()
+        for t in range(trials):
+            key_t = prefix + b"%d" % t
+            bits, left, block = _block(key_t, 0), 512, 1
+            drawn = []
+            for n, k, mask in block_plans:
+                while True:
+                    while left < k:
+                        bits |= _block(key_t, block) << left
+                        left += 512
+                        block += 1
+                    r = bits & mask
+                    bits >>= k
+                    left -= k
+                    if r < n:
+                        break
+                drawn.append(r)
+            picks = tuple(drawn)
+            plan = pools.get(picks)
+            if plan is None:
+                pool = self.pool(tuple(c[r] for c, r in zip(choices, picks)))
+                plan = (pool, *_plan(len(pool)))
+                _remember(pools, picks, plan)
+            pool, n, k, mask = plan
+            while True:
+                while left < k:
+                    bits |= _block(key_t, block) << left
+                    left += 512
+                    block += 1
+                r = bits & mask
+                bits >>= k
+                left -= k
+                if r < n:
+                    break
+            s = pool[r]
+            vertices = list(order)
+            for n, k, mask, i in swap_plans:
+                while True:
+                    while left < k:
+                        bits |= _block(key_t, block) << left
+                        left += 512
+                        block += 1
+                    r = bits & mask
+                    bits >>= k
+                    left -= k
+                    if r < n:
+                        break
+                vertices[i], vertices[r] = vertices[r], vertices[i]
+            for u in vertices:
+                if not masks[u] & s:
+                    s |= 1 << u
+            counts[s] += 1
+        return counts
 
     # ── exact enumeration ─────────────────────────────────────────────────
 
@@ -403,10 +489,11 @@ def hoeffding_band(trials: int, delta_fail: float = HOEFFDING_DELTA, span: int =
 def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None) -> EstimateReport:
     """Seeded Monte Carlo estimates checked against the theoretical floors.
 
-    Deterministic for fixed (graph, seed, trials): trial t uses its own
-    counter-derived stream, so aggregation order cannot matter.  Draws are
-    tallied by their S masks and each distinct S is counted into the
-    per-vertex figures once, by StableSetSampler.marginals.
+    Deterministic for fixed (graph, seed, trials): trial t draws from
+    trial_rng(seed, t), so aggregation order cannot matter.
+    StableSetSampler.tally counts the draws by their S masks, and
+    StableSetSampler.marginals counts each distinct S into the per-vertex
+    figures once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -414,7 +501,7 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
         cs = clique_structure(g)
     sampler = StableSetSampler(g, cs)
     n = g.n
-    draws = Counter(sampler.sample(trial_rng(seed, t))[1] for t in range(trials))
+    draws = sampler.tally(seed, (), trials)
     freq_s, freq_s_omega, freq_nb_empty, mean_closed = sampler.marginals(
         draws.items(), trials, sampler.outside
     )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+import warnings
 
 import pytest
 
@@ -115,6 +117,19 @@ def test_chif_certificate_cycle(graph_file, tmp_path, capsys):
 
     assert main(["certify", "--graph", el, "--cert", str(cert)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_closes_the_files_it_reads(graph_file, tmp_path, capsys):
+    el = graph_file("a.el", instance_a())
+    weights = tmp_path / "w.txt"
+    weights.write_text("1\n" * 11)
+    cert = tmp_path / "cert.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert main(["chif", "--graph", el, "--weights", str(weights), "--emit-cert", str(cert)]) == 0
+        assert main(["certify", "--graph", el, "--cert", str(cert)]) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
 def test_chif_with_weights_file(tmp_path, capsys):
@@ -237,6 +252,28 @@ def test_certify_rejects_malformed_fields(graph_file, tmp_path, edit, capsys):
     payload["w"] = ["0"] * 3
     cert.write_text(json.dumps(payload))
     capsys.readouterr()
+    assert main(["certify", "--graph", el, "--cert", str(cert)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 3, "k": "1", "w": "000", "columns": []},
+        {"n": 3, "k": "0", "w": ["0", "0", "0"], "columns": {}},
+        {"n": 3, "k": "1", "w": ["1"] * 3, "columns": [{"vertices": "", "weight": "1"}]},
+        {
+            "n": 3, "k": "1", "w": ["1"] * 3,
+            "columns": [{"vertices": [0, 0, 1, 2], "weight": "1"}],
+        },
+    ],
+    ids=["string-w", "object-columns", "string-vertices", "repeated-vertex"],
+)
+def test_certify_rejects_coerced_fields(graph_file, tmp_path, payload, capsys):
+    # each of these used to be iterated or de-duplicated into a passing certificate
+    el = graph_file("empty3.el", Graph(3))
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(payload))
     assert main(["certify", "--graph", el, "--cert", str(cert)]) == 2
     assert "malformed certificate" in capsys.readouterr().err
 

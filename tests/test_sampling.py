@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -492,6 +493,63 @@ def test_sampler_draws_match_per_trial_loop():
         for active in (None, [15, 17, 18], []):
             for t in range(300):
                 assert sampler.sample(stream(t), active) == oracle.sample(stream(t), active)
+
+
+def tally_by_trials(oracle: TrialLoopSampler, seed: int, key: tuple, trials: int, active=None):
+    return Counter(
+        oracle.sample(trial_rng(seed, *key, t), active)[1] for t in range(trials)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, trials",
+    [
+        (instance_a, 300),
+        (instance_b, 300),
+        (instance_c, 300),
+        (medium_instance, 300),
+        (three_k7, 30),
+        (four_k9, 15),
+    ],
+)
+def test_tally_matches_per_trial_loop(build, trials):
+    g = build()
+    sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
+    for key in ((), (2,)):
+        for active in (None, sampler.outside[::2], []):
+            got = sampler.tally(7, key, trials, active)
+            assert got == tally_by_trials(oracle, 7, key, trials, active)
+            assert sum(got.values()) == trials
+    assert sampler.tally(7, (), 1) == tally_by_trials(oracle, 7, (), 1)
+
+
+def test_tally_shuffle_crosses_a_block_boundary():
+    # 150 outside vertices on a path: the shuffle alone reads over 512 bits
+    outside = [[i % 10] for i in range(150)]
+    g = block_graph(2, 5, [(0, 5)], outside, [(i, i + 1) for i in range(149)])
+    sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
+    assert len(sampler.outside) == 150
+    assert sum(i.bit_length() for i in range(1, 150)) > 512
+    for key in ((), (1,)):
+        assert sampler.tally(3, key, 40) == tally_by_trials(oracle, 3, key, 40)
+
+
+def test_tally_memos_stay_within_the_cache_cap(monkeypatch):
+    largest: dict[int, int] = {}  # id of each memo stored through _remember -> its peak size
+    remember = sampling._remember
+
+    def recorded(cache, key, value):
+        remember(cache, key, value)
+        largest[id(cache)] = max(largest.get(id(cache), 0), len(cache))
+
+    monkeypatch.setattr(sampling, "_remember", recorded)
+    monkeypatch.setattr(sampling, "POOL_CACHE_LIMIT", 3)
+    g = medium_instance()
+    sampler = StableSetSampler(g)
+    assert sampler.tally(4, (), 600) == tally_by_trials(TrialLoopSampler(g), 4, (), 600)
+    # the pools by block indices, by choice and by shape
+    assert len(largest) == 3 and max(largest.values()) == 3
+    assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
 
 
 class CountedLp:
