@@ -35,7 +35,6 @@ from .intervals import (
     StableSetWeighting,
     alpha,
     hall_extend,
-    sample,
     to_intervals,
     to_multiset,
     to_weighting,

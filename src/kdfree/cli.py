@@ -243,32 +243,43 @@ def cmd_certify(args) -> int:
 
 
 def _parse_params(raw: str | None) -> dict[str, int]:
-    if not raw:
-        return {}
-    out = {}
-    for part in raw.split(","):
+    out: dict[str, int] = {}
+    for part in raw.split(",") if raw else ():
         if "=" not in part:
             raise GraphFormatError(f"bad parameter {part!r}, expected name=value")
         key, value = part.split("=", 1)
-        out[key.strip()] = int(value)
+        key = key.strip()
+        if key in out:
+            raise GraphFormatError(f"parameter {key!r} is given twice")
+        out[key] = int(value)
     return out
 
 
 def cmd_gen(args) -> int:
+    parametric = {  # the generator and the parameters it takes, in order
+        "cycle-power": (cycle_power, ("n", "k")),
+        "petersen": (generalized_petersen, ("n", "k")),
+        "complete": (complete_graph, ("n",)),
+    }
     family = args.family.lower()
+    if family == "cycle_power":
+        family = "cycle-power"
     params = _parse_params(args.params)
     if family in NAMED_GRAPHS:
-        g = NAMED_GRAPHS[family]()
-    elif family in ("cycle-power", "cycle_power"):
-        g = cycle_power(params["n"], params["k"])
-    elif family == "petersen":
-        g = generalized_petersen(params["n"], params["k"])
-    elif family == "complete":
-        g = complete_graph(params["n"])
+        build, names = NAMED_GRAPHS[family], ()
+    elif family in parametric:
+        build, names = parametric[family]
     else:
-        known = ", ".join(sorted(NAMED_GRAPHS) + ["cycle-power", "petersen", "complete"])
+        known = ", ".join(sorted(NAMED_GRAPHS) + list(parametric))
         raise GraphFormatError(f"unknown family {family!r}; known: {known}")
-    _write_out(write_edge_list(g), args.out)
+    extra = [key for key in params if key not in names]
+    if extra:
+        takes = ", ".join(names) or "no parameters"
+        raise GraphFormatError(f"{family} does not take {', '.join(extra)}; it takes {takes}")
+    missing = [key for key in names if key not in params]
+    if missing:
+        raise GraphFormatError(f"{family} needs {', '.join(missing)}")
+    _write_out(write_edge_list(build(*(params[key] for key in names))), args.out)
     return 0
 
 

@@ -66,9 +66,6 @@ class Graph:
     def num_edges(self) -> int:
         return sum(len(s) for s in self.adj) // 2
 
-    def closed_neighbourhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
-
     def is_stable(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)
         seen = 0
@@ -256,21 +253,17 @@ class CliqueStructure:
 
     max_cliques are the maximum cliques B_1..B_l in lexicographic order;
     maximal_cliques is the full maximal-clique list backing clique-weight
-    queries; level[v] (= omega_v[v]) is the size of the largest clique
-    containing v, so the level classes partition the vertex set.
+    queries; level[v] is the size of the largest clique containing v, so
+    the level classes partition the vertex set.
     """
 
     omega: int
     max_cliques: tuple[frozenset[int], ...]
     maximal_cliques: tuple[frozenset[int], ...]
-    omega_v: tuple[int, ...]
+    level: tuple[int, ...]
     v_omega: frozenset[int]
     v_omega_prime: frozenset[int]
     d_omega: tuple[int, ...]
-
-    @property
-    def level(self) -> tuple[int, ...]:
-        return self.omega_v
 
 
 def degeneracy_order(g: Graph) -> list[int]:
@@ -322,11 +315,11 @@ def clique_structure(g: Graph) -> CliqueStructure:
     cliques = maximal_cliques(g)
     omega = max((len(c) for c in cliques), default=0)
     maxc = tuple(c for c in cliques if len(c) == omega)
-    omega_v = [0] * g.n
+    level = [0] * g.n
     for c in cliques:
         for v in c:
-            if len(c) > omega_v[v]:
-                omega_v[v] = len(c)
+            if len(c) > level[v]:
+                level[v] = len(c)
     v_omega = frozenset(v for c in maxc for v in c)
     delta = g.max_degree()
     v_prime = frozenset(v for v in v_omega if g.degree(v) == delta)
@@ -335,7 +328,7 @@ def clique_structure(g: Graph) -> CliqueStructure:
         omega=omega,
         max_cliques=maxc,
         maximal_cliques=tuple(cliques),
-        omega_v=tuple(omega_v),
+        level=tuple(level),
         v_omega=v_omega,
         v_omega_prime=v_prime,
         d_omega=d_omega,

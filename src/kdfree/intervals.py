@@ -243,21 +243,6 @@ def to_multiset(ssw: StableSetWeighting, c: int | None = None) -> list[frozenset
     return out
 
 
-def sample(ssw: StableSetWeighting, rng) -> frozenset[int]:
-    """Draw a column with probability weight/total, exactly.
-
-    Any slack between the column weights and the total maps to the empty set.
-    """
-    c = multiset_scale(ssw)
-    ticket = rng.randrange((Fraction(ssw.total) * c).numerator)
-    acc = 0
-    for s, wt in ssw.columns:
-        acc += (wt * c).numerator
-        if ticket < acc:
-            return frozenset(s)
-    return frozenset()
-
-
 # ── certificate verification ──────────────────────────────────────────────
 
 

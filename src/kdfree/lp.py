@@ -355,7 +355,7 @@ def verify_reed_bounds(g: Graph, w: Sequence[Fraction]) -> ReedBoundsReport:
         halfsum = Fraction(delta + 1 + cs.omega, 2)
         half_ok = result.value <= halfsum
         local = max(
-            Fraction(g.degree(v) + 1 + cs.omega_v[v], 2) for v in range(g.n)
+            Fraction(g.degree(v) + 1 + cs.level[v], 2) for v in range(g.n)
         )
         local_ok = result.value <= local
     return ReedBoundsReport(

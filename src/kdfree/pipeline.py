@@ -74,10 +74,6 @@ def initial_colouring(
     if not 0 <= y <= omega:
         raise ValueError(f"y must lie in [0, omega]={omega}, got {y}")
     sampler = StableSetSampler(g, cs)
-    if mode == "exact" and len(sampler.outside) > OUTSIDE_ENUMERATION_LIMIT:
-        raise EligibilityError(
-            f"exact mode handles at most {OUTSIDE_ENUMERATION_LIMIT} outside vertices"
-        )
 
     n = g.n
     capacity = [_ONE] * n

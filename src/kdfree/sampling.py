@@ -16,14 +16,13 @@ Exact enumeration, the Monte Carlo estimate and both pipeline modes reduce a
 distribution over S masks to its marginals through one routine,
 StableSetSampler.marginals.
 
-Monte Carlo draws come from one counter-based stream per (seed, trial)
-key: its bits are blake2b digests of the key string "seed:key:..." with the
-block number as the digest's salt, so a trial's draws depend only on its
-key, never on which other trials ran or in which order.  Monte Carlo
-callers (estimate, the pipeline's montecarlo mode) tally their trials
-through StableSetSampler.tally, one loop that reads these bits directly;
-TrialStream (trial_rng) serves the same stream one draw at a time to
-sample(), which also takes a caller's own random.Random.  Exact
+The Monte Carlo callers (estimate, the pipeline's montecarlo mode) draw
+their trials through StableSetSampler.tally, which gives every trial its own
+counter-based stream: the bits of blake2b digests of the key string
+"seed:key:...:trial" with the block number as the digest's salt, so a
+trial's draws depend only on its key, never on which other trials ran or in
+which order.  StableSetSampler.sample makes the same draws one trial at a
+time from a caller's generator, through its randrange alone.  Exact
 enumeration does not draw.
 """
 
@@ -34,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Mapping, MutableSequence, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 
@@ -45,6 +44,9 @@ from .intervals import to_multiset
 from .lp import chi_f_weighted
 from .structure import check_disjoint_max_cliques, check_external_neighbours, pipeline_eligibility
 
+if TYPE_CHECKING:
+    from random import Random
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -54,59 +56,6 @@ POOL_CACHE_LIMIT = 4096  # entries kept per sampler, each of choices and of shap
 ENUMERATION_WORK_LIMIT = 10**7
 
 HOEFFDING_DELTA = 1e-3
-
-
-_T = TypeVar("_T")
-
-
-class Draws(Protocol):
-    """The draws a sampler makes: TrialStream, or any random.Random."""
-
-    def randrange(self, n: int, /) -> int: ...
-
-    def choice(self, seq: Sequence[_T], /) -> _T: ...
-
-    def shuffle(self, x: MutableSequence, /) -> None: ...
-
-
-class TrialStream:
-    """Counter-based stream over the bits of blake2b digests of one key.
-
-    Block b is the 512-bit digest of the key with b as blake2b's salt (block
-    0 is the plain digest), fetched only when the bits drawn so far run out.
-    randrange(n) rejects draws of (n - 1).bit_length() bits until one is
-    below n; choice and shuffle use it exactly as random.Random uses its
-    own: seq[randrange(len(seq))], and a Fisher-Yates loop from the end.
-    """
-
-    __slots__ = ("_key", "_bits", "_left", "_blocks")
-
-    def __init__(self, key: bytes):
-        self._key = key
-        self._bits = self._left = self._blocks = 0
-
-    def randrange(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"empty range for randrange({n})")
-        _, k, mask = _plan(n)
-        while True:
-            while self._left < k:
-                self._bits |= _block(self._key, self._blocks) << self._left
-                self._left += 512
-                self._blocks += 1
-            r = self._bits & mask
-            self._bits >>= k
-            self._left -= k
-            if r < n:
-                return r
-
-    def choice(self, seq: Sequence[_T]) -> _T:
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, x: MutableSequence) -> None:
-        for i in range(len(x) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            x[i], x[j] = x[j], x[i]
 
 
 def _block(key: bytes, b: int) -> int:
@@ -121,12 +70,6 @@ def _plan(n: int) -> tuple[int, int, int]:
     """(n, bits, mask) of randrange(n): draw `bits` bits, keep them if below n."""
     k = (n - 1).bit_length()
     return n, k, (1 << k) - 1
-
-
-def trial_rng(seed: int, *key: int) -> TrialStream:
-    """The stream of the key string "seed:key:...", e.g. "7:3" for trial 3 of
-    seed 7; identical for serial and parallel runs."""
-    return TrialStream(":".join(map(str, (seed, *key))).encode())
 
 
 class StableSetSampler:
@@ -165,9 +108,6 @@ class StableSetSampler:
 
     # ── stage one ─────────────────────────────────────────────────────────
 
-    def draw_choice(self, rng: Draws) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(rng.choice, self.block_choices))
-
     def pool(self, choice: tuple[tuple[int, ...], ...]) -> list[int]:
         """Column pool (as vertex bitmasks) for one joint 4-subset choice.
 
@@ -194,33 +134,48 @@ class StableSetSampler:
         _remember(self._pools, choice, pool)
         return pool
 
-    def sample_s_omega(self, rng: Draws) -> int:
-        return rng.choice(self.pool(self.draw_choice(rng)))
-
     # ── stage two ─────────────────────────────────────────────────────────
 
-    def extend(self, rng: Draws, s_omega_mask: int, active: Sequence[int] | None = None) -> int:
+    def extend(self, rng: Random, s_omega_mask: int, active: Sequence[int] | None = None) -> int:
         vertices = list(self.outside if active is None else sorted(active))
-        rng.shuffle(vertices)
+        for i in range(len(vertices) - 1, 0, -1):
+            j = rng.randrange(i + 1)
+            vertices[i], vertices[j] = vertices[j], vertices[i]
         s = s_omega_mask
         for u in vertices:
             if not self.g.masks[u] & s:
                 s |= 1 << u
         return s
 
-    def sample(self, rng: Draws, active: Sequence[int] | None = None) -> tuple[int, int]:
-        """One draw; returns (S_omega mask, S mask)."""
-        s_omega = self.sample_s_omega(rng)
+    def sample(self, rng: Random, active: Sequence[int] | None = None) -> tuple[int, int]:
+        """One draw; returns (S_omega mask, S mask).
+
+        Reads rng.randrange alone, in tally's order: one index per block, one
+        pool index, then a Fisher-Yates shuffle of the outside vertices from
+        the end.  For a random.Random these are the draws choice and shuffle
+        would make.
+        """
+        choice = tuple(c[rng.randrange(len(c))] for c in self.block_choices)
+        pool = self.pool(choice)
+        s_omega = pool[rng.randrange(len(pool))]
         return s_omega, self.extend(rng, s_omega, active)
 
     def tally(
         self, seed: int, key: Sequence[int], trials: int, active: Sequence[int] | None = None
     ) -> Counter[int]:
-        """The S masks of trials t < `trials`, trial t drawn from
-        trial_rng(seed, *key, t): equal to Counter(self.sample(trial_rng(seed,
-        *key, t), active)[1] for t in range(trials)).
+        """The S masks of trials t < `trials`, each read from its own stream.
 
-        One loop reads the digest bits directly: each randrange is an inline
+        Trial t's stream is keyed by the string "seed:key:...:t" (e.g. "7:3"
+        for trial 3 of seed 7 with an empty key).  Its bits are the
+        concatenated 512-bit blocks _block(key, 0), _block(key, 1), ..., read
+        from the low end and fetched only when the bits drawn so far run out.
+        A draw below n takes the next (n - 1).bit_length() bits and rejects
+        them until they are below n.  The draws are those of sample: one
+        index per block, one pool index, then a Fisher-Yates shuffle from
+        the end; so trial t's mask is sample(rng, active)[1] for an rng
+        whose randrange reads trial t's stream.
+
+        One loop reads the digest bits directly: each draw is an inline
         rejection step (a method call per draw cost more than the hashing),
         the shuffle and the greedy insertion are written out, and pools are
         memoised by the tuple of block indices drawn.
@@ -489,9 +444,9 @@ def hoeffding_band(trials: int, delta_fail: float = HOEFFDING_DELTA, span: int =
 def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None) -> EstimateReport:
     """Seeded Monte Carlo estimates checked against the theoretical floors.
 
-    Deterministic for fixed (graph, seed, trials): trial t draws from
-    trial_rng(seed, t), so aggregation order cannot matter.
-    StableSetSampler.tally counts the draws by their S masks, and
+    Deterministic for fixed (graph, seed, trials): StableSetSampler.tally
+    draws trial t from the stream keyed "seed:t", so aggregation order
+    cannot matter, and counts the draws by their S masks;
     StableSetSampler.marginals counts each distinct S into the per-vertex
     figures once.
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -198,6 +199,14 @@ def brute_near_cliques(g: Graph, delta: int, pattern: str) -> list[tuple[int, ..
     return hits
 
 
+def shuffle(rng, items: list) -> None:
+    """Fisher-Yates from the end through rng.randrange, as random.Random's
+    shuffle and the sampler do."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
 class TrialLoopSampler:
     """The two-stage draw as one loop per trial: `randrange` picks, a written
     out Fisher-Yates shuffle, and one pool LP per joint 4-subset choice."""
@@ -230,11 +239,47 @@ class TrialLoopSampler:
         pool = self.pool(choice)
         s_omega = pool[rng.randrange(len(pool))]
         vertices = list(self.sampler.outside if active is None else sorted(active))
-        for i in range(len(vertices) - 1, 0, -1):
-            j = rng.randrange(i + 1)
-            vertices[i], vertices[j] = vertices[j], vertices[i]
+        shuffle(rng, vertices)
         s = s_omega
         for u in vertices:
             if not self.g.masks[u] & s:
                 s |= 1 << u
         return s_omega, s
+
+
+class TrialStream:
+    """The counter-based stream that StableSetSampler.tally reads, built
+    from its description with hashlib, one draw at a time.
+
+    Block b is the 512-bit blake2b digest of the key with b as its 16-byte
+    little-endian salt (block 0 is the plain digest), read as a little-endian
+    int and fetched only when the bits drawn so far run out.  randrange(n)
+    draws (n - 1).bit_length() bits from the low end until they are below n.
+    """
+
+    def __init__(self, key: bytes):
+        self.key = key
+        self.bits = self.left = self.blocks = 0
+
+    def randrange(self, n: int) -> int:
+        if n < 1:
+            raise ValueError(f"empty range for randrange({n})")
+        k = (n - 1).bit_length()
+        while True:
+            while self.left < k:
+                salt = self.blocks.to_bytes(16, "little")
+                digest = hashlib.blake2b(self.key, salt=salt).digest()
+                self.bits |= int.from_bytes(digest, "little") << self.left
+                self.left += 512
+                self.blocks += 1
+            r = self.bits & ((1 << k) - 1)
+            self.bits >>= k
+            self.left -= k
+            if r < n:
+                return r
+
+
+def trial_rng(seed: int, *key: int) -> TrialStream:
+    """The stream of the key string "seed:key:...", e.g. "7:3" for trial 3
+    of seed 7."""
+    return TrialStream(":".join(map(str, (seed, *key))).encode())

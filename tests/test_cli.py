@@ -12,9 +12,10 @@ import pytest
 from conftest import instance_a
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
-from kdfree.graphs import Graph, complete_graph, write_edge_list
+from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph, write_edge_list
 from kdfree.intervals import certificate_from_json
 from kdfree.rationals import parse_rational
+from kdfree.structure import pipeline_eligibility
 
 
 @pytest.fixture
@@ -48,6 +49,22 @@ def test_gen_parametric_families(tmp_path, capsys):
 def test_gen_unknown_family_is_input_error(capsys):
     assert main(["gen", "--family", "mystery"]) == 2
     assert "unknown family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, params, reason",
+    [
+        ("c5xk2", "n=3", "c5xk2 does not take n; it takes no parameters"),
+        ("complete", "n=8,k=2", "complete does not take k; it takes n"),
+        ("complete", "n=8,n=9", "parameter 'n' is given twice"),
+        ("cycle-power", "n=5", "cycle-power needs k"),
+        ("petersen", None, "petersen needs n, k"),
+    ],
+)
+def test_gen_rejects_parameters_the_family_does_not_take(capsys, family, params, reason):
+    extra = [] if params is None else ["--params", params]
+    assert main(["gen", "--family", family, *extra]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_bounds_table(capsys):
@@ -307,6 +324,15 @@ def test_sample_over_block_choice_cap_is_input_error(tmp_path, capsys):
     el.write_text(write_edge_list(complete_graph(150)))
     assert main(["sample", "--graph", str(el), "--trials", "1", "--seed", "0"]) == 2
     assert "a sampler lists at most 1000000" in capsys.readouterr().err
+
+
+def test_pipeline_exact_over_outside_cap_is_input_error(graph_file, capsys):
+    # an eligible graph with 9 outside vertices, one past exact enumeration
+    g = block_graph(3, 5, [(0, 5), (5, 10)], [[1], [6], [11], [2, 7], [3], [8], [13], [4], [9]])
+    cs = clique_structure(g)
+    assert pipeline_eligibility(g, cs).passed and g.n - len(cs.v_omega) == 9
+    assert main(["pipeline", "--graph", graph_file("nine.el", g), "--mode", "exact"]) == 2
+    assert "handles at most 8 outside vertices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

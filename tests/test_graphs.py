@@ -184,6 +184,26 @@ def test_maximal_cliques_match_brute_force():
         assert clique_structure(g).omega == brute_omega(g)
 
 
+@pytest.mark.parametrize("n", [25, 30, 35, 40])
+def test_cliques_match_networkx(n):
+    # past the sizes the brute-force oracles reach; networkx lists the
+    # maximal cliques of each seeded G(n, p) independently
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(f"networkx-cliques:{n}")
+    for p in (0.1, 0.3, 0.5, 0.7):
+        g = random_graph(n, p, rng)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(g.edges())
+        want = sorted(map(frozenset, nx.find_cliques(reference)), key=sorted)
+        assert maximal_cliques(g) == want
+        cs = clique_structure(g)
+        omega = max(map(len, want))
+        assert cs.omega == omega
+        assert cs.max_cliques == tuple(c for c in want if len(c) == omega)
+        assert cs.level == tuple(max(len(c) for c in want if v in c) for v in range(n))
+
+
 def test_level_partitions_vertices():
     g = instance_a()
     cs = clique_structure(g)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +29,6 @@ from kdfree.intervals import (
     empty_colouring,
     hall_extend,
     interval_span,
-    sample,
     to_intervals,
     to_multiset,
     to_weighting,
@@ -173,28 +171,6 @@ def test_coverage_identity_and_mass_budget():
         for v in range(g.n):
             per_column = sum((ivs.measure for s, ivs in kc.assignment if v in s), F(0))
             assert kc.coverage(v) == per_column
-
-
-def test_sample_matches_weights_hoeffding():
-    ssw = c5_optimal_weighting()
-    rng = random.Random(4242)
-    trials = 10**5
-    counts = [0] * 5
-    for _ in range(trials):
-        s = sample(ssw, rng)
-        for v in s:
-            counts[v] += 1
-    band = math.sqrt(math.log(1e3) / (2 * trials))
-    for v in range(5):
-        expected = float(ssw.coverage(v) / ssw.total)
-        assert abs(counts[v] / trials - expected) <= band
-
-
-def test_sample_pads_to_empty_set():
-    ssw = StableSetWeighting(((frozenset({0}), F(1, 2)),), F(2))
-    rng = random.Random(1)
-    draws = {sample(ssw, rng) for _ in range(200)}
-    assert draws == {frozenset(), frozenset({0})}
 
 
 def test_hall_extend_singleton():

@@ -15,6 +15,7 @@ from conftest import (
     instance_c,
     medium_instance,
     random_graph,
+    trial_rng,
 )
 from kdfree.bounds import main_bound, mu_values
 from kdfree.errors import EligibilityError
@@ -27,7 +28,6 @@ from kdfree.graphs import (
     strong_product,
 )
 from kdfree.intervals import verify_certificate
-from kdfree.sampling import trial_rng
 from kdfree.pipeline import (
     check_weight_conditions,
     end_to_end,
