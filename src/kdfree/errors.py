@@ -25,10 +25,6 @@ class EligibilityError(ValueError):
     """Graph fails the structural preconditions of the colouring pipeline."""
 
 
-class AharoniHypothesisError(ValueError):
-    """The induced 4-subset graph violates its degree-5 guarantee."""
-
-
 class HypothesisViolated(ValueError):
     """A theorem's stated hypothesis fails; names the failing condition."""
 

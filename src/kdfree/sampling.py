@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 
 from .bounds import mu_values, p_value, quarter_tail_sum
-from .errors import AharoniHypothesisError, EligibilityError, SizeLimit
+from .errors import EligibilityError, HypothesisViolated, SizeLimit
 from .graphs import CliqueStructure, Graph, clique_structure
 from .intervals import to_multiset
 from .lp import chi_f_weighted
@@ -352,18 +352,18 @@ def _shape_pool(
     """Uniform column pool of the 4-subset graph `tilde` (columns as sorted
     vertex tuples) with exact quarter coverage and one hit per 4-subset.
 
-    Raises AharoniHypothesisError when the hypotheses behind it fail."""
+    Raises HypothesisViolated when the hypotheses behind it fail."""
     if tilde.max_degree() > 5:
-        raise AharoniHypothesisError(
+        raise HypothesisViolated(
             f"induced 4-subset graph has degree {tilde.max_degree()} > 5"
         )
     result = chi_f_weighted(tilde, [_ONE] * tilde.n)
     if result.value != 4:
-        raise AharoniHypothesisError(f"chi_f of the 4-subset graph is {result.value} != 4")
+        raise HypothesisViolated(f"chi_f of the 4-subset graph is {result.value} != 4")
     columns = to_multiset(result.primal)
     scale = len(columns) // 4
     if len(columns) != 4 * scale:
-        raise AharoniHypothesisError("column pool size is not a multiple of 4")
+        raise HypothesisViolated("column pool size is not a multiple of 4")
     # trim any over-covered vertex down to exactly `scale` occurrences
     counts = [0] * tilde.n
     trimmed: list[tuple[int, ...]] = []
@@ -375,12 +375,12 @@ def _shape_pool(
                 keep.append(v)
         trimmed.append(tuple(keep))
     if any(c != scale for c in counts):
-        raise AharoniHypothesisError("pool coverage is not exactly a quarter")
+        raise HypothesisViolated("pool coverage is not exactly a quarter")
     for col in trimmed:
         if any(len(set(col).intersection(sub)) != 1 for sub in subsets):
             # equality of the coverage sums forces one hit per 4-subset;
             # a miss here would break maximality of the final draw
-            raise AharoniHypothesisError("a pool column misses a 4-subset")
+            raise HypothesisViolated("a pool column misses a 4-subset")
     return tuple(trimmed)
 
 

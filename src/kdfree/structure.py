@@ -8,6 +8,7 @@ are reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -16,40 +17,37 @@ from .graphs import CliqueStructure, Graph, clique_structure
 
 NEAR_CLIQUE_EXHAUSTIVE_LIMIT = 20
 
-# pattern id -> complement edge shape on a Delta-vertex set
-NEAR_CLIQUE_PATTERNS = ("matching2", "P2+P3", "2xP3", "P4")
+# pattern id -> signature of its complement edge shape on a Delta-vertex set:
+# the sorted (deg a, deg b) pairs over its edges, degrees within the pattern
+_SIGNATURES = {
+    "matching2": ((1, 1), (1, 1)),
+    "P2+P3": ((1, 1), (1, 2), (1, 2)),
+    "2xP3": ((1, 2), (1, 2), (1, 2), (1, 2)),
+    "P4": ((1, 2), (1, 2), (2, 2)),
+}
+NEAR_CLIQUE_PATTERNS = tuple(_SIGNATURES)
 
 
 def check_disjoint_max_cliques(
     g: Graph, cs: CliqueStructure
 ) -> tuple[frozenset[int], frozenset[int]] | None:
     """None if the maximum cliques are pairwise disjoint, else the least
-    intersecting pair."""
-    best = None
-    for c1, c2 in combinations(cs.max_cliques, 2):
-        if c1 & c2:
-            key = (tuple(sorted(c1)), tuple(sorted(c2)))
-            if best is None or key < best[0]:
-                best = (key, (c1, c2))
-    return best[1] if best else None
+    intersecting pair (the first one found, as `cs.max_cliques` is in
+    lexicographic order)."""
+    return next(((c1, c2) for c1, c2 in combinations(cs.max_cliques, 2) if c1 & c2), None)
 
 
 def check_external_neighbours(
     g: Graph, cs: CliqueStructure
 ) -> tuple[int, frozenset[int], frozenset[int]] | None:
     """None if no outside vertex sees a maximum clique twice, else the least
-    witness (v, clique, v's neighbours inside it)."""
-    best = None
-    for c in cs.max_cliques:
-        for v in range(g.n):
-            if v in c:
-                continue
+    witness (v, clique, v's neighbours inside it) by v, then clique."""
+    for v in range(g.n):
+        for c in cs.max_cliques:
             inside = g.adj[v] & c
-            if len(inside) > 1:
-                key = (v, tuple(sorted(c)))
-                if best is None or key < best[0]:
-                    best = (key, (v, c, frozenset(inside)))
-    return best[1] if best else None
+            if len(inside) > 1 and v not in c:
+                return v, c, inside
+    return None
 
 
 @dataclass(frozen=True)
@@ -78,88 +76,61 @@ class Bump:
 
 def find_bump(g: Graph, cs: CliqueStructure) -> Bump | None:
     """A maximum clique C plus adjacent outside v1,v2 whose neighbourhoods
-    inside a 3-subset Y of C are {y1,y2} and {y2,y3}."""
-    best: tuple | None = None
+    inside a 3-subset Y of C are {y1,y2} and {y2,y3}; the least by
+    (sorted C, y1, y2, y3, v1, v2).
+
+    With n1, n2 the neighbours of v1, v2 in C, the valid (y1, y2, y3) are
+    exactly the members of n1 - n2, n1 & n2 and n2 - n1, so each pair's least
+    bump takes their three minima, and the first clique with a bump holds the
+    least one."""
     for c in cs.max_cliques:
-        outside = [v for v in range(g.n) if v not in c]
-        for v1 in outside:
-            for v2 in g.adj[v1]:
-                if v2 in c or v2 == v1:
-                    continue
-                for y in combinations(sorted(c), 3):
-                    ys = set(y)
-                    n1 = g.adj[v1] & ys
-                    n2 = g.adj[v2] & ys
-                    if len(n1) != 2 or len(n2) != 2:
-                        continue
-                    shared = n1 & n2
-                    if len(shared) != 1:
-                        continue
-                    y2 = next(iter(shared))
-                    y1 = next(iter(n1 - shared))
-                    y3 = next(iter(n2 - shared))
-                    key = (tuple(sorted(c)), y1, y2, y3, v1, v2)
-                    if best is None or key < best:
-                        best = key
-    if best is None:
-        return None
-    c_t, y1, y2, y3, v1, v2 = best
-    return Bump(frozenset(c_t), y1, y2, y3, v1, v2)
+        keys = []
+        for v1 in range(g.n):
+            if v1 in c:
+                continue
+            n1 = g.adj[v1] & c
+            for v2 in g.adj[v1] - c:
+                n2 = g.adj[v2] & c
+                if n1 - n2 and n1 & n2 and n2 - n1:
+                    keys.append((min(n1 - n2), min(n1 & n2), min(n2 - n1), v1, v2))
+        if keys:
+            # from the sorted vertices: a set's printed order follows insertion
+            # order where hashes collide, and `kdfree check` prints the bump
+            return Bump(frozenset(sorted(c)), *min(keys))
+    return None
 
 
 # ── near-cliques: K_Delta minus a small edge pattern ──────────────────────
 
 
-def _complement_edges(g: Graph, vertices: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in combinations(vertices, 2) if not g.has_edge(u, v)]
-
-
-def _matches_pattern(edges: list[tuple[int, int]], pattern: str) -> bool:
-    if pattern == "matching2":
-        if len(edges) != 2:
-            return False
-        (a, b), (c, d) = edges
-        return len({a, b, c, d}) == 4
-    deg: dict[int, int] = {}
-    for u, v in edges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    degrees = sorted(deg.values())
-    if pattern == "P2+P3":
-        # one lone edge plus a disjoint two-edge path
-        return len(edges) == 3 and len(deg) == 5 and degrees == [1, 1, 1, 1, 2]
-    if pattern == "2xP3":
-        # two vertex-disjoint two-edge paths
-        if len(edges) != 4 or len(deg) != 6 or degrees != [1, 1, 1, 1, 2, 2]:
-            return False
-        centers = [v for v, d in deg.items() if d == 2]
-        return not any({u, v} == set(centers) for u, v in edges)
-    if pattern == "P4":
-        # a three-edge path: connected, two ends, two middles
-        if len(edges) != 3 or len(deg) != 4 or degrees != [1, 1, 2, 2]:
-            return False
-        middles = {v for v, d in deg.items() if d == 2}
-        return any({u, v} == middles for u, v in edges)
-    raise ValueError(f"unsupported pattern {pattern!r}")
+def _signature(edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The sorted (deg a, deg b) pairs over `edges`, degrees within them.  On
+    2-4 edges it equals a pattern's entry in `_SIGNATURES` exactly when the
+    edges form that pattern."""
+    deg = Counter(v for edge in edges for v in edge)
+    return tuple(sorted(tuple(sorted((deg[a], deg[b]))) for a, b in edges))
 
 
 def find_near_clique(
     g: Graph, delta: int, pattern: str
 ) -> tuple[int, ...] | None:
-    """A `delta`-vertex set whose induced complement is exactly the pattern.
+    """The least `delta`-vertex set whose induced complement is exactly the
+    pattern.
 
-    Exhaustive for n <= 20: every witness contains a (delta-2)-clique (each
-    pattern's complement has independence number 2), so seeding from the
-    (delta-2)-subsets of maximal cliques and completing with an outside pair
-    covers all candidates.
+    Exhaustive for n <= 20: each pattern has a vertex cover of two vertices,
+    and deleting it from a witness leaves a (delta-2)-clique, so seeding from
+    the (delta-2)-subsets of maximal cliques and completing with an outside
+    pair {u, v} covers all candidates.  Every missing edge of such a candidate
+    meets u or v.
     """
-    if pattern not in NEAR_CLIQUE_PATTERNS:
+    if pattern not in _SIGNATURES:
         raise ValueError(f"unsupported pattern {pattern!r}")
     if g.n > NEAR_CLIQUE_EXHAUSTIVE_LIMIT:
         raise SizeLimit(f"near-clique search is exhaustive only for n <= {NEAR_CLIQUE_EXHAUSTIVE_LIMIT}")
     core = delta - 2
     if core < 2 or delta > g.n:
         return None
+    want = _SIGNATURES[pattern]
     best: tuple[int, ...] | None = None
     seen_seeds: set[frozenset[int]] = set()
     for clique in clique_structure(g).maximal_cliques:
@@ -170,10 +141,13 @@ def find_near_clique(
             if fs in seen_seeds:
                 continue
             seen_seeds.add(fs)
-            rest = [v for v in range(g.n) if v not in fs]
-            for u, v in combinations(rest, 2):
-                candidate = tuple(sorted(seed + (u, v)))
-                if _matches_pattern(_complement_edges(g, candidate), pattern):
+            misses = {x: [(x, y) for y in seed if y not in g.adj[x]] for x in range(g.n) if x not in fs}
+            for u, v in combinations(misses, 2):
+                missing = misses[u] + misses[v]
+                if v not in g.adj[u]:
+                    missing.append((u, v))
+                if len(missing) == len(want) and _signature(missing) == want:
+                    candidate = tuple(sorted(seed + (u, v)))
                     if best is None or candidate < best:
                         best = candidate
     return best

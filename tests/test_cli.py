@@ -236,6 +236,15 @@ def test_pipeline_ineligible_graph(tmp_path, capsys):
     assert "ineligible" in capsys.readouterr().err
 
 
+def test_sample_failed_hypothesis_is_ineligible(graph_file, capsys):
+    # vertex 0 has a cross neighbour in each other block, so a joint choice
+    # holding all four has a 4-subset graph of degree 6 > 5
+    g = block_graph(4, 4, cross_edges=[(0, 4), (0, 8), (0, 12)])
+    assert main(["sample", "--graph", graph_file("over.el", g), "--trials", "5", "--seed", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "ineligible input: induced 4-subset graph has degree 6 > 5\n"
+
+
 def test_missing_graph_file_is_input_error(capsys):
     assert main(["chif", "--graph", "/nonexistent/g.el"]) == 2
 

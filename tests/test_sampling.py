@@ -27,7 +27,7 @@ from conftest import (
     trial_rng,
 )
 from kdfree.bounds import p_value, quarter_tail_sum
-from kdfree.errors import AharoniHypothesisError, EligibilityError, SizeLimit
+from kdfree.errors import EligibilityError, HypothesisViolated, SizeLimit
 from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph
 from kdfree import sampling
 from kdfree.sampling import (
@@ -225,7 +225,7 @@ def test_aharoni_guard_fires_on_overloaded_tilde():
         (15, 16, 17, 18),
     )
     bad = tuple(tuple(sorted(sub)) for sub in bad)
-    with pytest.raises(AharoniHypothesisError):
+    with pytest.raises(HypothesisViolated):
         sampler.pool(bad)
 
 
@@ -239,12 +239,12 @@ def test_aharoni_guard_fires_with_a_warm_memo():
     same_shape = ((0, 1, 2, 4), (5, 6, 7, 9), (10, 11, 12, 14), (15, 16, 17, 19))
     good = ((1, 2, 3, 4), (6, 7, 8, 9), (11, 12, 13, 14), (16, 17, 18, 19))
     for choice in (bad, bad, same_shape):
-        with pytest.raises(AharoniHypothesisError):
+        with pytest.raises(HypothesisViolated):
             sampler.pool(choice)
     assert not sampler._pools and not sampler._shapes
     sampler.pool(good)
     for choice in (bad, same_shape, bad):
-        with pytest.raises(AharoniHypothesisError):
+        with pytest.raises(HypothesisViolated):
             sampler.pool(choice)
     assert list(sampler._pools) == [good] and len(sampler._shapes) == 1
 

@@ -8,7 +8,10 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    PATTERN_SHAPES,
+    _component_shapes,
     brute_bumps,
+    brute_maximal_cliques,
     brute_near_cliques,
     instance_a,
     instance_b,
@@ -26,6 +29,8 @@ from kdfree.graphs import (
 )
 from kdfree.structure import (
     NEAR_CLIQUE_PATTERNS,
+    _signature,
+    _SIGNATURES,
     check_disjoint_max_cliques,
     check_external_neighbours,
     find_bump,
@@ -56,6 +61,50 @@ def test_disjoint_cliques_near_miss_overlap():
     assert witness is not None
     c1, c2 = witness
     assert len(c1 & c2) == cs.omega - 1
+
+
+def brute_max_cliques(g: Graph) -> list[tuple[int, ...]]:
+    cliques = [tuple(sorted(c)) for c in brute_maximal_cliques(g)]
+    omega = max(map(len, cliques), default=0)
+    return [c for c in cliques if len(c) == omega]
+
+
+def seeded_graphs(seed: int, count: int) -> list[Graph]:
+    rng = random.Random(seed)
+    return [random_graph(rng.randint(4, 11), rng.uniform(0.3, 0.9), rng) for _ in range(count)]
+
+
+def test_disjoint_cliques_least_witness_matches_brute_force():
+    found_any = False
+    for g in seeded_graphs(75, 80):
+        witness = check_disjoint_max_cliques(g, clique_structure(g))
+        hits = [(c1, c2) for c1, c2 in combinations(brute_max_cliques(g), 2) if set(c1) & set(c2)]
+        if witness is None:
+            assert not hits
+        else:
+            found_any = True
+            assert tuple(tuple(sorted(c)) for c in witness) == min(hits)
+    assert found_any
+
+
+def test_external_neighbours_least_witness_matches_brute_force():
+    found_any = False
+    for g in seeded_graphs(77, 80):
+        witness = check_external_neighbours(g, clique_structure(g))
+        cliques = brute_max_cliques(g)
+        hits = [
+            (v, c, tuple(sorted(g.adj[v] & set(c))))
+            for v in range(g.n)
+            for c in cliques
+            if v not in c and len(g.adj[v] & set(c)) > 1
+        ]
+        if witness is None:
+            assert not hits
+        else:
+            found_any = True
+            v, c, nbrs = witness
+            assert (v, tuple(sorted(c)), tuple(sorted(nbrs))) == min(hits)
+    assert found_any
 
 
 def test_external_neighbours_witness():
@@ -104,6 +153,8 @@ def test_find_bump_matches_brute_force():
         assert (found is not None) == bool(hits)
         if found is not None:
             assert found.validate(g)
+            key = (tuple(sorted(found.clique)), found.y1, found.y2, found.y3, found.v1, found.v2)
+            assert key == min(hits)
 
 
 def near_clique_host(missing: list[tuple[int, int]], size: int) -> Graph:
@@ -149,6 +200,28 @@ def test_near_clique_matches_brute_force():
             assert (found is not None) == bool(hits)
             if found is not None:
                 assert found == min(hits)
+
+
+def test_signature_table_by_exhaustion():
+    # a graph with at most 4 edges has at most 8 non-isolated vertices, so
+    # every edge set of 2-4 edges on 8 labelled vertices covers every case;
+    # the component shapes are the independent reference
+    assert tuple(_SIGNATURES) == NEAR_CLIQUE_PATTERNS == tuple(PATTERN_SHAPES)
+    pairs = list(combinations(range(8), 2))
+    sets = 0
+    matched = dict.fromkeys(NEAR_CLIQUE_PATTERNS, 0)
+    for size in (2, 3, 4):
+        for edges in map(list, combinations(pairs, size)):
+            touched = sorted({v for e in edges for v in e})
+            shapes = sorted(_component_shapes(touched, edges))
+            signature = _signature(edges)
+            for pattern in NEAR_CLIQUE_PATTERNS:
+                is_pattern = shapes == sorted(PATTERN_SHAPES[pattern])
+                assert (signature == _SIGNATURES[pattern]) == is_pattern, (edges, pattern)
+                matched[pattern] += is_pattern
+            sets += 1
+    assert sets == 24129
+    assert all(matched.values())
 
 
 def test_near_clique_rejects_unknown_pattern():
