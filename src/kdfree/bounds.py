@@ -21,6 +21,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,8 +32,8 @@ _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 # The p-curve's integers grow with Delta (about 22,000 bits at Delta = 2000).
-# On a 2-core x86 machine main_bound takes about 0.03 s at Delta = 1000 and
-# 0.15 s at Delta = 2000; emitting the whole reduced curve takes about 0.16 s
+# On a 2-core x86 machine main_bound takes about 0.016 s at Delta = 1000 and
+# 0.09 s at Delta = 2000; emitting the whole reduced curve takes about 0.16 s
 # and 1.1 s.
 DELTA_CAP = 2000
 
@@ -152,27 +153,56 @@ def ytilde_values(delta: int) -> tuple[dict[int, Fraction], Fraction]:
     if delta < 6:
         raise ValueError(f"needs Delta >= 6, got {delta}")
     mu_k, mu, _ = mu_values(delta)
-    return _ytilde(delta, mu_k, mu)
+    return _ytilde_k(delta, mu_k, mu), _ytilde(delta, mu_k, mu)
 
 
-def _ytilde(
+def _step_mu(delta: int, mu_k: Mapping[int, Fraction], mu: Fraction, k: int) -> Fraction:
+    """The floor m in ytilde_k: mu for k <= 3, mu_k[Delta+1-k] for k >= 4."""
+    return mu if k <= 3 else mu_k[delta + 1 - k]
+
+
+def _ytilde_k(
     delta: int, mu_k: Mapping[int, Fraction], mu: Fraction
-) -> tuple[dict[int, Fraction], Fraction]:
+) -> dict[int, Fraction]:
+    """ytilde_k = (Delta-1-k) / (1 + 2 mu - k m) for k in [1, Delta-2], reduced."""
+    return {
+        k: Fraction(delta - 1 - k) / (1 + 2 * mu - k * _step_mu(delta, mu_k, mu, k))
+        for k in range(1, delta - 1)
+    }
+
+
+def _ytilde(delta: int, mu_k: Mapping[int, Fraction], mu: Fraction) -> Fraction:
+    """min(min_k ytilde_k, omega, (omega-3)/(1-3 mu)), without the per-k values.
+
+    On a run of consecutive k sharing one floor m, the denominator
+    1 + 2 mu - k m of ytilde_k is linear in k, so it is positive on the whole
+    run once it is positive at both ends; and there ytilde_k is monotone in
+    k, since its derivative (m (Delta-1) - 1 - 2 mu) / (1 + 2 mu - k m)^2 has
+    a constant sign.  So only the two ends of each run can hold the minimum.
+    With mu = a/b and m = c/e,
+
+        ytilde_k = (Delta-1-k) b e / ((b + 2a) e - k c b),
+
+    and these candidates are compared by cross-multiplying the integers; a
+    Fraction is built only for the least.  A nonpositive denominator at a
+    run end raises BoundViolation.
+    """
     omega = delta - 1
-    ytilde_k: dict[int, Fraction] = {}
-    for k in range(1, delta - 1):
-        numerator = _HALF * (delta - 1 - k)
-        if k <= 3:
-            denominator = _HALF + mu - _HALF * k * mu
-        else:
-            denominator = _HALF + mu - _HALF * k * mu_k[delta + 1 - k]
-        ytilde_k[k] = numerator / denominator
-    capped = min(
-        min(ytilde_k.values()),
-        Fraction(omega),
-        Fraction(omega - 3) / (1 - 3 * mu),
-    )
-    return ytilde_k, capped
+    a, b = mu.numerator, mu.denominator
+    best_num, best_den = 1, 0  # stands for +infinity
+    runs = groupby(range(1, delta - 1), key=lambda k: _step_mu(delta, mu_k, mu, k))
+    for m, run in runs:
+        ks = list(run)
+        c, e = m.numerator, m.denominator
+        scale, base, slope = b * e, (b + 2 * a) * e, c * b
+        for k in (ks[0], ks[-1]):
+            den = base - k * slope
+            if den <= 0:
+                raise BoundViolation(f"ytilde_k denominator <= 0 at Delta={delta}, k={k}")
+            num = (omega - k) * scale
+            if num * best_den < best_num * den:
+                best_num, best_den = num, den
+    return min(Fraction(best_num, best_den), Fraction(omega), Fraction(omega - 3) / (1 - 3 * mu))
 
 
 @dataclass(frozen=True)
@@ -185,7 +215,6 @@ class BoundReport:
     mu: Fraction
     argmin_d: int
     eps_prime: Fraction
-    ytilde_k: Mapping[int, Fraction]
     ytilde: Fraction
     epsilon: Fraction
     bound: Fraction
@@ -195,13 +224,18 @@ class BoundReport:
         """p(Delta, d) for d = 0..Delta, rebuilt on each read rather than stored."""
         return p_curve(self.delta)
 
+    @property
+    def ytilde_k(self) -> dict[int, Fraction]:
+        """ytilde_k for k in [1, Delta-2], rebuilt on each read rather than stored."""
+        return _ytilde_k(self.delta, self.mu_k, self.mu)
+
 
 def main_bound(delta: int) -> BoundReport:
     """Assemble the full report; also checks ytilde*mu < 1/5 for this Delta."""
     if delta < 6:
         raise ValueError(f"needs Delta >= 6, got {delta}")
     mu_k, mu, argmin = mu_values(delta)
-    ytilde_k, ytilde = _ytilde(delta, mu_k, mu)
+    ytilde = _ytilde(delta, mu_k, mu)
     product = ytilde * mu
     if not product < Fraction(1, 5):
         raise BoundViolation(f"ytilde*mu = {product} >= 1/5 at Delta={delta}")
@@ -213,7 +247,6 @@ def main_bound(delta: int) -> BoundReport:
         mu=mu,
         argmin_d=argmin,
         eps_prime=mu,
-        ytilde_k=ytilde_k,
         ytilde=ytilde,
         epsilon=epsilon,
         bound=delta - epsilon,

@@ -130,7 +130,7 @@ def cmd_check(args) -> int:
     if args.patterns:
         for pattern in NEAR_CLIQUE_PATTERNS:
             try:
-                hit = find_near_clique(g, report.delta, pattern)
+                hit = find_near_clique(g, report.delta, pattern, cs)
             except SizeLimit as exc:
                 print(f"near-clique {pattern}: skipped ({exc})")
                 continue

@@ -12,9 +12,10 @@ admit full enumeration, giving exact marginals against which the Monte Carlo
 estimator is validated: every joint 4-subset choice and pool column, and for
 stage two a recursion on the set of still-insertable outside vertices (the
 first of them in a uniform order is uniform among them), memoised per call.
-Exact enumeration, the Monte Carlo estimate and both pipeline modes reduce a
-distribution over S masks to its marginals through one routine,
-StableSetSampler.marginals.
+Exact enumeration counts in integer weights over one common denominator
+and builds a Fraction only for each marginal and each distinct S.  It, the
+Monte Carlo estimate and both pipeline modes reduce integer weights over S
+masks to marginals through one routine, StableSetSampler.marginals.
 
 The Monte Carlo callers (estimate, the pipeline's montecarlo mode) draw
 their trials through StableSetSampler.tally, which gives every trial its own
@@ -244,14 +245,25 @@ class StableSetSampler:
     # ── exact enumeration ─────────────────────────────────────────────────
 
     def enumerate_exact(self, active: Sequence[int] | None = None) -> "ExactMarginals":
-        """Exact two-stage distribution by recursion on the insertable set.
+        """Exact two-stage distribution by recursion on the insertable set,
+        in integer weights over one common denominator.
 
         In a uniform order of the outside vertices, the first one still
         insertable is uniform over the insertable set I, and the rest of the
         order stays uniform.  So the sets stage two inserts are distributed as
         g(0) = {0: 1} and g(I) = the average over u in I of {u} | g(I - N[u]).
-        g is memoised by the insertable bitmask for this call only, so its cost
-        is the number of distinct insertable sets, not k! orders.
+        The recursion runs on the integers H(I) = |I|! g(I):
+
+            H(I)[T | {u}] += H(I - N[u])[T] * (|I|-1)! / |I - N[u]|!,
+
+        an integer ratio since I - N[u] misses u.  H is memoised by the
+        insertable bitmask for this call only, so its cost is the number of
+        distinct insertable sets, not k! orders.  A pool column with
+        insertable set F adds its tails scaled by k!/|F|! (k outside
+        vertices), so every column of a pool of size P weighs 1/(n P k!) for
+        n joint choices; the weights are kept per pool size and merged over
+        the lcm L of the sizes, giving integer weights out of n L k!.  One
+        Fraction is built per marginal and per distinct S.
         """
         outside = list(self.outside if active is None else sorted(active))
         if len(outside) > OUTSIDE_ENUMERATION_LIMIT:
@@ -262,27 +274,30 @@ class StableSetSampler:
         if n_choices > ENUMERATION_WORK_LIMIT:
             raise SizeLimit("too many joint 4-subset choices")
         masks, closed = self.g.masks, self.closed
-        memo: dict[int, dict[int, Fraction]] = {0: {0: _ONE}}
+        fact = [math.factorial(i) for i in range(len(outside) + 1)]
+        memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
-        def inserted(free: int) -> dict[int, Fraction]:
+        def inserted(free: int) -> dict[int, int]:
             out = memo.get(free)
             if out is None:
                 out = {}
-                share = Fraction(1, free.bit_count())
+                top = fact[free.bit_count() - 1]
                 rest = free
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
-                    for t, p in inserted(free & ~closed[bit.bit_length() - 1]).items():
-                        out[t | bit] = out.get(t | bit, _ZERO) + p * share
+                    left = free & ~closed[bit.bit_length() - 1]
+                    scale = top // fact[left.bit_count()]
+                    for t, h in inserted(left).items():
+                        out[t | bit] = out.get(t | bit, 0) + h * scale
                 memo[free] = out
             return out
 
-        dist: dict[int, Fraction] = {}
+        by_size: dict[int, dict[int, int]] = {}
         work = 0
         for joint in product(*self.block_choices):
             pool = self.pool(joint)
-            col_p = Fraction(1, n_choices * len(pool))
+            dist = by_size.setdefault(len(pool), {})
             for col in pool:
                 free = 0
                 for v in outside:
@@ -292,21 +307,31 @@ class StableSetSampler:
                 work += len(tails)
                 if work > ENUMERATION_WORK_LIMIT:
                     raise SizeLimit("enumeration work limit exceeded")
-                for t, p in tails.items():
-                    dist[col | t] = dist.get(col | t, _ZERO) + col_p * p
+                scale = fact[-1] // fact[free.bit_count()]
+                for t, h in tails.items():
+                    dist[col | t] = dist.get(col | t, 0) + h * scale
+        common = math.lcm(*by_size)
+        weights: dict[int, int] = {}
+        for size, dist in by_size.items():
+            share = common // size
+            for s, w in dist.items():
+                weights[s] = weights.get(s, 0) + w * share
+        total = n_choices * common * fact[-1]
         return ExactMarginals(
-            *self.marginals(dist.items(), 1, outside),
-            distribution=tuple((mask_to_set(s), p) for s, p in sorted(dist.items())),
+            *self.marginals(weights.items(), total, outside),
+            distribution=tuple(
+                (mask_to_set(s), Fraction(w, total)) for s, w in sorted(weights.items())
+            ),
         )
 
     def marginals(
-        self, weighted: Iterable[tuple[int, Fraction | int]], total: int, outside: Iterable[int]
+        self, weighted: Iterable[tuple[int, int]], total: int, outside: Iterable[int]
     ) -> tuple[
         tuple[Fraction, ...], tuple[Fraction, ...], dict[int, Fraction], tuple[Fraction, ...]
     ]:
         """Pr(v in S), Pr(v in S_omega), Pr(N(v) misses S_omega) for each v in
-        `outside`, and E|N[v] & S|, from (S mask, weight) pairs whose weights
-        sum to `total`.
+        `outside`, and E|N[v] & S|, from (S mask, integer weight) pairs whose
+        weights sum to `total`.
 
         S_omega is read off S as its part in the blocks: pool columns lie in
         the blocks, stage two inserts only outside vertices, and S_omega meets

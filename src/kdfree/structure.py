@@ -112,10 +112,10 @@ def _signature(edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 
 def find_near_clique(
-    g: Graph, delta: int, pattern: str
+    g: Graph, delta: int, pattern: str, cs: CliqueStructure | None = None
 ) -> tuple[int, ...] | None:
     """The least `delta`-vertex set whose induced complement is exactly the
-    pattern.
+    pattern; `cs`, if given, is g's clique structure.
 
     Exhaustive for n <= 20: each pattern has a vertex cover of two vertices,
     and deleting it from a witness leaves a (delta-2)-clique, so seeding from
@@ -133,7 +133,9 @@ def find_near_clique(
     want = _SIGNATURES[pattern]
     best: tuple[int, ...] | None = None
     seen_seeds: set[frozenset[int]] = set()
-    for clique in clique_structure(g).maximal_cliques:
+    if cs is None:
+        cs = clique_structure(g)
+    for clique in cs.maximal_cliques:
         if len(clique) < core:
             continue
         for seed in combinations(sorted(clique), core):

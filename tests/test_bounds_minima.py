@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,22 @@ from kdfree.bounds import (
     BoundReport,
     _prefix_minima,
     _ytilde,
+    _ytilde_k,
     main_bound,
     mu_values,
     p_curve,
 )
+from kdfree.errors import BoundViolation
 
 DELTAS = list(range(6, 61)) + [100, 1000, 2000]
+
+
+def brute_ytilde(delta: int, mu_k, mu) -> tuple[dict[int, Fraction], Fraction]:
+    """Every reduced ytilde_k and the convenience-capped min taken over all of them."""
+    ytilde_k = _ytilde_k(delta, mu_k, mu)
+    omega = delta - 1
+    capped = min(min(ytilde_k.values()), Fraction(omega), Fraction(omega - 3) / (1 - 3 * mu))
+    return ytilde_k, capped
 
 
 def reduced_curve_constants(delta: int):
@@ -31,7 +42,7 @@ def reduced_curve_constants(delta: int):
             running = value
             argmin = d
         mu_k[d] = running
-    ytilde_k, ytilde = _ytilde(delta, mu_k, running)
+    ytilde_k, ytilde = brute_ytilde(delta, mu_k, running)
     epsilon = min(Fraction(1, 2), ytilde * running)
     return curve, mu_k, running, argmin, ytilde_k, ytilde, epsilon, delta - epsilon
 
@@ -58,3 +69,45 @@ def test_prefix_minima_keep_the_first_argmin_on_ties():
 
 def test_report_does_not_store_the_curve():
     assert "p_curve" not in {f.name for f in dataclasses.fields(BoundReport)}
+
+
+def test_report_does_not_store_ytilde_k():
+    assert "ytilde_k" not in {f.name for f in dataclasses.fields(BoundReport)}
+    report = main_bound(12)
+    assert report.ytilde_k == _ytilde_k(12, report.mu_k, report.mu)
+
+
+def test_ytilde_run_ends_match_brute_force_min():
+    for delta in range(6, 301):
+        mu_k, mu, _ = mu_values(delta)
+        assert _ytilde(delta, mu_k, mu) == brute_ytilde(delta, mu_k, mu)[1]
+
+
+def test_ytilde_run_ends_on_crafted_floors():
+    # The real floors put the minimum at k = Delta-2, a run of one k.  Here
+    # runs of random length take a floor m below (1 + 2 mu) / k at their
+    # largest k, so every denominator is positive; in every other case m is
+    # also above (1 + 2 mu) / (Delta - 1), so every run with k >= 4 rises.
+    rng = random.Random(29)
+    for case in range(400):
+        delta = rng.randint(7, 40)
+        mu = Fraction(rng.randint(1, 80), 40 * delta)
+        a = 1 + 2 * mu
+        low = a / (delta - 1) if case % 2 else 0
+        mu_k: dict[int, Fraction] = {}
+        k = 4
+        while k <= delta - 2:
+            run = range(k, min(k + rng.randint(1, 8), delta - 1))
+            m = low + (a / run[-1] - low) * Fraction(rng.randint(1, 39), 40)
+            mu_k.update((delta + 1 - j, m) for j in run)
+            k = run[-1] + 1
+        assert _ytilde(delta, mu_k, mu) == brute_ytilde(delta, mu_k, mu)[1]
+
+
+@pytest.mark.parametrize("floor", [Fraction(3, 10), Fraction(1, 2)])
+def test_nonpositive_ytilde_denominator_is_a_bound_violation(floor):
+    # at k = 4 the denominator 1 + 2 mu - 4 m is 0 for m = 3/10 and < 0 for m = 1/2
+    mu = Fraction(1, 10)
+    mu_k = {d: floor for d in range(7)}
+    with pytest.raises(BoundViolation, match="Delta=6, k=4"):
+        _ytilde(6, mu_k, mu)

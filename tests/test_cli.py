@@ -12,10 +12,17 @@ import pytest
 from conftest import instance_a
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
-from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph, write_edge_list
+from kdfree.graphs import (
+    NAMED_GRAPHS,
+    Graph,
+    block_graph,
+    clique_structure,
+    complete_graph,
+    write_edge_list,
+)
 from kdfree.intervals import certificate_from_json
 from kdfree.rationals import parse_rational
-from kdfree.structure import pipeline_eligibility
+from kdfree.structure import NEAR_CLIQUE_PATTERNS, find_near_clique, pipeline_eligibility
 
 
 @pytest.fixture
@@ -120,6 +127,19 @@ def test_check_exit_codes(graph_file, capsys):
     capsys.readouterr()
     assert main(["check", "--graph", eligible + ".bad", "--patterns"]) == 1
     assert "eligibility: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+def test_check_patterns_prints_each_search(name, graph_file, capsys):
+    g = NAMED_GRAPHS[name]()
+    main(["check", "--graph", graph_file("g.el", g), "--patterns"])
+    out = capsys.readouterr().out.splitlines()
+    printed = [line for line in out if line.startswith("near-clique")]
+    want = []
+    for pattern in NEAR_CLIQUE_PATTERNS:
+        hit = find_near_clique(g, g.max_degree(), pattern)
+        want.append(f"near-clique {pattern}: {'none' if hit is None else list(hit)}")
+    assert printed == want
 
 
 def test_chif_certificate_cycle(graph_file, tmp_path, capsys):

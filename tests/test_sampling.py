@@ -342,6 +342,14 @@ def test_enumerate_exact_matches_order_walk(outside_count):
             assert sampler.enumerate_exact(active) == enumerate_by_orders(sampler, active)
 
 
+def test_enumerate_exact_matches_order_walk_across_pool_sizes():
+    # pools of 8 and 16 columns: the integer weights are merged over their lcm
+    sampler = StableSetSampler(medium_instance())
+    assert {len(sampler.pool(joint)) for joint in product(*sampler.block_choices)} == {8, 16}
+    for active in (None, [15, 17], [16, 17, 18]):
+        assert sampler.enumerate_exact(active) == enumerate_by_orders(sampler, active)
+
+
 def test_trial_streams_depend_only_on_their_key():
     # the same key gives the same draws however many other streams were
     # drawn from, and in whatever order

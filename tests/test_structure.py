@@ -19,6 +19,7 @@ from conftest import (
     random_graph,
 )
 from kdfree.graphs import (
+    NAMED_GRAPHS,
     Graph,
     block_graph,
     clique_structure,
@@ -200,6 +201,15 @@ def test_near_clique_matches_brute_force():
             assert (found is not None) == bool(hits)
             if found is not None:
                 assert found == min(hits)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_GRAPHS))
+def test_near_clique_reuses_a_given_clique_structure(name):
+    g = NAMED_GRAPHS[name]()
+    cs = clique_structure(g)
+    delta = g.max_degree()
+    for pattern in NEAR_CLIQUE_PATTERNS:
+        assert find_near_clique(g, delta, pattern, cs) == find_near_clique(g, delta, pattern)
 
 
 def test_signature_table_by_exhaustion():
