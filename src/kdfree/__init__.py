@@ -33,7 +33,6 @@ from .intervals import (
     IntervalColouring,
     IntervalSet,
     StableSetWeighting,
-    alpha,
     hall_extend,
     to_intervals,
     to_multiset,

@@ -195,22 +195,8 @@ def block_graph(
     return Graph(n, ((min(u, v), max(u, v)) for u, v in edges))
 
 
-def _search_deletion(
-    base: Graph, count: int, delta_target: int, omega_cap: int
-) -> tuple[int, ...]:
-    """Lexicographically least `count`-subset whose removal hits the targets."""
-    for vs in combinations(range(base.n), count):
-        g, _ = delete_vertices(base, vs)
-        if g.max_degree() != delta_target:
-            continue
-        if clique_structure(g).omega <= omega_cap:
-            return vs
-    raise GraphFormatError(
-        f"no {count}-subset of {base!r} reaches max degree {delta_target}, omega <= {omega_cap}"
-    )
-
-
-_DELETION_CACHE: dict[tuple[int, int, int], tuple[int, ...]] = {}
+# c5xk3_minus's deletion set for each vertex count
+C5XK3_DELETIONS = {2: (0, 6), 4: (0, 1, 6, 9)}
 
 
 def c5xk3_minus(count: int) -> Graph:
@@ -220,15 +206,10 @@ def c5xk3_minus(count: int) -> Graph:
     degree and clique-number targets; every qualifying subset yields the same
     fractional chromatic number, so the choice is only a tie-break.
     """
-    targets = {2: (7, 6), 4: (6, 5)}
-    if count not in targets:
+    if count not in C5XK3_DELETIONS:
         raise GraphFormatError("only the -2v and -4v deletions are defined")
     base = strong_product(cycle_graph(5), complete_graph(3))
-    delta_target, omega_cap = targets[count]
-    key = (count, delta_target, omega_cap)
-    if key not in _DELETION_CACHE:
-        _DELETION_CACHE[key] = _search_deletion(base, count, delta_target, omega_cap)
-    g, _ = delete_vertices(base, _DELETION_CACHE[key])
+    g, _ = delete_vertices(base, C5XK3_DELETIONS[count])
     return g
 
 

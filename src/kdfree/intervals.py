@@ -14,7 +14,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import GraphFormatError, HallViolation
@@ -50,57 +49,6 @@ class IntervalSet:
     def measure(self) -> Fraction:
         return sum((hi - lo for lo, hi in self.intervals), _ZERO)
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        for a_lo, a_hi in self.intervals:
-            for b_lo, b_hi in other.intervals:
-                lo, hi = max(a_lo, b_lo), min(a_hi, b_hi)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalSet(out)
-
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        pieces = list(self.intervals)
-        for b_lo, b_hi in other.intervals:
-            next_pieces = []
-            for lo, hi in pieces:
-                if b_hi <= lo or hi <= b_lo:
-                    next_pieces.append((lo, hi))
-                    continue
-                if lo < b_lo:
-                    next_pieces.append((lo, b_lo))
-                if b_hi < hi:
-                    next_pieces.append((b_hi, hi))
-            pieces = next_pieces
-        return IntervalSet(pieces)
-
-    def take(self, amount: Fraction) -> "IntervalSet":
-        """Greedy-from-the-left subset of exact measure `amount`."""
-        amount = Fraction(amount)
-        if amount < 0 or amount > self.measure:
-            raise ValueError(f"cannot take measure {amount} from measure {self.measure}")
-        if amount == 0:
-            return IntervalSet()
-        out = []
-        remaining = amount
-        for lo, hi in self.intervals:
-            width = hi - lo
-            if width <= remaining:
-                out.append((lo, hi))
-                remaining -= width
-            else:
-                out.append((lo, lo + remaining))
-                remaining = _ZERO
-            if remaining == 0:
-                break
-        return IntervalSet(out)
-
     def within(self, k: Fraction) -> bool:
         return all(lo >= 0 and hi <= k for lo, hi in self.intervals)
 
@@ -115,11 +63,6 @@ class IntervalSet:
         return f"IntervalSet({body or 'empty'})"
 
 
-def interval_span(k: Fraction) -> IntervalSet:
-    k = Fraction(k)
-    return IntervalSet([(_ZERO, k)]) if k > 0 else IntervalSet()
-
-
 @dataclass(frozen=True)
 class IntervalColouring:
     """Assignment of disjoint interval sets within [0,k) to stable sets."""
@@ -128,36 +71,30 @@ class IntervalColouring:
     assignment: tuple[tuple[frozenset[int], IntervalSet], ...]
 
     def colour_of(self, v: int) -> IntervalSet:
-        out = IntervalSet()
-        for s, iv in self.assignment:
-            if v in s:
-                out = out.union(iv)
-        return out
-
-    def colour_of_set(self, vertices: Iterable[int]) -> IntervalSet:
-        vs = set(vertices)
-        out = IntervalSet()
-        for s, iv in self.assignment:
-            if s & vs:
-                out = out.union(iv)
-        return out
+        return IntervalSet(piece for s, iv in self.assignment if v in s for piece in iv.intervals)
 
     def coverage(self, v: int) -> Fraction:
         return self.colour_of(v).measure
 
     def validate(self, g: Graph) -> None:
-        used = _ZERO
+        """Raise ValueError unless every class is stable, within [0,k) and
+        disjoint from every other class.
+
+        One sweep over all pieces sorted by left end: if two pieces overlap,
+        some consecutive pair does, so only consecutive pairs are compared.
+        Within [0,k) and disjoint, the classes' total mass is at most k.
+        """
+        pieces = []
         for s, iv in self.assignment:
             if not g.is_stable(s):
                 raise ValueError(f"non-stable colour class {sorted(s)}")
             if not iv.within(self.k):
                 raise ValueError(f"interval set escapes [0,{self.k})")
-            used += iv.measure
-        for (s1, iv1), (s2, iv2) in combinations(self.assignment, 2):
-            if not iv1.intersect(iv2).is_empty():
+            pieces.extend((lo, hi, s) for lo, hi in iv.intervals)
+        pieces.sort(key=lambda piece: piece[0])
+        for (_, hi1, s1), (lo2, _, s2) in zip(pieces, pieces[1:]):
+            if lo2 < hi1:
                 raise ValueError(f"overlapping colour for {sorted(s1)} and {sorted(s2)}")
-        if used > self.k:
-            raise ValueError("total colour mass exceeds k")
 
 
 def empty_colouring(k: Fraction) -> IntervalColouring:
@@ -183,11 +120,6 @@ class StableSetWeighting:
 
     def weight_sum(self) -> Fraction:
         return sum((wt for _, wt in self.columns), _ZERO)
-
-
-def alpha(g: Graph, kc: IntervalColouring, v: int) -> IntervalSet:
-    """Colours available to v: [0,k) minus the colour on its neighbourhood."""
-    return interval_span(kc.k).subtract(kc.colour_of_set(g.adj[v]))
 
 
 # ── the three equivalent representations ──────────────────────────────────
@@ -221,25 +153,13 @@ def to_intervals(ssw: StableSetWeighting) -> IntervalColouring:
     return IntervalColouring(k=Fraction(ssw.total), assignment=tuple(assignment))
 
 
-def multiset_scale(ssw: StableSetWeighting) -> int:
-    """Least c making every column weight (and the total) an integer multiple of 1/c."""
-    c = 1
-    for _, wt in ssw.columns:
-        c = c * wt.denominator // math.gcd(c, wt.denominator)
-    c = c * ssw.total.denominator // math.gcd(c, ssw.total.denominator)
-    return c
-
-
-def to_multiset(ssw: StableSetWeighting, c: int | None = None) -> list[frozenset[int]]:
-    """Expand to a multiset of c*total stable sets, each column repeated c*weight times."""
-    if c is None:
-        c = multiset_scale(ssw)
+def to_multiset(ssw: StableSetWeighting) -> list[frozenset[int]]:
+    """Expand to a multiset of c*total stable sets, each column repeated c*weight
+    times, for the least c making the total and every weight a multiple of 1/c."""
+    c = math.lcm(ssw.total.denominator, *(wt.denominator for _, wt in ssw.columns))
     out = []
     for s, wt in ssw.columns:
-        count = c * wt
-        if count.denominator != 1:
-            raise ValueError(f"c={c} does not make weight {wt} integral")
-        out.extend([frozenset(s)] * count.numerator)
+        out.extend([frozenset(s)] * (c * wt.numerator // wt.denominator))
     return out
 
 
@@ -302,7 +222,8 @@ def hall_extend(
     lengths as capacities).  A saturating flow is realized by splitting each
     atom left to right.  Otherwise the target vertices reached by the last
     search violate Hall's condition by sum(w) - maxflow, the largest
-    deficiency sum(w(v)) - |union of alpha(v)| over all subsets.
+    deficiency sum(w(v)) - |union of alpha(v)| over all subsets, alpha(v)
+    being the colour in [0,k) on no neighbour of v once the target is erased.
     """
     X = frozenset(target)
     left = {v: Fraction(w[v]) for v in X}  # demand not yet routed
@@ -311,11 +232,15 @@ def hall_extend(
     kc.validate(g)
 
     # atoms (lo, hi, owner): each interval of a class, owned by the class with
-    # the target erased, and each gap, owned by the empty set; validate() has
-    # checked that the classes' intervals are disjoint, so atoms do not overlap
-    owned = [(lo, hi, s - X) for s, iv in kc.assignment for lo, hi in iv.intervals]
-    gaps = interval_span(kc.k).subtract(IntervalSet((lo, hi) for lo, hi, _ in owned))
-    atoms = owned + [(lo, hi, frozenset()) for lo, hi in gaps.intervals]
+    # the target erased, then each gap, owned by the empty set; validate() has
+    # checked that the classes' intervals are disjoint, so one sweep in order
+    # of left end finds the gaps, an empty sentinel at k closing the last one
+    atoms = [(lo, hi, s - X) for s, iv in kc.assignment for lo, hi in iv.intervals]
+    cursor = _ZERO
+    for lo, hi in sorted([(lo, hi) for lo, hi, _ in atoms]) + [(kc.k, kc.k)]:
+        if cursor < lo:
+            atoms.append((cursor, lo, frozenset()))
+        cursor = hi
     usable = {v: [i for i, (_, _, s) in enumerate(atoms) if not s & g.adj[v]] for v in X}
     room = [hi - lo for lo, hi, _ in atoms]
     flow: list[dict[int, Fraction]] = [{} for _ in atoms]  # atom -> {vertex: amount}

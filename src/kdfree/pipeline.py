@@ -36,7 +36,6 @@ class PipelineIteration:
     prob: dict[int, Fraction]
     y_step: Fraction
     w_step: dict[int, Fraction]
-    capacity_after: dict[int, Fraction]
     leftover_after: Fraction
     removed: tuple[int, ...]
     zero_prob_flagged: tuple[int, ...]
@@ -127,7 +126,6 @@ def initial_colouring(
                 prob=prob,
                 y_step=y_step,
                 w_step=w_step,
-                capacity_after={v: capacity[v] for v in active},
                 leftover_after=leftover,
                 removed=removed,
                 zero_prob_flagged=flagged,

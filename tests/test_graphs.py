@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from conftest import (
 )
 from kdfree.errors import GraphFormatError, SizeLimit
 from kdfree.graphs import (
+    C5XK3_DELETIONS,
     VERTEX_CAP,
     Graph,
     block_graph,
@@ -150,6 +152,23 @@ def test_c5xk3_deletions_hit_published_targets():
     m4 = c5xk3_minus(4)
     assert m4.n == 11 and m4.max_degree() == 6
     assert clique_structure(m4).omega == 5
+
+
+def least_deletion(base: Graph, count: int, delta_target: int, omega_cap: int) -> tuple[int, ...]:
+    """Lexicographically least `count`-subset whose removal hits the targets."""
+    for vs in combinations(range(base.n), count):
+        g, _ = delete_vertices(base, vs)
+        if g.max_degree() == delta_target and clique_structure(g).omega <= omega_cap:
+            return vs
+    raise AssertionError(f"no {count}-subset meets max degree {delta_target}, omega <= {omega_cap}")
+
+
+@pytest.mark.parametrize("count, delta_target, omega_cap", [(2, 7, 6), (4, 6, 5)])
+def test_c5xk3_deletions_are_least_meeting_targets(count, delta_target, omega_cap):
+    base = strong_product(cycle_graph(5), complete_graph(3))
+    assert C5XK3_DELETIONS[count] == least_deletion(base, count, delta_target, omega_cap)
+    g, _ = delete_vertices(base, C5XK3_DELETIONS[count])
+    assert c5xk3_minus(count).edges() == g.edges()
 
 
 def test_clique_structure_c5_k2():

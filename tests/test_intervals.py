@@ -1,4 +1,4 @@
-"""Interval algebra, representation conversions, Hall extension, checker."""
+"""Interval colourings, representation conversions, Hall extension, checker."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from kdfree.errors import GraphFormatError, HallViolation
@@ -23,12 +25,10 @@ from kdfree.intervals import (
     IntervalColouring,
     IntervalSet,
     StableSetWeighting,
-    alpha,
     certificate_from_json,
     certificate_to_json,
     empty_colouring,
     hall_extend,
-    interval_span,
     to_intervals,
     to_multiset,
     to_weighting,
@@ -44,47 +44,31 @@ def iv(*pairs) -> IntervalSet:
     return IntervalSet([(F(a), F(b)) for a, b in pairs])
 
 
-def random_interval_set(rng: random.Random) -> IntervalSet:
-    pieces = []
-    for _ in range(rng.randint(0, 4)):
-        lo = F(rng.randint(0, 20), rng.randint(1, 4))
-        hi = lo + F(rng.randint(1, 8), rng.randint(1, 4))
-        pieces.append((lo, hi))
-    return IntervalSet(pieces)
-
-
 def test_union_merges_touching():
-    assert iv((0, 1)).union(iv((1, 2))) == iv((0, 2))
-    assert iv((0, 1), (1, 2)).measure == 2
+    # the constructor forms the union of its intervals, merging touching ones
+    assert iv((0, 1), (1, 2)) == iv((0, 2))
+    assert iv((1, 2), (0, 1)).measure == 2
+    assert iv((0, 2), (1, 3), (5, 6)) == iv((0, 3), (5, 6))
 
 
-def test_intersect():
-    got = iv((0, F(3, 2))).intersect(iv((1, 2)))
-    assert got == iv((1, F(3, 2))) and got.measure == F(1, 2)
+def alpha(g: Graph, kc: IntervalColouring, v: int) -> IntervalSet:
+    """Colours available to v: [0,k) minus the colour on its neighbourhood.
 
-
-def test_take_greedy_left():
-    got = iv((0, 1), (2, 3)).take(F(3, 2))
-    assert got == iv((0, 1), (2, F(5, 2)))
-
-
-def test_take_rejects_excess():
-    with pytest.raises(ValueError):
-        iv((0, 1)).take(F(3, 2))
-
-
-def test_inclusion_exclusion_measure():
-    rng = random.Random(17)
-    for _ in range(200):
-        a, b = random_interval_set(rng), random_interval_set(rng)
-        assert a.union(b).measure + a.intersect(b).measure == a.measure + b.measure
-        assert a.subtract(b).measure == a.measure - a.intersect(b).measure
+    Reference: [0,k) is cut at every interval end, and each elementary piece
+    on no neighbour's class is kept."""
+    taken = [piece for s, ivs in kc.assignment if s & g.adj[v] for piece in ivs.intervals]
+    cuts = sorted({F(0), kc.k}.union(*taken))
+    return IntervalSet(
+        (a, b)
+        for a, b in zip(cuts, cuts[1:])
+        if 0 <= a and b <= kc.k and not any(lo <= a < hi for lo, hi in taken)
+    )
 
 
 def test_alpha_empty_colouring():
     g = complete_graph(2)
     kc = empty_colouring(F(5))
-    assert alpha(g, kc, 0) == interval_span(F(5))
+    assert alpha(g, kc, 0) == iv((0, 5))
 
 
 def test_alpha_k2_partner():
@@ -173,13 +157,122 @@ def test_coverage_identity_and_mass_budget():
             assert kc.coverage(v) == per_column
 
 
+def overlap(iv1: IntervalSet, iv2: IntervalSet) -> bool:
+    return any(
+        max(lo1, lo2) < min(hi1, hi2) for lo1, hi1 in iv1.intervals for lo2, hi2 in iv2.intervals
+    )
+
+
+def validate_pairwise(g: Graph, kc: IntervalColouring) -> None:
+    """Reference validate: each class checked alone, then every pair of
+    classes intersected, then the total colour mass against k."""
+    used = F(0)
+    for s, ivs in kc.assignment:
+        if not g.is_stable(s):
+            raise ValueError(f"non-stable colour class {sorted(s)}")
+        if not ivs.within(kc.k):
+            raise ValueError(f"interval set escapes [0,{kc.k})")
+        used += ivs.measure
+    for (s1, iv1), (s2, iv2) in combinations(kc.assignment, 2):
+        if overlap(iv1, iv2):
+            raise ValueError(f"overlapping colour for {sorted(s1)} and {sorted(s2)}")
+    if used > kc.k:
+        raise ValueError("total colour mass exceeds k")
+
+
+def overlap_messages(kc: IntervalColouring) -> set[str]:
+    """The overlap message for every pair of classes that overlap, either order."""
+    out = set()
+    for (s1, iv1), (s2, iv2) in combinations(kc.assignment, 2):
+        if overlap(iv1, iv2):
+            out.add(f"overlapping colour for {sorted(s1)} and {sorted(s2)}")
+            out.add(f"overlapping colour for {sorted(s2)} and {sorted(s1)}")
+    return out
+
+
+def test_validate_rejects_non_stable_class():
+    kc = IntervalColouring(F(2), ((frozenset({0, 1}), iv((0, 1))),))
+    with pytest.raises(ValueError, match=r"^non-stable colour class \[0, 1\]$"):
+        kc.validate(complete_graph(2))
+
+
+@pytest.mark.parametrize("pieces", [((1, 3),), ((-1, 1),)], ids=["past-k", "below-0"])
+def test_validate_rejects_escaping_interval(pieces):
+    kc = IntervalColouring(F(2), ((frozenset({0}), iv(*pieces)),))
+    with pytest.raises(ValueError, match=r"^interval set escapes \[0,2\)$"):
+        kc.validate(Graph(1))
+
+
+def test_validate_overlap_names_both_classes():
+    g = Graph(3)
+    # touching classes are disjoint
+    IntervalColouring(F(3), ((frozenset({0}), iv((0, 1))), (frozenset({1}), iv((1, 3))))).validate(g)
+    # [1/2, 1) of class [1] lies inside [0, 2) of class [0], which touches class [2]
+    kc = IntervalColouring(
+        F(3),
+        (
+            (frozenset({2}), iv((2, 3))),
+            (frozenset({0}), iv((0, 2))),
+            (frozenset({1}), iv((F(1, 2), 1))),
+        ),
+    )
+    with pytest.raises(ValueError) as err:
+        kc.validate(g)
+    assert str(err.value) in overlap_messages(kc)
+    assert "[0]" in str(err.value) and "[1]" in str(err.value)
+
+
+@st.composite
+def colourings(draw):
+    """A random graph on at most 5 vertices and up to four classes, stable or
+    not, of pieces on a grid of halves: pieces touch, overlap and escape
+    [0,k) often."""
+    n = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    g = Graph(n, {(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    k = F(draw(st.integers(0, 8)), 2)
+    halves = st.integers(-2, 2 * int(k) + 2).map(lambda a: F(a, 2))
+    piece = st.tuples(halves, st.integers(1, 4)).map(lambda p: (p[0], p[0] + F(p[1], 2)))
+    assignment = draw(
+        st.lists(
+            st.tuples(
+                st.frozensets(st.integers(0, n - 1)),
+                st.lists(piece, min_size=1, max_size=3).map(IntervalSet),
+            ),
+            max_size=4,
+        )
+    )
+    return g, IntervalColouring(k, tuple(assignment))
+
+
+@given(colourings())
+@settings(max_examples=300, deadline=None)
+def test_validate_sweep_matches_pairwise_check(case):
+    g, kc = case
+    try:
+        validate_pairwise(g, kc)
+        expected = None
+    except ValueError as err:
+        expected = str(err)
+    try:
+        kc.validate(g)
+        got = None
+    except ValueError as err:
+        got = str(err)
+    if expected is not None and expected.startswith("overlapping"):
+        assert got in overlap_messages(kc)
+    else:
+        # the reference's mass check never fires alone: it would fail here
+        assert got == expected
+
+
 def test_hall_extend_singleton():
     g = complete_graph(2)
     kc = IntervalColouring(F(3), ((frozenset({0}), iv((0, 1))),))
     out = hall_extend(g, kc, [1], [F(0), F(3, 2)])
     assert out.coverage(1) == F(3, 2)
     assert out.coverage(0) == 1
-    assert out.colour_of(0).intersect(out.colour_of(1)).is_empty()
+    out.validate(g)
     assert verify_certificate(g, to_weighting(out), [ONE, F(3, 2)]).ok
 
 
@@ -235,9 +328,7 @@ def max_deficiency_brute_force(g, kc, x, w):
     avail = {v: alpha(g, erased, v) for v in x}
 
     def deficiency(sub):
-        union = IntervalSet()
-        for v in sub:
-            union = union.union(avail[v])
+        union = IntervalSet(piece for v in sub for piece in avail[v].intervals)
         return sum((w[v] for v in sub), F(0)) - union.measure
 
     worst = max(
