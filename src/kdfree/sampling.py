@@ -25,11 +25,20 @@ trial's draws depend only on its key, never on which other trials ran or in
 which order.  StableSetSampler.sample makes the same draws one trial at a
 time from a caller's generator, through its randrange alone.  Exact
 enumeration does not draw.
+
+Because of that, tally splits its trials into contiguous ranges over forked
+processes (Linux, a single-threaded caller, at least 2 * TRIALS_PER_PROCESS
+trials, one process per CPU at most) and merges their counts in range order:
+the result is that of one serial loop, insertion order included.  Each
+process keeps its own pool memo of up to POOL_CACHE_LIMIT entries.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +63,7 @@ _ONE = Fraction(1)
 OUTSIDE_ENUMERATION_LIMIT = 8
 CHOICE_LIST_LIMIT = 10**6  # 4-subsets listed over all blocks, about 80 bytes each
 POOL_CACHE_LIMIT = 4096  # entries kept per sampler, each of choices and of shapes
+TRIALS_PER_PROCESS = 4096  # fewest trials a tally hands to one process
 ENUMERATION_WORK_LIMIT = 10**7
 
 HOEFFDING_DELTA = 1e-3
@@ -176,12 +186,70 @@ class StableSetSampler:
         the end; so trial t's mask is sample(rng, active)[1] for an rng
         whose randrange reads trial t's stream.
 
-        One loop reads the digest bits directly: each draw is an inline
+        The trials split into contiguous ranges, one per process, each of at
+        least TRIALS_PER_PROCESS trials and no more processes than the CPUs
+        this process may run on.  The caller runs the first range; each other
+        range runs in a forked child that sends its counts back through a
+        pipe, and the counts are merged in range order, so the counts and
+        their insertion order are those of one serial loop.  Each process
+        keeps its own pool memo.  A child that fails has its range run again
+        here, which raises what a serial run would.  The run stays in this
+        process without os.fork or os.sched_getaffinity (off Linux), with a
+        second thread running, on one CPU, or below 2 * TRIALS_PER_PROCESS
+        trials.
+        """
+        prefix = ":".join(map(str, (seed, *key, ""))).encode()
+        parts = _processes(trials)
+        ranges = [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
+        children = [self._fork(prefix, part, active) for part in ranges[1:]]
+        try:
+            counts = self._tally(prefix, ranges[0], active)
+        finally:
+            sent = [_collect(child) for child in children]
+        for part, got in zip(ranges[1:], sent):
+            if got is None:
+                got = self._tally(prefix, part, active)
+            for s, c in got.items():
+                counts[s] += c
+        return counts
+
+    def _fork(
+        self, prefix: bytes, part: range, active: Sequence[int] | None
+    ) -> tuple[int, int] | None:
+        """(pid, pipe read end) of a child that tallies `part` and writes its
+        counts, marshalled, to the pipe; None if no child could start."""
+        try:
+            r, w = os.pipe()
+        except OSError:
+            return None
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                with open(w, "wb") as out:
+                    marshal.dump(dict(self._tally(prefix, part, active)), out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        return pid, r
+
+    def _tally(
+        self, prefix: bytes, trial_range: range, active: Sequence[int] | None
+    ) -> Counter[int]:
+        """The S masks of the trials in `trial_range`, in one loop.
+
+        The loop reads the digest bits directly: each draw is an inline
         rejection step (a method call per draw cost more than the hashing),
         the shuffle and the greedy insertion are written out, and pools are
         memoised by the tuple of block indices drawn.
         """
-        prefix = ":".join(map(str, (seed, *key, ""))).encode()
         choices = self.block_choices
         block_plans = [_plan(len(c)) for c in choices]
         order = tuple(self.outside if active is None else sorted(active))
@@ -189,7 +257,7 @@ class StableSetSampler:
         masks = self.g.masks
         pools: dict[tuple[int, ...], tuple[list[int], int, int, int]] = {}
         counts: Counter[int] = Counter()
-        for t in range(trials):
+        for t in trial_range:
             key_t = prefix + b"%d" % t
             bits, left, block = _block(key_t, 0), 512, 1
             drawn = []
@@ -362,6 +430,30 @@ class StableSetSampler:
 def mask_to_set(mask: int) -> frozenset[int]:
     """The vertices of a bitmask."""
     return frozenset(v for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def _processes(trials: int) -> int:
+    """How many processes tally `trials` trials: one per TRIALS_PER_PROCESS
+    trials, at most one per CPU this process may run on, and one where os.fork
+    or os.sched_getaffinity is missing or a second thread runs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials // TRIALS_PER_PROCESS))
+
+
+def _collect(child: tuple[int, int] | None) -> dict[int, int] | None:
+    """A child's counts, once it has exited; None if it failed or never
+    started."""
+    if child is None:
+        return None
+    pid, r = child
+    with open(r, "rb") as pipe:
+        sent = pipe.read()
+    if os.waitpid(pid, 0)[1] != 0:
+        return None
+    return marshal.loads(sent)
 
 
 def _remember(cache: dict, key, value) -> None:

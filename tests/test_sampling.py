@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from kdfree.bounds import p_value, quarter_tail_sum
 from kdfree.errors import EligibilityError, HypothesisViolated, SizeLimit
 from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph
 from kdfree import sampling
+from kdfree.pipeline import initial_colouring
 from kdfree.sampling import (
     ExactMarginals,
     StableSetSampler,
@@ -620,3 +622,168 @@ def test_pool_caches_stay_within_their_cap(monkeypatch):
     assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
     sampler.enumerate_exact()
     assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
+
+
+# ── trials split over forked processes ────────────────────────────────────
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="tally splits its trials only where os.fork and os.sched_getaffinity exist",
+)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """tally split over up to three processes of at least 8 trials each; the
+    list records every os.fork the caller makes."""
+    forks: list[int] = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(sampling, "TRIALS_PER_PROCESS", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def serial(monkeypatch, run):
+    """run() with every tally in one process."""
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "TRIALS_PER_PROCESS", 10**9)
+        return run()
+
+
+@needs_fork
+@pytest.mark.parametrize("build, trials", [(medium_instance, 300), (three_k7, 30)])
+def test_split_tally_is_the_serial_tally(split, monkeypatch, build, trials):
+    g = build()
+    sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
+    runs = 0
+    for key in ((), (2,)):
+        for active in (None, sampler.outside[::2], []):
+            got = sampler.tally(7, key, trials, active)
+            want = serial(monkeypatch, lambda: StableSetSampler(g).tally(7, key, trials, active))
+            # the same counts, first seen in the same order
+            assert list(got.items()) == list(want.items())
+            assert list(got.items()) == list(tally_by_trials(oracle, 7, key, trials, active).items())
+            runs += 1
+    assert len(split) == 2 * runs  # three processes each time
+
+
+@needs_fork
+def test_split_estimate_and_montecarlo_pipeline_are_serial_outputs(split, monkeypatch):
+    g = medium_instance()
+    report = estimate(g, 600, 5)
+    trace, weighting = initial_colouring(g, F(1, 2), mode="montecarlo", trials=300, seed=3)
+    assert split
+    assert repr(report) == repr(serial(monkeypatch, lambda: estimate(g, 600, 5)))
+    again = serial(
+        monkeypatch,
+        lambda: initial_colouring(g, F(1, 2), mode="montecarlo", trials=300, seed=3),
+    )
+    assert repr((trace, weighting)) == repr(again)
+
+
+def first_trials_of_shapes(monkeypatch, g: Graph, seed: int, trials: int) -> list[tuple]:
+    """The pool shapes that trials t < `trials` of seed `seed` meet, with
+    the first trial meeting each, as (trial, shape) in trial order."""
+    met: list[tuple] = []
+    trial = 0
+    original = sampling._shape_pool
+
+    def recorded(*shape):
+        met.append((trial, shape))  # a sampler solves each shape once
+        return original(*shape)
+
+    sampler = StableSetSampler(g)
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "_shape_pool", recorded)
+        for trial in range(trials):
+            sampler.sample(trial_rng(seed, trial))
+    return met
+
+
+@needs_fork
+@pytest.mark.parametrize("refused", [(3,), (2, 3), (1, 3)], ids=["last-child", "both-children", "parent"])
+def test_split_tally_raises_what_a_serial_run_raises(split, monkeypatch, refused):
+    # seed 2 meets four shapes in 24 trials, first at trials 0, 1, 9 and 22:
+    # split into three ranges of 8, the parent's range meets shapes 0 and 1,
+    # the first child's shape 2 and the second child's shape 3
+    g, seed, trials = medium_instance(), 2, 24
+    met = first_trials_of_shapes(monkeypatch, g, seed, trials)
+    assert [t // 8 for t, _ in met] == [0, 0, 1, 2]
+    bad = {met[i][1]: f"refused the shape first met at trial {met[i][0]}" for i in refused}
+    original = sampling._shape_pool
+
+    def refusing(*shape):
+        if shape in bad:
+            raise HypothesisViolated(bad[shape])
+        return original(*shape)
+
+    monkeypatch.setattr(sampling, "_shape_pool", refusing)
+    with pytest.raises(HypothesisViolated) as once:
+        serial(monkeypatch, lambda: StableSetSampler(g).tally(seed, (), trials))
+    assert str(once.value) == bad[met[refused[0]][1]]
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(HypothesisViolated) as split_run:
+        StableSetSampler(g).tally(seed, (), trials)
+    assert str(split_run.value) == str(once.value)
+    assert len(split) == 2
+    with pytest.raises(ChildProcessError):  # every child is reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+@pytest.mark.parametrize("setting", ["thread", "no-affinity", "one-cpu", "few-trials"])
+def test_serial_fallbacks_never_fork(monkeypatch, setting):
+    g = medium_instance()
+    trials = 15 if setting == "few-trials" else 64  # 15 < 2 * 8
+    want = list(StableSetSampler(g).tally(3, (), trials).items())
+
+    def refuse():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(sampling, "TRIALS_PER_PROCESS", 8)
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    cpus = {0} if setting == "one-cpu" else {0, 1, 2}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    if setting == "no-affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    if setting == "thread":
+        worker.start()
+    try:
+        got = StableSetSampler(g).tally(3, (), trials)
+    finally:
+        stop.set()
+        if setting == "thread":
+            worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert list(got.items()) == want
+
+
+@needs_fork
+def test_split_tally_runs_a_range_here_when_no_child_starts(split, monkeypatch):
+    g = medium_instance()
+    want = list(serial(monkeypatch, lambda: StableSetSampler(g).tally(3, (), 64)).items())
+    fork = os.fork  # the counting fork of `split`
+    calls = 0
+
+    def second_fails():
+        nonlocal calls
+        calls += 1
+        if calls == 2:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    assert list(StableSetSampler(g).tally(3, (), 64).items()) == want
+    assert len(split) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
