@@ -6,13 +6,14 @@ probability floor of an outside vertex with d block neighbours is
     p(Delta, d) = [ sum_{i=0..3} 1/4 * Pr(Bin(d, 4/omega) <= i) ] / (Delta - d + 1),
 
 its minima mu_k / mu over d, the per-clique-size step caps ytilde_k, their
-minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).  One
-integer pass over d yields each p(Delta, d) as an unreduced numerator and
-denominator.  mu_k, mu and the argmin are prefix minima taken on those
-integer terms by cross-multiplying, so a term becomes a Fraction only where
-the running minimum drops, and main_bound derives every other constant from
-those minima.  All arithmetic is exact; decimal output is rounded only for
-display.
+minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).  The
+terms run to thousands of bits, but the ratio of neighbouring terms is a
+quotient of integers of a few dozen bits (see _r), so whether the curve falls
+at each d is decided on those.  The curve falls along its first run and never
+again (checked on every scan), so mu_k follows the curve down to the argmin
+and is mu after it; only the terms down to the argmin become Fractions, and
+main_bound derives every other constant from those minima.  All arithmetic is
+exact; decimal output is rounded only for display.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, pairwise
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,10 +32,11 @@ from .rationals import format_rational, round_half_even, truncate_decimal
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
-# The p-curve's integers grow with Delta (about 22,000 bits at Delta = 2000).
-# On a 2-core x86 machine main_bound takes about 0.016 s at Delta = 1000 and
-# 0.09 s at Delta = 2000; emitting the whole reduced curve takes about 0.16 s
-# and 1.1 s.
+# The p-curve's integers grow with Delta (about 22,000 bits at Delta = 2000),
+# though main_bound reduces only the terms down to the argmin (d = 221 there).
+# On a 2-core x86 machine main_bound takes about 0.007 s at Delta = 1000 and
+# 0.02 s at Delta = 2000, most of it in _ytilde; emitting the whole reduced
+# curve takes about 0.3 s and 2.3 s.
 DELTA_CAP = 2000
 
 # Display rules per table column, chosen to agree with as many published
@@ -94,58 +96,98 @@ def p_value(delta: int, d: int) -> Fraction:
     return quarter_tail_sum(d, delta - 1) / (delta - d + 1)
 
 
-def _p_terms(delta: int) -> Iterator[tuple[int, int]]:
-    """Unreduced (numerator, denominator) of p(Delta, d) for d = 0..Delta.
+def _r(q: int, d: int) -> int:
+    """R(d): the numerator of p(Delta, d) without its factor q^(d-3).
 
     With omega = Delta - 1 and q = omega - 4, the binomial terms share the
-    denominator omega^d, so
+    denominator omega^d, so p(Delta, d) = N(d) / (4 omega^d (Delta-d+1)) with
 
-        p(Delta, d) = sum_{j<=3} (4-j) C(d,j) 4^j q^(d-j) / (4 omega^d (Delta-d+1)),
+        N(d) = sum_{j<=3} (4-j) C(d,j) 4^j q^(d-j) = q^max(d-3, 0) R(d).
 
-    built from running powers of q and omega in one integer pass.  Delta is
-    capped at DELTA_CAP; the checks run when iteration starts.
+    For d >= 3, R(d) = 4q^3 + 12dq^2 + 16d(d-1)q + 64C(d,3), a cubic in d of
+    a few dozen bits; for d < 3 it is N(d) itself.
     """
+    if d < 3:
+        return (4, 4 * q + 12, 4 * q * q + 24 * q + 32)[d]
+    return 4 * q**3 + 12 * d * q * q + 16 * d * (d - 1) * q + 64 * comb(d, 3)
+
+
+def _check_delta(delta: int) -> None:
     if delta < 5:
         raise ValueError(f"needs Delta >= 5, got {delta}")
     if delta > DELTA_CAP:
         raise SizeLimit(f"the p-curve is capped at Delta <= {DELTA_CAP}, got {delta}")
-    omega = delta - 1
-    q = omega - 4
-    q_pow = [0, 0, 0, 1]  # q^(d-3) .. q^d; a negative power meets C(d, j) = 0
-    omega_pow = 1
+
+
+def _p_terms(delta: int) -> Iterator[tuple[int, int]]:
+    """Unreduced (N(d), 4 omega^d (Delta-d+1)) of p(Delta, d) for d = 0..Delta,
+    from R(d) and running powers of q and omega.  Delta is capped at
+    DELTA_CAP; the checks run when iteration starts.
+    """
+    _check_delta(delta)
+    omega, q = delta - 1, delta - 5
+    q_pow = omega_pow = 1
     for d in range(delta + 1):
-        numerator = sum((4 - j) * comb(d, j) * 4**j * q_pow[3 - j] for j in range(4))
-        yield numerator, 4 * omega_pow * (delta - d + 1)
-        q_pow = q_pow[1:] + [q_pow[3] * q]
+        yield q_pow * _r(q, d), 4 * omega_pow * (delta - d + 1)
+        q_pow *= q if d >= 3 else 1
         omega_pow *= omega
 
 
 def p_curve(delta: int) -> tuple[Fraction, ...]:
     """p(Delta, d) for d = 0..Delta: every term of the integer pass, reduced.
 
-    mu_values and main_bound never build this tuple; they take the minima
-    from the unreduced integer terms.
+    main_bound never builds this tuple; mu_values reduces only the terms
+    down to the first argmin.
     """
     return tuple(Fraction(n, den) for n, den in _p_terms(delta))
 
 
-def _prefix_minima(terms: Iterable[tuple[int, int]]) -> tuple[dict[int, Fraction], Fraction, int]:
-    """Prefix minima of unreduced positive-denominator terms, compared by
-    cross-multiplying; a Fraction is built only where the minimum drops."""
-    mu_k: dict[int, Fraction] = {}
-    best_num, best_den = 1, 0  # stands for +infinity
-    for d, (num, den) in enumerate(terms):
-        if num * best_den < best_num * den:
-            best_num, best_den = num, den
-            running = Fraction(num, den)
+def _falls(delta: int) -> list[bool]:
+    """Whether p(Delta, d) < p(Delta, d-1), for d = 1..Delta (Delta >= 6).
+
+    N(d) / N(d-1) = q^[d>3] R(d) / R(d-1), so each verdict compares
+    q^[d>3] R(d) (Delta-d+2) with omega R(d-1) (Delta-d+1): small integers,
+    where the terms themselves run to about 22,000 bits.
+    """
+    _check_delta(delta)
+    omega, q = delta - 1, delta - 5
+    r = [_r(q, d) for d in range(delta + 1)]
+    return [
+        q ** (d > 3) * r[d] * (delta - d + 2) < omega * r[d - 1] * (delta - d + 1)
+        for d in range(1, delta + 1)
+    ]
+
+
+def _first_argmin(delta: int, falls: Iterable[bool]) -> int:
+    """The end of the curve's first falling run, from the step verdicts
+    falls[d-1] = p(d) < p(d-1).  The running minimum drops exactly along that
+    run only if the curve never falls again, so a later fall raises."""
+    argmin = 0
+    for d, fall in enumerate(falls, 1):
+        if fall:
+            if argmin < d - 1:
+                raise BoundViolation(
+                    f"the p-curve falls again past its first falling run at Delta={delta}, d={d}"
+                )
             argmin = d
-        mu_k[d] = running
-    return mu_k, running, argmin
+    return argmin
 
 
 def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
-    """Prefix minima mu_k of the p-curve, the overall mu, and its first argmin."""
-    return _prefix_minima(_p_terms(delta))
+    """Prefix minima mu_k of the p-curve, the overall mu, and its first argmin.
+
+    mu_k follows the curve down its first falling run to the argmin and is
+    the one mu object after it, so only the terms down to the argmin are
+    reduced.
+    """
+    if delta == 5:  # q = 0 makes p(5, 4) = p(5, 5) = 0, a step no ratio decides
+        falls = [b < a for a, b in pairwise(p_curve(5))]
+    else:
+        falls = _falls(delta)
+    argmin = _first_argmin(delta, falls)
+    mu_k = {d: Fraction(*term) for d, term in zip(range(argmin + 1), _p_terms(delta))}
+    mu_k.update(dict.fromkeys(range(argmin + 1, delta + 1), mu_k[argmin]))
+    return mu_k, mu_k[argmin], argmin
 
 
 def ytilde_values(delta: int) -> tuple[dict[int, Fraction], Fraction]:
@@ -178,12 +220,13 @@ def _ytilde(delta: int, mu_k: Mapping[int, Fraction], mu: Fraction) -> Fraction:
     1 + 2 mu - k m of ytilde_k is linear in k, so it is positive on the whole
     run once it is positive at both ends; and there ytilde_k is monotone in
     k, since its derivative (m (Delta-1) - 1 - 2 mu) / (1 + 2 mu - k m)^2 has
-    a constant sign.  So only the two ends of each run can hold the minimum.
-    With mu = a/b and m = c/e,
+    a constant sign.  With mu = a/b and m = c/e,
 
         ytilde_k = (Delta-1-k) b e / ((b + 2a) e - k c b),
 
-    and these candidates are compared by cross-multiplying the integers; a
+    and the sign of c b (Delta-1) - (b + 2a) e picks the run's least: its
+    first k if ytilde_k rises or stays level, its last if it falls.  One
+    candidate per run is compared by cross-multiplying the integers; a
     Fraction is built only for the least.  A nonpositive denominator at a
     run end raises BoundViolation.
     """
@@ -196,12 +239,12 @@ def _ytilde(delta: int, mu_k: Mapping[int, Fraction], mu: Fraction) -> Fraction:
         c, e = m.numerator, m.denominator
         scale, base, slope = b * e, (b + 2 * a) * e, c * b
         for k in (ks[0], ks[-1]):
-            den = base - k * slope
-            if den <= 0:
+            if base - k * slope <= 0:
                 raise BoundViolation(f"ytilde_k denominator <= 0 at Delta={delta}, k={k}")
-            num = (omega - k) * scale
-            if num * best_den < best_num * den:
-                best_num, best_den = num, den
+        k = ks[0] if slope * omega >= base else ks[-1]
+        num, den = (omega - k) * scale, base - k * slope
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
     return min(Fraction(best_num, best_den), Fraction(omega), Fraction(omega - 3) / (1 - 3 * mu))
 
 

@@ -1,16 +1,20 @@
-"""The integer prefix-minima pass against the reduced-curve derivation."""
+"""The small-integer minima scan against big-integer and reduced-curve oracles."""
 
 from __future__ import annotations
 
 import dataclasses
 import random
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 
 from kdfree.bounds import (
+    DELTA_CAP,
     BoundReport,
-    _prefix_minima,
+    _falls,
+    _first_argmin,
+    _p_terms,
     _ytilde,
     _ytilde_k,
     main_bound,
@@ -20,6 +24,21 @@ from kdfree.bounds import (
 from kdfree.errors import BoundViolation
 
 DELTAS = list(range(6, 61)) + [100, 1000, 2000]
+
+
+def _prefix_minima(terms: Iterable[tuple[int, int]]) -> tuple[dict[int, Fraction], Fraction, int]:
+    """Prefix minima of unreduced positive-denominator terms, compared by
+    cross-multiplying the full big integers; a Fraction is built only where
+    the minimum drops."""
+    mu_k: dict[int, Fraction] = {}
+    best_num, best_den = 1, 0  # stands for +infinity
+    for d, (num, den) in enumerate(terms):
+        if num * best_den < best_num * den:
+            best_num, best_den = num, den
+            running = Fraction(num, den)
+            argmin = d
+        mu_k[d] = running
+    return mu_k, running, argmin
 
 
 def brute_ytilde(delta: int, mu_k, mu) -> tuple[dict[int, Fraction], Fraction]:
@@ -58,6 +77,39 @@ def test_minima_match_reduced_curve(delta):
     assert (report.ytilde, report.epsilon, report.bound) == (ytilde, epsilon, bound)
     assert all(report.mu_k[d] is report.mu for d in range(argmin, delta + 1))
     assert report.p_curve == curve
+
+
+@pytest.mark.parametrize("delta", list(range(5, 301)) + [1000, 1500, 2000])
+def test_minima_match_big_integer_prefix_minima(delta):
+    assert mu_values(delta) == _prefix_minima(_p_terms(delta))
+
+
+def test_mu_values_at_delta_5():
+    # q = 0: the curve falls to 0 at d = 4 and stays there
+    F = Fraction
+    expected = {0: F(1, 6), 1: F(3, 20), 2: F(1, 8), 3: F(1, 12), 4: F(0), 5: F(0)}
+    assert mu_values(5) == (expected, 0, 4)
+
+
+def test_every_capped_curve_falls_only_along_its_first_run():
+    # the premise of the scan, on the small-integer step test alone
+    for delta in range(6, DELTA_CAP + 1):
+        _first_argmin(delta, _falls(delta))
+
+
+@pytest.mark.parametrize(
+    "falls, d",
+    [([True, True, False, True], 4), ([True, False, False, False, True], 5), ([False, True], 2)],
+)
+def test_a_fall_after_a_rise_is_a_bound_violation(falls, d):
+    with pytest.raises(BoundViolation, match=f"Delta=9, d={d}$"):
+        _first_argmin(9, falls)
+
+
+def test_first_argmin_ends_the_first_falling_run():
+    assert _first_argmin(9, [True, True, False, False]) == 2
+    assert _first_argmin(9, [False, False]) == 0
+    assert _first_argmin(9, [True, True]) == 2
 
 
 def test_prefix_minima_keep_the_first_argmin_on_ties():
@@ -99,6 +151,26 @@ def test_ytilde_run_ends_on_crafted_floors():
         while k <= delta - 2:
             run = range(k, min(k + rng.randint(1, 8), delta - 1))
             m = low + (a / run[-1] - low) * Fraction(rng.randint(1, 39), 40)
+            mu_k.update((delta + 1 - j, m) for j in run)
+            k = run[-1] + 1
+        assert _ytilde(delta, mu_k, mu) == brute_ytilde(delta, mu_k, mu)[1]
+
+
+def test_ytilde_run_ends_on_level_and_falling_runs():
+    # A floor m = (1 + 2 mu) / (Delta - 1) keeps ytilde_k level along its run
+    # (slope sign zero) and a floor below it makes ytilde_k fall (negative
+    # sign), so the least of such a run is at its last k.  Every denominator
+    # stays positive, since k <= Delta - 2.
+    rng = random.Random(31)
+    for _ in range(400):
+        delta = rng.randint(7, 40)
+        mu = Fraction(rng.randint(1, 80), 40 * delta)
+        level = (1 + 2 * mu) / (delta - 1)
+        mu_k: dict[int, Fraction] = {}
+        k = 4
+        while k <= delta - 2:
+            run = range(k, min(k + rng.randint(1, 8), delta - 1))
+            m = level * Fraction(rng.choice([40, rng.randint(1, 39)]), 40)
             mu_k.update((delta + 1 - j, m) for j in run)
             k = run[-1] + 1
         assert _ytilde(delta, mu_k, mu) == brute_ytilde(delta, mu_k, mu)[1]
