@@ -6,10 +6,11 @@ probability floor of an outside vertex with d block neighbours is
     p(Delta, d) = [ sum_{i=0..3} 1/4 * Pr(Bin(d, 4/omega) <= i) ] / (Delta - d + 1),
 
 its minima mu_k / mu over d, the per-clique-size step caps ytilde_k, their
-minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).  The
-terms run to thousands of bits, but the ratio of neighbouring terms is a
-quotient of integers of a few dozen bits (see _r), so whether the curve falls
-at each d is decided on those.  The curve falls along its first run and never
+minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).
+p_value and the p-curve read p(Delta, d) from one integer factorisation (see
+_r).  Its terms run to thousands of bits, but the ratio of neighbouring terms
+is a quotient of integers of a few dozen bits, so whether the curve falls at
+each d is decided on those.  The curve falls along its first run and never
 again (checked on every scan), so mu_k follows the curve down to the argmin
 and is mu after it; only the terms down to the argmin become Fractions, and
 main_bound derives every other constant from those minima.  All arithmetic is
@@ -29,7 +30,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import BoundViolation, SizeLimit
 from .rationals import format_rational, round_half_even, truncate_decimal
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 # The p-curve's integers grow with Delta (about 22,000 bits at Delta = 2000),
@@ -71,31 +71,6 @@ def matches_published(value: Fraction, printed: str) -> bool:
     ) == want
 
 
-def quarter_tail_sum(d: int, omega: int) -> Fraction:
-    """sum_{i=0..3} 1/4 * Pr(Bin(d, 4/omega) <= i), exactly."""
-    if omega < 4:
-        raise ValueError(f"needs omega >= 4, got {omega}")
-    p = Fraction(4, omega)
-    q = 1 - p
-    pmf = [comb(d, j) * p**j * q ** (d - j) for j in range(min(d, 3) + 1)]
-    total = _ZERO
-    running = _ZERO
-    for i in range(4):
-        if i < len(pmf):
-            running += pmf[i]
-        total += running
-    return Fraction(1, 4) * total
-
-
-def p_value(delta: int, d: int) -> Fraction:
-    """Inclusion probability floor p(Delta, d) for an outside vertex."""
-    if delta < 5:
-        raise ValueError(f"needs Delta >= 5, got {delta}")
-    if not 0 <= d <= delta:
-        raise ValueError(f"needs 0 <= d <= Delta, got d={d}")
-    return quarter_tail_sum(d, delta - 1) / (delta - d + 1)
-
-
 def _r(q: int, d: int) -> int:
     """R(d): the numerator of p(Delta, d) without its factor q^(d-3).
 
@@ -110,6 +85,16 @@ def _r(q: int, d: int) -> int:
     if d < 3:
         return (4, 4 * q + 12, 4 * q * q + 24 * q + 32)[d]
     return 4 * q**3 + 12 * d * q * q + 16 * d * (d - 1) * q + 64 * comb(d, 3)
+
+
+def p_value(delta: int, d: int) -> Fraction:
+    """Inclusion probability floor p(Delta, d) for an outside vertex."""
+    if delta < 5:
+        raise ValueError(f"needs Delta >= 5, got {delta}")
+    if not 0 <= d <= delta:
+        raise ValueError(f"needs 0 <= d <= Delta, got d={d}")
+    q = delta - 5
+    return Fraction(q ** max(d - 3, 0) * _r(q, d), 4 * (delta - 1) ** d * (delta - d + 1))
 
 
 def _check_delta(delta: int) -> None:

@@ -102,6 +102,7 @@ class Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    _check_vertex_count(n)  # combinations() copies range(n) before Graph checks
     return Graph(n, combinations(range(n), 2))
 
 
@@ -355,6 +356,8 @@ def write_edge_list(g: Graph) -> str:
 
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format, rejecting loops, duplicates and bad ranges."""
+    if not text.isascii() or "_" in text:  # int() reads "1_0" and non-ASCII digits
+        raise GraphFormatError("edge lists hold ASCII digits and whitespace only, no '_'")
     rows = [line for line in (ln.strip() for ln in text.splitlines()) if line]
     if not rows:
         raise GraphFormatError("empty edge-list input")

@@ -197,15 +197,17 @@ def check_weight_conditions(
     # every clique lies in a maximal one, and its k lightest vertices have
     # the least weight of any k-subclique, so these prefixes are the cases
     floor = min(mu * y, _ONE)
+    floors = [
+        (k, k * (floor - band), k * (min(mu_k[delta + 1 - k] * y, _ONE) - band))
+        for k in range(1, omega)
+    ]
     small_bad = large_bad = 0
     for clique in cs.maximal_cliques:
         total = _ZERO
-        for k, wv in enumerate(sorted(w[v] for v in clique)[: omega - 1], 1):
+        for wv, (k, small, large) in zip(sorted(w[v] for v in clique), floors):
             total += wv
-            if total < k * (floor - band):
-                small_bad += 1
-            if k >= 4 and total < k * (min(mu_k[delta + 1 - k] * y, _ONE) - band):
-                large_bad += 1
+            small_bad += total < small
+            large_bad += k >= 4 and total < large
     checks.append(ConditionCheck("clique_floor", not small_bad, f"violators {small_bad}"))
     checks.append(ConditionCheck("large_clique_floor", not large_bad, f"violators {large_bad}"))
 
@@ -242,22 +244,19 @@ def verify_theorem_initial(
     rho_{1-w}(G) <= Delta - (1+mu)y."""
     if cs is None:
         cs = clique_structure(g)
+    y = Fraction(y)
     delta = g.max_degree()
     _, mu, _ = mu_values(delta)
     trace, weighting = initial_colouring(g, y, mode="exact", cs=cs)
-    w = trace.final_w
-    conditions = check_weight_conditions(g, cs, Fraction(y), w)
-    residual = [_ONE - wv for wv in w]
-    rho_vec, rho = reed_weight(g, cs, residual)
-    target = delta - (1 + mu) * Fraction(y)
+    rho_vec, rho = reed_weight(g, cs, [_ONE - wv for wv in trace.final_w])
     return InitialColouringReport(
-        y=Fraction(y),
+        y=y,
         mu=mu,
         trace=trace,
         weighting=weighting,
-        conditions=tuple(conditions),
+        conditions=tuple(check_weight_conditions(g, cs, y, trace.final_w)),
         rho_residual=rho,
-        rho_target=target,
+        rho_target=delta - (1 + mu) * y,
         rho_per_vertex=tuple(rho_vec),
     )
 
@@ -295,9 +294,10 @@ def end_to_end(g: Graph) -> EndToEndReport:
     """Verify chi_f(G) <= Delta - min(1/2, ytilde*mu) on a concrete graph.
 
     chi_f is computed exactly; on eligible instances small enough for exact
-    sampling the two-phase construction is additionally composed: the initial
-    y-over-w certificate plus an exact colouring of the residual weights,
-    whose combined total must cover every vertex once within the bound.
+    sampling the two-phase construction is additionally composed: a passing
+    verify_theorem_initial run at ytilde plus an exact colouring of the
+    residual weights, whose combined total must cover every vertex once
+    within the bound.
     """
     delta = g.max_degree()
     cs = clique_structure(g)
@@ -316,20 +316,18 @@ def end_to_end(g: Graph) -> EndToEndReport:
         pipeline_eligibility(g, cs).passed
         and g.n - len(cs.v_omega) <= OUTSIDE_ENUMERATION_LIMIT
     ):
-        y = bounds.ytilde
-        trace, initial = initial_colouring(g, y, mode="exact", cs=cs)
-        residual = [_ONE - wv for wv in trace.final_w]
-        _, rho_residual = reed_weight(g, cs, residual)
-        if rho_residual > delta - (1 + bounds.mu) * y:
-            raise BoundViolation(
-                f"residual Reed weight {rho_residual} exceeds Delta - (1+mu)y"
-            )
-        finish = chi_f_weighted(g, residual)
-        if finish.value > rho_residual:
+        initial = verify_theorem_initial(g, bounds.ytilde, cs)
+        if not initial.ok:
+            failed = [c.name for c in initial.conditions if not c.ok]
+            if initial.rho_residual > initial.rho_target:
+                failed.append("residual Reed weight above Delta - (1+mu)y")
+            raise BoundViolation(f"initial colouring fails: {', '.join(failed)}")
+        finish = chi_f_weighted(g, [_ONE - wv for wv in initial.trace.final_w])
+        if finish.value > initial.rho_residual:
             raise BoundViolation("chi_f^{1-w} exceeded the residual Reed weight")
         combined = StableSetWeighting(
-            initial.columns + finish.primal.columns,
-            total=y + finish.value,
+            initial.weighting.columns + finish.primal.columns,
+            total=initial.y + finish.value,
         )
         if combined.total > bound:
             raise BoundViolation(f"combined certificate total {combined.total} > {bound}")
@@ -337,12 +335,12 @@ def end_to_end(g: Graph) -> EndToEndReport:
         if not check.ok:
             raise BoundViolation(f"combined certificate failed: {check.reason}")
         composed = ComposedCertificate(
-            y=y,
-            initial=initial,
+            y=initial.y,
+            initial=initial.weighting,
             finish=finish.primal,
             combined=combined,
             finish_value=finish.value,
-            rho_residual=rho_residual,
+            rho_residual=initial.rho_residual,
         )
     return EndToEndReport(
         delta=delta,

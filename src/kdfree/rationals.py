@@ -8,12 +8,15 @@ from fractions import Fraction
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a plain integer/decimal string into a Fraction.
 
-    Raises ValueError for a non-string, a zero denominator, or exponent
+    Raises ValueError for a non-string, a zero denominator, exponent
     notation (an exponent such as 1e-4000000 makes the value's size
-    exponential in the length of the text).
+    exponential in the length of the text), or a non-ASCII character or
+    '_' (which int() and Fraction() would read as digits or separators).
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational as a string, got {text!r}")
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"a rational is ASCII without '_', got {text!r}")
     text = text.strip()
     if "e" in text.lower():
         raise ValueError(f"exponent notation is not accepted: {text!r}")

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 
-from .bounds import mu_values, p_value, quarter_tail_sum
+from .bounds import mu_values, p_value
 from .errors import EligibilityError, HypothesisViolated, SizeLimit
 from .graphs import CliqueStructure, Graph, clique_structure
 from .intervals import to_multiset
@@ -632,7 +632,7 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
                         "pr_s_outside", v, bound, freq_s[v], band, freq_s[v] >= bound - band
                     )
                 )
-                rhs = quarter_tail_sum(cs.d_omega[v], omega)
+                rhs = bound * (delta - cs.d_omega[v] + 1)
                 checks.append(
                     SamplerCheck(
                         "block_nb_empty", v, rhs, freq_nb_empty[v], band,

@@ -6,6 +6,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from kdfree.graphs import Graph, block_graph
 from kdfree.intervals import to_multiset
@@ -89,6 +90,16 @@ def random_weights(n: int, rng: random.Random, hi: int = 2) -> list[Fraction]:
 
 
 # ── brute-force oracles ───────────────────────────────────────────────────
+
+
+def quarter_tail_sum(d: int, omega: int) -> Fraction:
+    """sum_{i=0..3} 1/4 * Pr(Bin(d, 4/omega) <= i), from the binomial pmf;
+    p(Delta, d) is this over Delta - d + 1 at omega = Delta - 1."""
+    if omega < 4:
+        raise ValueError(f"needs omega >= 4, got {omega}")
+    p = Fraction(4, omega)
+    pmf = [comb(d, j) * p**j * (1 - p) ** (d - j) for j in range(min(d, 3) + 1)]
+    return sum((sum(pmf[: i + 1], Fraction(0)) for i in range(4)), Fraction(0)) / 4
 
 
 def brute_stable_sets(g: Graph) -> list[frozenset[int]]:

@@ -19,10 +19,11 @@ from conftest import (
     instance_b,
     instance_c,
     medium_instance,
+    quarter_tail_sum,
     random_graph,
     random_weights,
 )
-from kdfree.bounds import main_bound, matches_published, p_value, quarter_tail_sum
+from kdfree.bounds import main_bound, matches_published, p_value
 from kdfree.graphs import (
     NAMED_GRAPHS,
     clique_structure,

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import quarter_tail_sum
 from kdfree.bounds import (
     DELTA_CAP,
     emit_p_curve,
@@ -17,7 +18,6 @@ from kdfree.bounds import (
     mu_values,
     p_curve,
     p_value,
-    quarter_tail_sum,
     table_rows,
     ytilde_values,
 )
@@ -58,15 +58,15 @@ def test_p_curve_rewritten_form():
 
 
 def test_p_curve_equals_quarter_tail_form():
-    for delta in range(5, 41):
+    for delta in range(5, 61):
         curve = p_curve(delta)
         assert len(curve) == delta + 1
         for d, value in enumerate(curve):
-            assert value == quarter_tail_sum(d, delta - 1) / (delta - d + 1)
+            assert value == p_value(delta, d) == quarter_tail_sum(d, delta - 1) / (delta - d + 1)
     curve = p_curve(1000)
     rng = random.Random(1000)
     for d in [0, 1, 2, 3, 4, 1000] + rng.sample(range(5, 1000), 8):
-        assert curve[d] == quarter_tail_sum(d, 999) / (1001 - d)
+        assert curve[d] == p_value(1000, d) == quarter_tail_sum(d, 999) / (1001 - d)
 
 
 def test_p_value_range_checks():

@@ -281,6 +281,31 @@ def test_chif_rejects_bad_rational_weight(tmp_path, entry, reason, capsys):
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["\u0663", "1_0"], ids=["arabic-indic-digit", "underscore"])
+@pytest.mark.parametrize("reader", ["edge-list", "weights", "certificate"])
+def test_readers_take_only_ascii_numbers_without_separators(
+    graph_file, tmp_path, capsys, reader, token
+):
+    # int() and Fraction() read both tokens as numbers (3 and 10)
+    el = graph_file("k2.el", complete_graph(2))
+    bad = tmp_path / "bad"
+    if reader == "edge-list":
+        bad.write_text(f"{token} 1\n0 1\n")
+        argv = ["chif", "--graph", str(bad)]
+    elif reader == "weights":
+        bad.write_text(f"1\n{token}/3\n")
+        argv = ["chif", "--graph", el, "--weights", str(bad)]
+    else:
+        main(["chif", "--graph", el, "--emit-cert", str(bad)])
+        payload = json.loads(bad.read_text())
+        payload["k"] = token
+        bad.write_text(json.dumps(payload))
+        argv = ["certify", "--graph", el, "--cert", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "ASCII" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -366,7 +391,12 @@ def test_pipeline_exact_over_outside_cap_is_input_error(graph_file, capsys):
 
 @pytest.mark.parametrize(
     "family, params",
-    [("cycle-power", "n=100000000,k=2"), ("complete", "n=100000"), ("petersen", "n=501,k=2")],
+    [
+        ("cycle-power", "n=100000000,k=2"),
+        ("complete", "n=100000"),
+        ("complete", "n=1000000000000"),  # past what itertools can copy
+        ("petersen", "n=501,k=2"),
+    ],
 )
 def test_gen_over_vertex_cap_is_input_error(capsys, family, params):
     assert main(["gen", "--family", family, "--params", params]) == 2

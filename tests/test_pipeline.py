@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -18,7 +19,8 @@ from conftest import (
     trial_rng,
 )
 from kdfree.bounds import main_bound, mu_values
-from kdfree.errors import EligibilityError
+from kdfree import pipeline
+from kdfree.errors import BoundViolation, EligibilityError
 from kdfree.graphs import (
     c5xk3_minus,
     clique_structure,
@@ -27,8 +29,9 @@ from kdfree.graphs import (
     reed_weight,
     strong_product,
 )
-from kdfree.intervals import verify_certificate
+from kdfree.intervals import certificate_to_json, verify_certificate
 from kdfree.pipeline import (
+    ConditionCheck,
     check_weight_conditions,
     end_to_end,
     initial_colouring,
@@ -190,6 +193,31 @@ def test_end_to_end_block_instance_composes():
     assert composed.combined.total <= report.bound
     assert verify_certificate(instance_a(), composed.combined, [ONE] * 11).ok
     assert composed.finish_value <= composed.rho_residual
+
+
+@pytest.mark.parametrize(
+    "builder, digest",
+    [
+        (instance_a, "d3650a52e0f9042e7ad07f0192e67eaaf2263775b1c7077bb3b7af100454cc60"),
+        (medium_instance, "bde146378e625c635191acd5afca8e072ac6c8b5b1b681634a75e1a29106d8d9"),
+    ],
+)
+def test_end_to_end_combined_certificate_bytes(builder, digest):
+    # sha256 of the combined certificate's JSON: which path end_to_end takes
+    # to the initial phase must not change its bytes
+    g = builder()
+    text = certificate_to_json(g.n, [ONE] * g.n, end_to_end(g).composed.combined)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_end_to_end_raises_on_a_failed_condition(monkeypatch):
+    def one_failure(*args, **kwargs):
+        checks = check_weight_conditions(*args, **kwargs)
+        return [ConditionCheck(c.name, c.name != "clique_floor", c.detail) for c in checks]
+
+    monkeypatch.setattr(pipeline, "check_weight_conditions", one_failure)
+    with pytest.raises(BoundViolation, match="initial colouring fails: clique_floor$"):
+        end_to_end(instance_a())
 
 
 def test_end_to_end_minus_4v():

@@ -23,11 +23,12 @@ from conftest import (
     instance_b,
     instance_c,
     medium_instance,
+    quarter_tail_sum,
     shuffle,
     three_k7,
     trial_rng,
 )
-from kdfree.bounds import p_value, quarter_tail_sum
+from kdfree.bounds import p_value
 from kdfree.errors import EligibilityError, HypothesisViolated, SizeLimit
 from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph
 from kdfree import sampling
