@@ -23,7 +23,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby, pairwise
+from itertools import groupby
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -128,17 +128,22 @@ def p_curve(delta: int) -> tuple[Fraction, ...]:
 
 
 def _falls(delta: int) -> list[bool]:
-    """Whether p(Delta, d) < p(Delta, d-1), for d = 1..Delta (Delta >= 6).
+    """Whether p(Delta, d) < p(Delta, d-1), for d = 1..Delta (Delta >= 5).
 
     N(d) / N(d-1) = q^[d>3] R(d) / R(d-1), so each verdict compares
     q^[d>3] R(d) (Delta-d+2) with omega R(d-1) (Delta-d+1): small integers,
-    where the terms themselves run to about 22,000 bits.
+    where the terms themselves run to about 22,000 bits.  Past d = 4,
+    p(Delta, d-1) and p(Delta, d) both carry a factor q, so both sides are
+    multiplied by q there: a positive factor leaves the verdict unchanged,
+    and at Delta = 5 (q = 0), where p(5, 4) = p(5, 5) = 0, both sides vanish
+    and that step reads as no fall.
     """
     _check_delta(delta)
     omega, q = delta - 1, delta - 5
     r = [_r(q, d) for d in range(delta + 1)]
     return [
-        q ** (d > 3) * r[d] * (delta - d + 2) < omega * r[d - 1] * (delta - d + 1)
+        q ** ((d > 3) + (d > 4)) * r[d] * (delta - d + 2)
+        < q ** (d > 4) * omega * r[d - 1] * (delta - d + 1)
         for d in range(1, delta + 1)
     ]
 
@@ -165,11 +170,7 @@ def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
     the one mu object after it, so only the terms down to the argmin are
     reduced.
     """
-    if delta == 5:  # q = 0 makes p(5, 4) = p(5, 5) = 0, a step no ratio decides
-        falls = [b < a for a, b in pairwise(p_curve(5))]
-    else:
-        falls = _falls(delta)
-    argmin = _first_argmin(delta, falls)
+    argmin = _first_argmin(delta, _falls(delta))
     mu_k = {d: Fraction(*term) for d, term in zip(range(argmin + 1), _p_terms(delta))}
     mu_k.update(dict.fromkeys(range(argmin + 1, delta + 1), mu_k[argmin]))
     return mu_k, mu_k[argmin], argmin

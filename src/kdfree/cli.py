@@ -55,6 +55,17 @@ def _read_graph(path: str) -> Graph:
     return read_edge_list(sys.stdin.read() if path == "-" else _read_text(path))
 
 
+def _integer(token: str, what: str) -> int:
+    """An integer argument, read like the integers of an edge list: int()
+    also takes "1_0" and non-ASCII digits, which are input errors here."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise GraphFormatError(f"{what} takes ASCII integers without '_', got {token!r}")
+
+
 def _read_weights(path: str | None, n: int) -> list[Fraction]:
     if path is None:
         return [Fraction(1)] * n
@@ -76,7 +87,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def cmd_bounds(args) -> int:
-    deltas = [int(part) for part in args.delta.split(",") if part]
+    deltas = [_integer(part, "--delta") for part in args.delta.split(",") if part]
     if not deltas:
         raise GraphFormatError("no Delta values given")
     if any(d < 6 for d in deltas):
@@ -141,7 +152,7 @@ def cmd_check(args) -> int:
 
 def cmd_sample(args) -> int:
     g = _read_graph(args.graph)
-    report = estimate(g, args.trials, args.seed)
+    report = estimate(g, _integer(args.trials, "--trials"), _integer(args.seed, "--seed"))
     lines = ["vertex,class,empirical,paper_lower_bound,margin"]
     for v in range(g.n):
         emp = report.freq_s[v]
@@ -185,6 +196,7 @@ def _trace_json(trace) -> str:
 
 
 def cmd_pipeline(args) -> int:
+    trials, seed = _integer(args.trials, "--trials"), _integer(args.seed, "--seed")
     g = _read_graph(args.graph)
     delta = g.max_degree()
     if delta < 6:
@@ -207,14 +219,14 @@ def cmd_pipeline(args) -> int:
     else:
         cs = clique_structure(g)
         trace, weighting = initial_colouring(
-            g, y, mode="montecarlo", trials=args.trials, seed=args.seed, cs=cs
+            g, y, mode="montecarlo", trials=trials, seed=seed, cs=cs
         )
-        band = y * hoeffding_band(args.trials) * len(trace.iterations)
+        band = y * hoeffding_band(trials) * len(trace.iterations)
         for cond in check_weight_conditions(g, cs, y, trace.final_w, band=band):
             status = "statistically supported" if cond.ok else "NOT SUPPORTED " + cond.detail
             print(f"condition {cond.name}: {status}")
         print(
-            f"montecarlo run ({args.trials} trials/iteration): certificate is exact "
+            f"montecarlo run ({trials} trials/iteration): certificate is exact "
             "for the achieved weights; conditions above are checked with Hoeffding "
             "bands, never at exact level"
         )
@@ -251,7 +263,7 @@ def _parse_params(raw: str | None) -> dict[str, int]:
         key = key.strip()
         if key in out:
             raise GraphFormatError(f"parameter {key!r} is given twice")
-        out[key] = int(value)
+        out[key] = _integer(value, "--params")
     return out
 
 
@@ -313,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="seeded Monte Carlo estimates as CSV")
     p.add_argument("--graph", default="-")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", required=True)
+    p.add_argument("--seed", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
@@ -322,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default="-")
     p.add_argument("--y", default=None, help='weight to spend, e.g. "3/2" (default ytilde(Delta))')
     p.add_argument("--mode", choices=("exact", "montecarlo"), default="exact")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", default="10000")
+    p.add_argument("--seed", default="0")
     p.add_argument("--emit-trace", default=None)
     p.add_argument("--emit-cert", default=None)
     p.set_defaults(func=cmd_pipeline)

@@ -5,11 +5,12 @@ two-stage distribution, re-instantiated on the shrinking subgraphs H_i: each
 step takes the largest y_i that no remaining capacity can overrun, pays
 prob_i(v) * y_i to every vertex, removes the vertices that become full, and
 stops when the budget is spent.  Each step's distribution over S comes from
-exact enumeration or from a seeded Monte Carlo tally; either way the step
-probabilities are its Pr(v in S) from StableSetSampler.marginals, and the
-rest of the step is the same.  Block vertices always survive, every step's
-distribution is itself a fractional colouring, and the accumulated weighting
-is an exact certificate for the resulting vertex weights.
+exact enumeration or from a seeded Monte Carlo tally, both integer weights
+over S masks with their total, so the mode picks only the source; the step
+probabilities are its Pr(v in S) from StableSetSampler.marginals.  Block
+vertices always survive, every step's distribution is itself a fractional
+colouring, and the accumulated weighting is an exact certificate for the
+resulting vertex weights.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def initial_colouring(
     capacity = [_ONE] * n
     leftover = y
     active_outside = list(sampler.outside)
-    columns: dict[frozenset[int], Fraction] = {}
+    columns: dict[int, Fraction] = {}  # S mask -> weight
     iterations: list[PipelineIteration] = []
 
     while leftover > 0:
@@ -86,12 +87,10 @@ def initial_colouring(
             raise LpError("pipeline failed to terminate within |V| iterations")
         active = sorted(cs.v_omega) + active_outside
         if mode == "exact":
-            ex = sampler.enumerate_exact(active_outside)
-            pr_s, dist = ex.pr_s, ex.distribution
+            weights, total = sampler.enumerate_exact(active_outside)
         else:
-            seen = sampler.tally(seed, (len(iterations),), trials, active_outside)
-            pr_s = sampler.marginals(seen.items(), trials, ())[0]
-            dist = tuple((mask_to_set(s), Fraction(c, trials)) for s, c in sorted(seen.items()))
+            weights, total = sampler.tally(seed, (len(iterations),), trials, active_outside), trials
+        pr_s = sampler.marginals(weights.items(), total, ())[0]
         prob = {v: pr_s[v] for v in active}
         positive = [v for v in active if prob[v] > 0]
         flagged = tuple(v for v in active if prob[v] == 0)
@@ -109,10 +108,8 @@ def initial_colouring(
             if capacity[v] < 0:
                 raise LpError(f"capacity of {v} went negative")
         leftover -= y_step
-        for s, p in dist:
-            mass = y_step * p
-            if mass > 0:
-                columns[s] = columns.get(s, _ZERO) + mass
+        for s, c in weights.items():
+            columns[s] = columns.get(s, _ZERO) + y_step * Fraction(c, total)
 
         removed: tuple[int, ...] = ()
         if leftover > 0:
@@ -133,9 +130,9 @@ def initial_colouring(
         )
 
     final_w = tuple(_ONE - capacity[v] for v in range(n))
+    sets = ((mask_to_set(s), m) for s, m in columns.items())
     weighting = StableSetWeighting(
-        tuple(sorted(columns.items(), key=lambda item: tuple(sorted(item[0])))),
-        total=y,
+        tuple(sorted(sets, key=lambda c: tuple(sorted(c[0])))), total=y
     )
     trace = PipelineTrace(
         iterations=tuple(iterations),

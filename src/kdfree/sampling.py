@@ -12,10 +12,11 @@ admit full enumeration, giving exact marginals against which the Monte Carlo
 estimator is validated: every joint 4-subset choice and pool column, and for
 stage two a recursion on the set of still-insertable outside vertices (the
 first of them in a uniform order is uniform among them), memoised per call.
-Exact enumeration counts in integer weights over one common denominator
-and builds a Fraction only for each marginal and each distinct S.  It, the
-Monte Carlo estimate and both pipeline modes reduce integer weights over S
-masks to marginals through one routine, StableSetSampler.marginals.
+Both sources of the distribution give the same output, integer weights over
+S masks with their total: exact enumeration over one common denominator,
+tally as trial counts out of the number of trials.  exact_marginals,
+estimate and both pipeline modes reduce that pair to marginals through one
+routine, StableSetSampler.marginals.
 
 The Monte Carlo callers (estimate, the pipeline's montecarlo mode) draw
 their trials through StableSetSampler.tally, which gives every trial its own
@@ -312,9 +313,9 @@ class StableSetSampler:
 
     # ── exact enumeration ─────────────────────────────────────────────────
 
-    def enumerate_exact(self, active: Sequence[int] | None = None) -> "ExactMarginals":
-        """Exact two-stage distribution by recursion on the insertable set,
-        in integer weights over one common denominator.
+    def enumerate_exact(self, active: Sequence[int] | None = None) -> tuple[dict[int, int], int]:
+        """The exact two-stage distribution as integer weights over S masks
+        and their total, by recursion on the insertable set.
 
         In a uniform order of the outside vertices, the first one still
         insertable is uniform over the insertable set I, and the rest of the
@@ -330,8 +331,7 @@ class StableSetSampler:
         insertable set F adds its tails scaled by k!/|F|! (k outside
         vertices), so every column of a pool of size P weighs 1/(n P k!) for
         n joint choices; the weights are kept per pool size and merged over
-        the lcm L of the sizes, giving integer weights out of n L k!.  One
-        Fraction is built per marginal and per distinct S.
+        the lcm L of the sizes, giving integer weights out of n L k!.
         """
         outside = list(self.outside if active is None else sorted(active))
         if len(outside) > OUTSIDE_ENUMERATION_LIMIT:
@@ -384,13 +384,7 @@ class StableSetSampler:
             share = common // size
             for s, w in dist.items():
                 weights[s] = weights.get(s, 0) + w * share
-        total = n_choices * common * fact[-1]
-        return ExactMarginals(
-            *self.marginals(weights.items(), total, outside),
-            distribution=tuple(
-                (mask_to_set(s), Fraction(w, total)) for s, w in sorted(weights.items())
-            ),
-        )
+        return weights, n_choices * common * fact[-1]
 
     def marginals(
         self, weighted: Iterable[tuple[int, int]], total: int, outside: Iterable[int]
@@ -517,7 +511,14 @@ class ExactMarginals:
 
 def exact_marginals(g: Graph, cs: CliqueStructure | None = None) -> ExactMarginals:
     """Exact per-vertex Pr(v in S) (and companions) by full enumeration."""
-    return StableSetSampler(g, cs).enumerate_exact()
+    sampler = StableSetSampler(g, cs)
+    weights, total = sampler.enumerate_exact()
+    return ExactMarginals(
+        *sampler.marginals(weights.items(), total, sampler.outside),
+        distribution=tuple(
+            (mask_to_set(s), Fraction(w, total)) for s, w in sorted(weights.items())
+        ),
+    )
 
 
 # ── Monte Carlo estimation ────────────────────────────────────────────────
@@ -588,66 +589,35 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
     eligible = pipeline_eligibility(g, cs).passed
     mu_k, mu, _ = mu_values(delta) if eligible else ({}, _ZERO, 0)
 
+    def floor(name: str, v: int, bound: Fraction, value: Fraction, width: Fraction = band):
+        checks.append(SamplerCheck(name, v, bound, value, width, value >= bound - width))
+
     for v in range(n):
-        if v in cs.v_omega_prime:
-            classes.append("Vw'")
-        elif v in cs.v_omega:
-            classes.append("Vw")
+        if v in cs.v_omega:
+            classes.append("Vw'" if v in cs.v_omega_prime else "Vw")
+            bound = Fraction(1, omega)
         else:
             classes.append(f"V{cs.level[v]}")
+            bound = p_value(delta, cs.d_omega[v]) if eligible else _ZERO
+        lower.append(bound)
+        if not eligible:
+            continue
+        floor("pr_s_geq_mu", v, mu, freq_s[v])
         if v in cs.v_omega:
-            lower.append(Fraction(1, omega))
-        elif eligible:
-            lower.append(p_value(delta, cs.d_omega[v]))
-        else:
-            lower.append(_ZERO)
-
-    if eligible:
-        for v in range(n):
             checks.append(
                 SamplerCheck(
-                    "pr_s_geq_mu", v, mu, freq_s[v], band, freq_s[v] >= mu - band
+                    "pr_s_omega", v, bound, freq_s_omega[v], band,
+                    abs(freq_s_omega[v] - bound) <= band,
                 )
             )
-            if v in cs.v_omega:
-                bound = Fraction(1, omega)
-                checks.append(
-                    SamplerCheck(
-                        "pr_s_omega", v, bound, freq_s_omega[v], band,
-                        abs(freq_s_omega[v] - bound) <= band,
-                    )
-                )
             if v in cs.v_omega_prime:
-                bound = 1 + 2 * mu
-                checks.append(
-                    SamplerCheck(
-                        "closed_nb_mean", v, bound, mean_closed[v], band3,
-                        mean_closed[v] >= bound - band3,
-                    )
-                )
-            if v not in cs.v_omega:
-                bound = p_value(delta, cs.d_omega[v])
-                checks.append(
-                    SamplerCheck(
-                        "pr_s_outside", v, bound, freq_s[v], band, freq_s[v] >= bound - band
-                    )
-                )
-                rhs = bound * (delta - cs.d_omega[v] + 1)
-                checks.append(
-                    SamplerCheck(
-                        "block_nb_empty", v, rhs, freq_nb_empty[v], band,
-                        freq_nb_empty[v] >= rhs - band,
-                    )
-                )
-                k = cs.level[v]
-                if 4 <= k <= omega - 1:
-                    bound = mu_k[delta + 1 - k]
-                    checks.append(
-                        SamplerCheck(
-                            "pr_s_level", v, bound, freq_s[v], band,
-                            freq_s[v] >= bound - band,
-                        )
-                    )
+                floor("closed_nb_mean", v, 1 + 2 * mu, mean_closed[v], band3)
+            continue
+        floor("pr_s_outside", v, bound, freq_s[v])
+        floor("block_nb_empty", v, bound * (delta - cs.d_omega[v] + 1), freq_nb_empty[v])
+        k = cs.level[v]
+        if 4 <= k <= omega - 1:
+            floor("pr_s_level", v, mu_k[delta + 1 - k], freq_s[v])
 
     return EstimateReport(
         trials=trials,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import pairwise
 from typing import Iterable
 
 import pytest
@@ -89,6 +90,12 @@ def test_mu_values_at_delta_5():
     F = Fraction
     expected = {0: F(1, 6), 1: F(3, 20), 2: F(1, 8), 3: F(1, 12), 4: F(0), 5: F(0)}
     assert mu_values(5) == (expected, 0, 4)
+
+
+@pytest.mark.parametrize("delta", range(5, 61))
+def test_falls_match_pairwise_comparison_of_the_curve(delta):
+    # Delta = 5 included: q = 0 there makes p(5, 4) = p(5, 5) = 0, no fall
+    assert _falls(delta) == [b < a for a, b in pairwise(p_curve(delta))]
 
 
 def test_every_capped_curve_falls_only_along_its_first_run():

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import hashlib
+import io
 import json
 import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import instance_a
+from conftest import instance_a, medium_instance
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
 from kdfree.graphs import (
@@ -240,6 +245,21 @@ def test_pipeline_default_y_and_montecarlo(graph_file, capsys):
     assert "statistically supported" in capsys.readouterr().out
 
 
+def test_pipeline_montecarlo_file_bytes(graph_file, tmp_path, capsys):
+    # sha256 of the trace and certificate files of a seeded Monte Carlo run
+    # on the medium instance
+    trace, cert = tmp_path / "trace.json", tmp_path / "cert.json"
+    assert main([
+        "pipeline", "--graph", graph_file("m.el", medium_instance()), "--mode", "montecarlo",
+        "--trials", "2000", "--seed", "3", "--emit-trace", str(trace), "--emit-cert", str(cert),
+    ]) == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, cert)]
+    assert digests == [
+        "d5597a8a938b7fa044ceb849daa614d42d674b6bd13e891b546912c123fec9b0",
+        "eaa9ef7c1beffc2984fd2750ae052559f47029028c13b6bf38258d11ca3e8f40",
+    ]
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_pipeline_montecarlo_rejects_nonpositive_trials(graph_file, capsys, trials):
     el = graph_file("a.el", instance_a())
@@ -282,14 +302,24 @@ def test_chif_rejects_bad_rational_weight(tmp_path, entry, reason, capsys):
 
 
 @pytest.mark.parametrize("token", ["\u0663", "1_0"], ids=["arabic-indic-digit", "underscore"])
-@pytest.mark.parametrize("reader", ["edge-list", "weights", "certificate"])
+@pytest.mark.parametrize(
+    "reader", ["edge-list", "weights", "certificate", "delta", "params", "trials", "seed"]
+)
 def test_readers_take_only_ascii_numbers_without_separators(
     graph_file, tmp_path, capsys, reader, token
 ):
     # int() and Fraction() read both tokens as numbers (3 and 10)
     el = graph_file("k2.el", complete_graph(2))
     bad = tmp_path / "bad"
-    if reader == "edge-list":
+    if reader in ("trials", "seed"):
+        numbers = {"trials": "10", "seed": "0", reader: token}
+        argv = ["sample", "--graph", graph_file("a.el", instance_a())]
+        argv += ["--trials", numbers["trials"], "--seed", numbers["seed"]]
+    elif reader == "delta":
+        argv = ["bounds", "--delta", f"6,{token}"]
+    elif reader == "params":
+        argv = ["gen", "--family", "complete", "--params", f"n={token}"]
+    elif reader == "edge-list":
         bad.write_text(f"{token} 1\n0 1\n")
         argv = ["chif", "--graph", str(bad)]
     elif reader == "weights":
@@ -303,7 +333,10 @@ def test_readers_take_only_ascii_numbers_without_separators(
         argv = ["certify", "--graph", el, "--cert", str(bad)]
     capsys.readouterr()
     assert main(argv) == 2
-    assert "ASCII" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ASCII" in err
+    if reader not in ("edge-list", "weights", "certificate"):
+        assert f"--{reader}" in err and repr(token) in err
 
 
 @pytest.mark.parametrize(
@@ -401,3 +434,30 @@ def test_pipeline_exact_over_outside_cap_is_input_error(graph_file, capsys):
 def test_gen_over_vertex_cap_is_input_error(capsys, family, params):
     assert main(["gen", "--family", family, "--params", params]) == 2
     assert "capped at n <= 1000" in capsys.readouterr().err
+
+
+# text near the edge-list format: a header and edge lines of small integers,
+# some out of range, repeated or reversed
+_EDGE_LIST_LIKE = st.builds(
+    lambda rows: "\n".join(" ".join(map(str, row)) for row in rows),
+    st.lists(st.lists(st.integers(-1, 9), min_size=1, max_size=3), max_size=12),
+)
+
+
+@given(
+    st.one_of(
+        st.text(max_size=200),
+        st.text(alphabet="0123456789 \n\t-+_/.e\u0663", max_size=60),
+        _EDGE_LIST_LIKE,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_chif_on_any_text_ends_with_an_exit_code(tmp_path_factory, text):
+    # exit 0, 1 or 2, never a traceback, whatever the graph file holds
+    path = tmp_path_factory.mktemp("chif") / "g.el"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["chif", "--graph", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

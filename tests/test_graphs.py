@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_independence_number,
@@ -282,6 +284,25 @@ def test_edge_list_round_trip():
     for _ in range(10):
         g = random_graph(rng.randint(0, 8), 0.5, rng)
         assert read_edge_list(write_edge_list(g)) == g
+
+
+@given(
+    st.integers(0, 24).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_edge_list_round_trip_property(case):
+    n, present = case
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
+    text = write_edge_list(g)
+    h = read_edge_list(text)
+    assert h == g and (h.adj, h.masks) == (g.adj, g.masks)
+    assert write_edge_list(h) == text
 
 
 @pytest.mark.parametrize(

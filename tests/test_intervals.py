@@ -442,6 +442,31 @@ def test_certificate_json_round_trip():
     assert verify_certificate(g, cert.weighting, list(cert.w)).ok
 
 
+_RATIONALS = st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(_RATIONALS, min_size=n, max_size=n),
+            st.lists(st.tuples(st.frozensets(st.integers(0, max(n - 1, 0))), _RATIONALS)),
+            _RATIONALS,
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_certificate_json_round_trip_property(case):
+    # the reader gives back what the writer was given; whether the columns
+    # cover anything is verify_certificate's business, not the reader's
+    n, w, columns, total = case
+    text = certificate_to_json(n, w, StableSetWeighting(tuple(columns), total))
+    cert = certificate_from_json(text)
+    assert (cert.n, cert.k, cert.w) == (n, total, tuple(w))
+    assert cert.weighting.columns == tuple(columns)
+    assert cert.weighting.total == total
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -99,8 +99,10 @@ def test_two_disjoint_blocks_independent_choices():
     # of a cross-block vertex pair in the 4-subset graph factorises
     g = block_graph(2, 5)
     sampler = StableSetSampler(g)
-    ex = sampler.enumerate_exact()
-    assert all(pr == F(1, 5) for pr in ex.pr_s_omega)
+    weights, total = sampler.enumerate_exact()
+    assert sum(weights.values()) == total
+    pr_s_omega = sampler.marginals(weights.items(), total, sampler.outside)[1]
+    assert all(pr == F(1, 5) for pr in pr_s_omega)
     choices = list(product(*sampler.block_choices))
     assert len(choices) == 25
     for u, v in ((0, 5), (3, 9)):
@@ -168,15 +170,24 @@ def test_estimate_matches_exact_within_bands():
 
 
 def test_marginals_of_counts_match_exact_marginals():
-    # the exact distribution as integer counts over a common denominator
-    # reduces to the same marginals as its probabilities do
+    # the exact weights, their reduced probabilities as counts over the least
+    # common denominator, and exact_marginals give the same marginals; Pr(v in
+    # S) is also the sum of the probabilities of the sets holding v
     for g in (instance_b(), medium_instance()):
         sampler = StableSetSampler(g)
-        ex = sampler.enumerate_exact()
-        total = math.lcm(*(p.denominator for _, p in ex.distribution))
-        counts = [(sum(1 << v for v in s), int(p * total)) for s, p in ex.distribution]
-        got = sampler.marginals(counts, total, sampler.outside)
+        weights, total = sampler.enumerate_exact()
+        assert sum(weights.values()) == total and min(weights.values()) > 0
+        probs = {s: F(w, total) for s, w in weights.items()}
+        least = math.lcm(*(p.denominator for p in probs.values()))
+        counts = [(s, int(p * least)) for s, p in probs.items()]
+        got = sampler.marginals(weights.items(), total, sampler.outside)
+        assert sampler.marginals(counts, least, sampler.outside) == got
+        ex = exact_marginals(g)
         assert got == (ex.pr_s, ex.pr_s_omega, ex.block_nb_empty, ex.expected_closed)
+        assert ex.distribution == tuple((mask_set(s, g.n), p) for s, p in sorted(probs.items()))
+        assert got[0] == tuple(
+            sum((p for s, p in probs.items() if (s >> v) & 1), F(0)) for v in range(g.n)
+        )
 
 
 def test_estimate_is_deterministic():
@@ -202,6 +213,26 @@ def test_estimate_classes_and_bounds():
     assert report.paper_lower_bound[0] == F(1, 5)
     assert report.paper_lower_bound[15] == p_value(6, cs.d_omega[15])
     assert any(c.name == "pr_s_level" for c in report.checks)
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (medium_instance, "e779e2e486e3c6968ca1b028219676c274160bb5017f7d4ef0ed2fd5fb1ba89b"),
+        (three_k7, "3393a7951ffe5efa96cc12e799029bc2ba886b7f74fa8d527e0791a83eee8727"),
+        # Delta = 5: ineligible, so zero floors outside the blocks and no checks
+        (
+            lambda: block_graph(2, 5, [(0, 5)], [[1, 6], [2]]),
+            "8b24c542106b962a39a537a1456cd6c718120a3bed24b10ff7a66cdb0471722c",
+        ),
+    ],
+    ids=["medium", "3xK7", "ineligible"],
+)
+def test_estimate_report_bytes(build, digest):
+    # sha256 of the whole report's repr: classes, floors, every check in its
+    # order, and the frequencies
+    report = estimate(build(), 3000, 5)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == digest
 
 
 def test_sampler_rejects_small_blocks():
@@ -316,6 +347,20 @@ def enumerate_by_orders(sampler: StableSetSampler, active=None) -> ExactMarginal
     )
 
 
+def enumerate_exact_marginals(sampler: StableSetSampler, active=None) -> ExactMarginals:
+    """Every ExactMarginals field rebuilt from enumerate_exact's weights over
+    S masks and their total, which must be positive and add up."""
+    weights, total = sampler.enumerate_exact(active)
+    assert sum(weights.values()) == total and min(weights.values()) > 0
+    outside = sampler.outside if active is None else sorted(active)
+    return ExactMarginals(
+        *sampler.marginals(weights.items(), total, outside),
+        distribution=tuple(
+            (mask_set(s, sampler.g.n), F(w, total)) for s, w in sorted(weights.items())
+        ),
+    )
+
+
 def random_block_graph(rng: random.Random, outside_count: int, omega: int) -> Graph:
     """Planted K_omega blocks (the only maximum cliques), an optional bridge,
     and outside vertices seeing at most one vertex of each block."""
@@ -342,7 +387,7 @@ def test_enumerate_exact_matches_order_walk(outside_count):
         sampler = StableSetSampler(random_block_graph(rng, outside_count, 4 + case % 2))
         subsets = [None, sorted(rng.sample(sampler.outside, rng.randint(0, outside_count)))]
         for active in subsets:
-            assert sampler.enumerate_exact(active) == enumerate_by_orders(sampler, active)
+            assert enumerate_exact_marginals(sampler, active) == enumerate_by_orders(sampler, active)
 
 
 def test_enumerate_exact_matches_order_walk_across_pool_sizes():
@@ -350,7 +395,7 @@ def test_enumerate_exact_matches_order_walk_across_pool_sizes():
     sampler = StableSetSampler(medium_instance())
     assert {len(sampler.pool(joint)) for joint in product(*sampler.block_choices)} == {8, 16}
     for active in (None, [15, 17], [16, 17, 18]):
-        assert sampler.enumerate_exact(active) == enumerate_by_orders(sampler, active)
+        assert enumerate_exact_marginals(sampler, active) == enumerate_by_orders(sampler, active)
 
 
 def test_trial_streams_depend_only_on_their_key():
