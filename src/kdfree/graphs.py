@@ -269,8 +269,6 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     Output is sorted lexicographically (by sorted vertex tuple) so downstream
     consumers are reproducible run to run.
     """
-    if g.n == 0:
-        return []
     found: list[frozenset[int]] = []
 
     def expand(r: set[int], p: set[int], x: set[int]) -> None:

@@ -77,8 +77,8 @@ class IntervalColouring:
         return self.colour_of(v).measure
 
     def validate(self, g: Graph) -> None:
-        """Raise ValueError unless every class is stable, within [0,k) and
-        disjoint from every other class.
+        """Raise ValueError unless every class is a stable set of g's
+        vertices, within [0,k) and disjoint from every other class.
 
         One sweep over all pieces sorted by left end: if two pieces overlap,
         some consecutive pair does, so only consecutive pairs are compared.
@@ -86,6 +86,11 @@ class IntervalColouring:
         """
         pieces = []
         for s, iv in self.assignment:
+            for v in s:
+                if not 0 <= v < g.n:
+                    raise ValueError(
+                        f"colour class {sorted(s)} has vertex {v} outside 0..{g.n - 1}"
+                    )
             if not g.is_stable(s):
                 raise ValueError(f"non-stable colour class {sorted(s)}")
             if not iv.within(self.k):
@@ -226,6 +231,11 @@ def hall_extend(
     being the colour in [0,k) on no neighbour of v once the target is erased.
     """
     X = frozenset(target)
+    if len(w) != g.n:
+        raise ValueError(f"expected {g.n} weights, got {len(w)}")
+    for v in X:
+        if not 0 <= v < g.n:
+            raise ValueError(f"target vertex {v} outside 0..{g.n - 1}")
     left = {v: Fraction(w[v]) for v in X}  # demand not yet routed
     if any(q < 0 for q in left.values()):
         raise ValueError("negative demand")

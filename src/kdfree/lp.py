@@ -49,7 +49,7 @@ class _DualTableau:
     with the smallest basic variable, and ratio ties enter the smallest.
     """
 
-    def __init__(self, weights: Sequence[Fraction], rows: Sequence[frozenset[int]]):
+    def __init__(self, weights: Sequence[Fraction], rows: Iterable[frozenset[int]]):
         self.n = len(weights)
         self.scale = lcm(*(x.denominator for x in weights))
         self.d = 1
@@ -187,8 +187,6 @@ def max_weight_stable_set(
     scale = lcm(*(x.denominator for x in w))
     iw = [x.numerator * (scale // x.denominator) for x in w]
     order = sorted((v for v in range(g.n) if iw[v] > 0), key=lambda v: (-iw[v], v))
-    if not order:
-        return frozenset(), _ZERO
     masks = g.masks
     full = 0
     for v in order:
@@ -244,18 +242,14 @@ class LpResult:
 
 def _seed_columns(g: Graph) -> list[frozenset[int]]:
     order = degeneracy_order(g)
-    seeds: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
+    seeds = []
     for v in order:
         s = {v}
         for u in order:
             if u not in s and not (g.adj[u] & s):
                 s.add(u)
-        fs = frozenset(s)
-        if fs not in seen:
-            seen.add(fs)
-            seeds.append(fs)
-    return seeds
+        seeds.append(frozenset(s))
+    return list(dict.fromkeys(seeds))
 
 
 def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
@@ -267,22 +261,17 @@ def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
         raise ValueError("weights must be nonnegative")
     if g.n > EXACT_SOLVE_VERTEX_CAP:
         raise SizeLimit(f"exact solves are capped at n <= {EXACT_SOLVE_VERTEX_CAP}")
-    if g.n == 0:
-        empty = StableSetWeighting((), _ZERO)
-        return LpResult(_ZERO, empty, (), 0, _ZERO)
 
-    columns = _seed_columns(g)
-    known = set(columns)
+    columns = dict.fromkeys(_seed_columns(g))  # in the order the rows entered
     tableau = _DualTableau(weights, columns)
     while True:
         scaled_dual = tableau.scaled_dual()
         pricing_set, mass = max_weight_stable_set(g, scaled_dual)
         if mass <= tableau.d:
             break
-        if pricing_set in known:
+        if pricing_set in columns:
             raise LpError("pricing returned a known column; simplex inconsistency")
-        known.add(pricing_set)
-        columns.append(pricing_set)
+        columns[pricing_set] = None
         tableau.add_row(pricing_set)
 
     value = tableau.value()

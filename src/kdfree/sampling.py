@@ -6,8 +6,10 @@ theorem applies), converts the colouring to a uniform column pool with exact
 quarter marginals, and draws one column.  The pool LP depends only on the
 choice's shape (the relabelled 4-subset graph and the chosen 4-subsets in its
 labels), so a sampler solves it once per shape and relabels it for each joint
-choice; both memos keep at most POOL_CACHE_LIMIT entries.  Stage two inserts
-the outside vertices greedily in a uniform random order.  Tiny instances
+choice.  Its two memos hold the solved pools by shape and the relabelled pools
+by the joint choice's indices into block_choices, each at most
+POOL_CACHE_LIMIT entries.  Stage two inserts the outside vertices greedily in
+a uniform random order.  Tiny instances
 admit full enumeration, giving exact marginals against which the Monte Carlo
 estimator is validated: every joint 4-subset choice and pool column, and for
 stage two a recursion on the set of still-insertable outside vertices (the
@@ -23,15 +25,14 @@ their trials through StableSetSampler.tally, which gives every trial its own
 counter-based stream: the bits of blake2b digests of the key string
 "seed:key:...:trial" with the block number as the digest's salt, so a
 trial's draws depend only on its key, never on which other trials ran or in
-which order.  StableSetSampler.sample makes the same draws one trial at a
-time from a caller's generator, through its randrange alone.  Exact
-enumeration does not draw.
+which order.  StableSetSampler.sample is trial 0 of tally for a seed drawn
+by one randrange(2**64) of a caller's generator.  Exact enumeration does not
+draw.
 
 Because of that, tally splits its trials into contiguous ranges over forked
 processes (Linux, a single-threaded caller, at least 2 * TRIALS_PER_PROCESS
 trials, one process per CPU at most) and merges their counts in range order:
-the result is that of one serial loop, insertion order included.  Each
-process keeps its own pool memo of up to POOL_CACHE_LIMIT entries.
+the result is that of one serial loop, insertion order included.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ _ONE = Fraction(1)
 
 OUTSIDE_ENUMERATION_LIMIT = 8
 CHOICE_LIST_LIMIT = 10**6  # 4-subsets listed over all blocks, about 80 bytes each
-POOL_CACHE_LIMIT = 4096  # entries kept per sampler, each of choices and of shapes
+POOL_CACHE_LIMIT = 4096  # entries kept per sampler, each of block indices and of shapes
 TRIALS_PER_PROCESS = 4096  # fewest trials a tally hands to one process
 ENUMERATION_WORK_LIMIT = 10**7
 
@@ -114,7 +115,8 @@ class StableSetSampler:
         self.outside = tuple(sorted(set(range(g.n)) - set(self.cs.v_omega)))
         self.block_mask = sum(1 << v for v in self.cs.v_omega)
         self.closed = tuple(m | (1 << v) for v, m in enumerate(g.masks))
-        self._pools: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+        # indices into block_choices -> (pool, *_plan(len(pool)))
+        self._pools: dict[tuple[int, ...], tuple[list[int], int, int, int]] = {}
         # (relabelled 4-subset graph, chosen 4-subsets in its labels) -> local pool
         self._shapes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
@@ -129,9 +131,6 @@ class StableSetSampler:
         relabelled in vertex order together with the chosen 4-subsets in those
         labels, so its LP is solved once per shape and relabelled per choice.
         """
-        cached = self._pools.get(choice)
-        if cached is not None:
-            return cached
         tilde_vertices = sorted(v for sub in choice for v in sub)
         index = {v: i for i, v in enumerate(tilde_vertices)}
         shape = (
@@ -142,9 +141,15 @@ class StableSetSampler:
         if local is None:
             local = _shape_pool(*shape)
             _remember(self._shapes, shape, local)
-        pool = [sum(1 << tilde_vertices[i] for i in col) for col in local]
-        _remember(self._pools, choice, pool)
-        return pool
+        return [sum(1 << tilde_vertices[i] for i in col) for col in local]
+
+    def _pool_plan(self, picks: tuple[int, ...]) -> tuple[list[int], int, int, int]:
+        """(pool, *_plan(len(pool))) of the joint choice with these indices
+        into block_choices, stored in the memo by the indices."""
+        pool = self.pool(tuple(c[r] for c, r in zip(self.block_choices, picks)))
+        plan = (pool, *_plan(len(pool)))
+        _remember(self._pools, picks, plan)
+        return plan
 
     # ── stage two ─────────────────────────────────────────────────────────
 
@@ -162,15 +167,11 @@ class StableSetSampler:
     def sample(self, rng: Random, active: Sequence[int] | None = None) -> tuple[int, int]:
         """One draw; returns (S_omega mask, S mask).
 
-        Reads rng.randrange alone, in tally's order: one index per block, one
-        pool index, then a Fisher-Yates shuffle of the outside vertices from
-        the end.  For a random.Random these are the draws choice and shuffle
-        would make.
+        The draw is trial 0 of tally for the seed rng.randrange(2**64), and
+        S_omega is S's part in the blocks (see marginals).
         """
-        choice = tuple(c[rng.randrange(len(c))] for c in self.block_choices)
-        pool = self.pool(choice)
-        s_omega = pool[rng.randrange(len(pool))]
-        return s_omega, self.extend(rng, s_omega, active)
+        (s,) = self.tally(rng.randrange(2**64), (), 1, active)
+        return s & self.block_mask, s
 
     def tally(
         self, seed: int, key: Sequence[int], trials: int, active: Sequence[int] | None = None
@@ -182,18 +183,17 @@ class StableSetSampler:
         concatenated 512-bit blocks _block(key, 0), _block(key, 1), ..., read
         from the low end and fetched only when the bits drawn so far run out.
         A draw below n takes the next (n - 1).bit_length() bits and rejects
-        them until they are below n.  The draws are those of sample: one
-        index per block, one pool index, then a Fisher-Yates shuffle from
-        the end; so trial t's mask is sample(rng, active)[1] for an rng
-        whose randrange reads trial t's stream.
+        them until they are below n.  A trial draws one index per block, one
+        pool index, then a Fisher-Yates shuffle of the outside vertices from
+        the end.
 
         The trials split into contiguous ranges, one per process, each of at
         least TRIALS_PER_PROCESS trials and no more processes than the CPUs
         this process may run on.  The caller runs the first range; each other
         range runs in a forked child that sends its counts back through a
         pipe, and the counts are merged in range order, so the counts and
-        their insertion order are those of one serial loop.  Each process
-        keeps its own pool memo.  A child that fails has its range run again
+        their insertion order are those of one serial loop.  A child works
+        on a copy of the memos.  A child that fails has its range run again
         here, which raises what a serial run would.  The run stays in this
         process without os.fork or os.sched_getaffinity (off Linux), with a
         second thread running, on one CPU, or below 2 * TRIALS_PER_PROCESS
@@ -249,14 +249,12 @@ class StableSetSampler:
         The loop reads the digest bits directly: each draw is an inline
         rejection step (a method call per draw cost more than the hashing),
         the shuffle and the greedy insertion are written out, and pools are
-        memoised by the tuple of block indices drawn.
+        looked up by the tuple of block indices drawn.
         """
-        choices = self.block_choices
-        block_plans = [_plan(len(c)) for c in choices]
+        block_plans = [_plan(len(c)) for c in self.block_choices]
         order = tuple(self.outside if active is None else sorted(active))
         swap_plans = [(*_plan(i + 1), i) for i in range(len(order) - 1, 0, -1)]
-        masks = self.g.masks
-        pools: dict[tuple[int, ...], tuple[list[int], int, int, int]] = {}
+        masks, pools = self.g.masks, self._pools
         counts: Counter[int] = Counter()
         for t in trial_range:
             key_t = prefix + b"%d" % t
@@ -275,12 +273,7 @@ class StableSetSampler:
                         break
                 drawn.append(r)
             picks = tuple(drawn)
-            plan = pools.get(picks)
-            if plan is None:
-                pool = self.pool(tuple(c[r] for c, r in zip(choices, picks)))
-                plan = (pool, *_plan(len(pool)))
-                _remember(pools, picks, plan)
-            pool, n, k, mask = plan
+            pool, n, k, mask = pools.get(picks) or self._pool_plan(picks)
             while True:
                 while left < k:
                     bits |= _block(key_t, block) << left
@@ -363,8 +356,8 @@ class StableSetSampler:
 
         by_size: dict[int, dict[int, int]] = {}
         work = 0
-        for joint in product(*self.block_choices):
-            pool = self.pool(joint)
+        for picks in product(*(range(len(c)) for c in self.block_choices)):
+            pool = (self._pools.get(picks) or self._pool_plan(picks))[0]
             dist = by_size.setdefault(len(pool), {})
             for col in pool:
                 free = 0

@@ -444,20 +444,92 @@ _EDGE_LIST_LIKE = st.builds(
 )
 
 
-@given(
-    st.one_of(
-        st.text(max_size=200),
-        st.text(alphabet="0123456789 \n\t-+_/.e\u0663", max_size=60),
-        _EDGE_LIST_LIKE,
-    )
+# text for a graph file: anything, number-like, or edge-list-like
+_GRAPH_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet="0123456789 \n\t-+_/.e\u0663", max_size=60),
+    _EDGE_LIST_LIKE,
 )
+
+
+def exit_code(argv: list[str]) -> int:
+    """main(argv)'s exit code; fails on a traceback or a code other than 0, 1, 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@given(_GRAPH_TEXT)
 @settings(max_examples=200, deadline=None)
 def test_chif_on_any_text_ends_with_an_exit_code(tmp_path_factory, text):
     # exit 0, 1 or 2, never a traceback, whatever the graph file holds
     path = tmp_path_factory.mktemp("chif") / "g.el"
     path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["chif", "--graph", str(path)])
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    exit_code(["chif", "--graph", str(path)])
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check", "--patterns"], ["sample", "--trials", "20", "--seed", "1"], ["pipeline"]],
+    ids=["check", "sample", "pipeline"],
+)
+@given(text=_GRAPH_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_graph_commands_on_any_text_end_with_an_exit_code(tmp_path_factory, command, text):
+    path = tmp_path_factory.mktemp(command[0]) / "g.el"
+    path.write_text(text, encoding="utf-8")
+    exit_code([command[0], "--graph", str(path), *command[1:]])
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _mostly(good, bad=_JSON):
+    """Values of `good` about three times in four, of `bad` otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+_RATIONAL = _mostly(
+    st.sampled_from(["0", "1", "1/2", "3", "2/4"]),
+    st.one_of(st.sampled_from(["-1", "1/0", "x", ""]), _JSON),
+)
+# certificate-shaped payloads for Graph(3, [(0, 1)]): each field is mostly
+# well formed, so many reach the check and pass or fail it
+_CERTIFICATE_LIKE = st.fixed_dictionaries(
+    {
+        "n": _mostly(st.just(3), st.one_of(st.integers(-1, 4), _JSON)),
+        "k": _RATIONAL,
+        "w": _mostly(st.lists(_RATIONAL, min_size=3, max_size=3), st.lists(_RATIONAL, max_size=4)),
+        "columns": _mostly(
+            st.lists(
+                st.fixed_dictionaries(
+                    {
+                        "vertices": _mostly(
+                            st.lists(st.integers(0, 2), max_size=2, unique=True),
+                            st.one_of(st.lists(st.integers(-1, 3), max_size=3), _JSON),
+                        ),
+                        "weight": _RATIONAL,
+                    }
+                ),
+                max_size=3,
+            )
+        ),
+    }
+).map(json.dumps)
+
+
+@given(text=st.one_of(st.text(max_size=200), _JSON.map(json.dumps), _CERTIFICATE_LIKE))
+@settings(max_examples=150, deadline=None)
+def test_certify_on_any_certificate_text_ends_with_an_exit_code(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("certify")
+    graph, cert = folder / "g.el", folder / "cert.json"
+    graph.write_text(write_edge_list(Graph(3, [(0, 1)])))
+    cert.write_text(text, encoding="utf-8")
+    exit_code(["certify", "--graph", str(graph), "--cert", str(cert)])

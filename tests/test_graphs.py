@@ -195,6 +195,8 @@ def test_clique_structure_c5():
 
 
 def test_maximal_cliques_match_brute_force():
+    assert maximal_cliques(Graph(0)) == []
+    assert clique_structure(Graph(0)).omega == 0
     rng = random.Random(11)
     for _ in range(25):
         g = random_graph(rng.randint(1, 9), rng.uniform(0.2, 0.8), rng)

@@ -203,6 +203,21 @@ def test_validate_rejects_escaping_interval(pieces):
         kc.validate(Graph(1))
 
 
+@pytest.mark.parametrize(
+    "cls, message",
+    [
+        ({0, 3}, r"^colour class \[0, 3\] has vertex 3 outside 0\.\.2$"),
+        ({-1, 2}, r"^colour class \[-1, 2\] has vertex -1 outside 0\.\.2$"),
+    ],
+    ids=["past-n", "negative"],
+)
+def test_validate_rejects_a_class_vertex_outside_the_graph(cls, message):
+    # named before the stability check, which would index past the graph
+    kc = IntervalColouring(F(2), ((frozenset(cls), iv((0, 1))),))
+    with pytest.raises(ValueError, match=message):
+        kc.validate(Graph(3))
+
+
 def test_validate_overlap_names_both_classes():
     g = Graph(3)
     # touching classes are disjoint
@@ -315,6 +330,25 @@ def assert_extends(g, kc, out, x, w):
             assert out.coverage(v) == w[v]
         else:
             assert out.colour_of(v) == kc.colour_of(v)
+
+
+@pytest.mark.parametrize(
+    "target, demands, message",
+    [
+        ([-1], 11, r"^target vertex -1 outside 0\.\.10$"),
+        ([0, 11], 11, r"^target vertex 11 outside 0\.\.10$"),
+        ([0], 10, r"^expected 11 weights, got 10$"),
+        ([0], 12, r"^expected 11 weights, got 12$"),
+    ],
+    ids=["negative-target", "target-n", "short-w", "long-w"],
+)
+def test_hall_extend_rejects_vertices_and_weights_off_the_graph(target, demands, message):
+    # on C11^2, a target of -1 once read vertex 10's adjacency through
+    # negative indexing and came back in a colour class
+    g = cycle_power(11, 2)
+    kc = to_intervals(chi_f(g).primal)
+    with pytest.raises(ValueError, match=message):
+        hall_extend(g, kc, target, [F(1, 2)] * demands)
 
 
 def test_hall_extend_twenty_one_vertices():

@@ -28,8 +28,9 @@ from kdfree.graphs import (
     cycle_power,
     strong_product,
 )
-from kdfree.intervals import verify_certificate
+from kdfree.intervals import StableSetWeighting, verify_certificate
 from kdfree.lp import (
+    LpResult,
     chi_f,
     chi_f_weighted,
     max_weight_stable_set,
@@ -154,8 +155,20 @@ def test_chi_f_c7_k2():
 
 
 def test_chi_f_empty_and_edgeless():
-    assert chi_f(Graph(0)).value == 0
+    # the empty graph and zero weights take the general path: no seed
+    # column, or none with positive weight, and nothing for pricing to find
+    empty = LpResult(F(0), StableSetWeighting((), F(0)), (), 0, F(0))
+    assert chi_f_weighted(Graph(0), []) == empty
+    assert chi_f(Graph(0)) == empty
     assert chi_f(Graph(4)).value == 1
+    g = Graph(3, [(0, 1)])
+    zero = chi_f_weighted(g, [F(0)] * 3)
+    assert (zero.value, zero.primal, zero.dual, zero.pricing_value) == (
+        0, StableSetWeighting((), F(0)), (0, 0, 0), 0
+    )
+    assert zero.columns_generated == 2  # {0, 2} and {1, 2}
+    for graph in (Graph(0), g, complete_graph(4)):
+        assert max_weight_stable_set(graph, [F(0)] * graph.n) == (frozenset(), 0)
 
 
 def test_strong_duality_and_oracle_on_randoms():

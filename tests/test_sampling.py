@@ -265,22 +265,30 @@ def test_aharoni_guard_fires_on_overloaded_tilde():
 
 def test_aharoni_guard_fires_with_a_warm_memo():
     # a failing shape is never memoised: the overloaded choice, and a second
-    # choice of the same shape, raise every time, before and after a good
-    # choice has warmed the memo
+    # choice of the same shape, raise every time, by choice and by block
+    # indices, before and after a good choice has warmed both memos
     g = block_graph(4, 5, cross_edges=[(0, 5), (0, 10), (0, 15)])
     sampler = StableSetSampler(g)
     bad = ((0, 1, 2, 3), (5, 6, 7, 8), (10, 11, 12, 13), (15, 16, 17, 18))
     same_shape = ((0, 1, 2, 4), (5, 6, 7, 9), (10, 11, 12, 14), (15, 16, 17, 19))
     good = ((1, 2, 3, 4), (6, 7, 8, 9), (11, 12, 13, 14), (16, 17, 18, 19))
-    for choice in (bad, bad, same_shape):
-        with pytest.raises(HypothesisViolated):
-            sampler.pool(choice)
+
+    def picks(choice):
+        return tuple(c.index(sub) for c, sub in zip(sampler.block_choices, choice))
+
+    def refused(choices):
+        for choice in choices:
+            with pytest.raises(HypothesisViolated):
+                sampler.pool(choice)
+            with pytest.raises(HypothesisViolated):
+                sampler._pool_plan(picks(choice))
+
+    refused((bad, bad, same_shape))
     assert not sampler._pools and not sampler._shapes
-    sampler.pool(good)
-    for choice in (bad, same_shape, bad):
-        with pytest.raises(HypothesisViolated):
-            sampler.pool(choice)
-    assert list(sampler._pools) == [good] and len(sampler._shapes) == 1
+    pool = sampler._pool_plan(picks(good))[0]
+    assert sampler.pool(good) == pool
+    refused((bad, same_shape, bad))
+    assert list(sampler._pools) == [picks(good)] and len(sampler._shapes) == 1
 
 
 def test_enumeration_size_limit():
@@ -541,14 +549,19 @@ def test_estimate_matches_per_trial_loop(build, trials):
 
 
 def test_sampler_draws_match_per_trial_loop():
-    # the same streams give the same draws, with and without an active
-    # subset, from trial streams and from a plain random.Random alike
+    # sample(rng) reads one rng.randrange(2**64) and nothing else, and returns
+    # trial 0 of that seed, pool column and whole draw as the per-trial loop
+    # makes them: with and without an active subset, from a plain
+    # random.Random and from a trial stream as the caller's rng
     g = medium_instance()
     sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
-    for stream in (lambda t: trial_rng(5, t), lambda t: random.Random(f"draw:5:{t}")):
+    for stream in (random.Random, lambda x: trial_rng(5, x)):
         for active in (None, [15, 17, 18], []):
-            for t in range(300):
-                assert sampler.sample(stream(t), active) == oracle.sample(stream(t), active)
+            for x in range(200):
+                rng, twin = stream(x), stream(x)
+                want = oracle.sample(trial_rng(twin.randrange(2**64), 0), active)
+                assert sampler.sample(rng, active) == want
+                assert rng.randrange(2**64) == twin.randrange(2**64)
 
 
 def tally_by_trials(oracle: TrialLoopSampler, seed: int, key: tuple, trials: int, active=None):
@@ -603,8 +616,8 @@ def test_tally_memos_stay_within_the_cache_cap(monkeypatch):
     g = medium_instance()
     sampler = StableSetSampler(g)
     assert sampler.tally(4, (), 600) == tally_by_trials(TrialLoopSampler(g), 4, (), 600)
-    # the pools by block indices, by choice and by shape
-    assert len(largest) == 3 and max(largest.values()) == 3
+    # the pools by block indices and by shape
+    assert len(largest) == 2 and max(largest.values()) == 3
     assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
 
 
@@ -747,8 +760,9 @@ def first_trials_of_shapes(monkeypatch, g: Graph, seed: int, trials: int) -> lis
     sampler = StableSetSampler(g)
     with monkeypatch.context() as m:
         m.setattr(sampling, "_shape_pool", recorded)
+        m.setattr(sampling, "TRIALS_PER_PROCESS", 10**9)
         for trial in range(trials):
-            sampler.sample(trial_rng(seed, trial))
+            sampler.tally(seed, (), trial + 1)  # earlier trials hit the memo
     return met
 
 
