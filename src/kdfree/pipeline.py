@@ -7,8 +7,9 @@ prob_i(v) * y_i to every vertex, removes the vertices that become full, and
 stops when the budget is spent.  Each step's distribution over S comes from
 exact enumeration or from a seeded Monte Carlo tally, both integer weights
 over S masks with their total, so the mode picks only the source; the step
-probabilities are its Pr(v in S) from StableSetSampler.marginals.  Block
-vertices always survive, every step's distribution is itself a fractional
+probabilities are its Pr(v in S) from StableSetSampler.marginals.  A step
+that fills a block vertex (estimated marginals can) ends the run, leaving
+the rest of y unspent.  Every step's distribution is itself a fractional
 colouring, and the accumulated weighting is an exact certificate for the
 resulting vertex weights.
 """
@@ -114,8 +115,6 @@ def initial_colouring(
         removed: tuple[int, ...] = ()
         if leftover > 0:
             removed = tuple(v for v in active if capacity[v] == 0)
-            if any(v in cs.v_omega for v in removed):
-                raise LpError("a block vertex exhausted its capacity mid-run")
             active_outside = [v for v in active_outside if capacity[v] > 0]
         iterations.append(
             PipelineIteration(
@@ -128,16 +127,18 @@ def initial_colouring(
                 zero_prob_flagged=flagged,
             )
         )
+        if any(v in cs.v_omega for v in removed):
+            break  # every later step would overfill it
 
     final_w = tuple(_ONE - capacity[v] for v in range(n))
     sets = ((mask_to_set(s), m) for s, m in columns.items())
     weighting = StableSetWeighting(
-        tuple(sorted(sets, key=lambda c: tuple(sorted(c[0])))), total=y
+        tuple(sorted(sets, key=lambda c: tuple(sorted(c[0])))), total=y - leftover
     )
     trace = PipelineTrace(
         iterations=tuple(iterations),
         final_w=final_w,
-        y_total=y,
+        y_total=y - leftover,
         exact=(mode == "exact"),
     )
     check = verify_certificate(g, weighting, final_w)

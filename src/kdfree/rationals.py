@@ -4,14 +4,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+RATIONAL_DIGIT_LIMIT = 10_000  # digits per integer that parse_rational reads
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a plain integer/decimal string into a Fraction.
 
     Raises ValueError for a non-string, a zero denominator, exponent
     notation (an exponent such as 1e-4000000 makes the value's size
-    exponential in the length of the text), or a non-ASCII character or
-    '_' (which int() and Fraction() would read as digits or separators).
+    exponential in the length of the text), a non-ASCII character or '_'
+    (which int() and Fraction() would read as digits or separators), or an
+    integer of more than RATIONAL_DIGIT_LIMIT digits (a decimal's digits
+    count together), a cap that also holds under any conversion limit.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational as a string, got {text!r}")
@@ -22,10 +26,31 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"exponent notation is not accepted: {text!r}")
     if "/" in text:
         num, den = text.split("/", 1)
-        if int(den) == 0:
+        q = _read_int(den.strip())
+        if q == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+        return Fraction(_read_int(num.strip()), q)
+    whole, _, frac = text.partition(".")
+    if frac and not frac.isdigit():
+        raise ValueError(f"not an integer, decimal or p/q: {text!r}")
+    return Fraction(_read_int(whole + frac), 10 ** len(frac))
+
+
+def _read_int(text: str) -> int:
+    """An optionally signed ASCII digit string as an int, read in chunks
+    that int() converts under any conversion limit."""
+    digits = text.lstrip("+-")
+    if not digits.isdigit() or len(text) - len(digits) > 1:
+        raise ValueError(f"not an integer: {text!r}")
+    if len(digits) > RATIONAL_DIGIT_LIMIT:
+        raise ValueError(
+            f"{len(digits)} digits; rationals have at most {RATIONAL_DIGIT_LIMIT} digits"
+        )
+    value = 0
+    for i in range(0, len(digits), _STR_SAFE_DIGITS):
+        chunk = digits[i : i + _STR_SAFE_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text[0] == "-" else value
 
 
 def format_rational(value: Fraction) -> str:
@@ -37,19 +62,19 @@ def format_rational(value: Fraction) -> str:
     return f"{numerator}/{_decimal_digits(value.denominator)}"
 
 
-# Below 10**600 str() works under any integer string conversion limit Python
-# accepts (the least is 640 digits), so the split stops there.
-_STR_SAFE = 10**600
+# Up to 600 digits str() and int() work under any integer string conversion
+# limit Python accepts (the least is 640 digits), so the splits stop there.
+_STR_SAFE_DIGITS = 600
+_STR_SAFE = 10**_STR_SAFE_DIGITS
 
 
 def _decimal_digits(n: int) -> str:
     """Exact decimal form of the integer n, however many digits it has.
 
     str() refuses an int past the interpreter's integer string conversion
-    limit (4300 digits by default).  Raising that limit process-wide would
-    also lift it for parse_rational, which relies on it to reject huge
-    input, so a large n is split at a power of ten and each half is
-    converted on its own.
+    limit (4300 digits by default), and lifting that limit process-wide
+    would lift it for every caller, so a large n is split at a power of ten
+    and each half is converted on its own.
     """
     if -_STR_SAFE < n < _STR_SAFE:
         return str(n)

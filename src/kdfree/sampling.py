@@ -5,34 +5,25 @@ induced subgraph (its maximum degree is at most 5, so the clique-partition
 theorem applies), converts the colouring to a uniform column pool with exact
 quarter marginals, and draws one column.  The pool LP depends only on the
 choice's shape (the relabelled 4-subset graph and the chosen 4-subsets in its
-labels), so a sampler solves it once per shape and relabels it for each joint
-choice.  Its two memos hold the solved pools by shape and the relabelled pools
-by the joint choice's indices into block_choices, each at most
-POOL_CACHE_LIMIT entries.  Stage two inserts the outside vertices greedily in
-a uniform random order.  Tiny instances
-admit full enumeration, giving exact marginals against which the Monte Carlo
-estimator is validated: every joint 4-subset choice and pool column, and for
-stage two a recursion on the set of still-insertable outside vertices (the
-first of them in a uniform order is uniform among them), memoised per call.
-Both sources of the distribution give the same output, integer weights over
-S masks with their total: exact enumeration over one common denominator,
-tally as trial counts out of the number of trials.  exact_marginals,
-estimate and both pipeline modes reduce that pair to marginals through one
-routine, StableSetSampler.marginals.
+labels), so a sampler solves it once per shape and relabels it per joint
+choice; both memos hold at most POOL_CACHE_LIMIT entries.  Stage two inserts
+the outside vertices greedily in a uniform order.  The first still-insertable
+vertex of such an order is uniform over the insertable set, so stage two
+draws one of that set and removes its closed neighbourhood, until the set is
+empty.  Exact enumeration (tiny instances) runs the same recursion over every
+joint choice and pool column, memoised by insertable set; it validates the
+Monte Carlo estimator.  Both give integer weights over S masks with their
+total (trial counts out of the trials for tally), which
+StableSetSampler.marginals reduces for exact_marginals, estimate and the
+pipeline.
 
-The Monte Carlo callers (estimate, the pipeline's montecarlo mode) draw
-their trials through StableSetSampler.tally, which gives every trial its own
-counter-based stream: the bits of blake2b digests of the key string
-"seed:key:...:trial" with the block number as the digest's salt, so a
-trial's draws depend only on its key, never on which other trials ran or in
-which order.  StableSetSampler.sample is trial 0 of tally for a seed drawn
-by one randrange(2**64) of a caller's generator.  Exact enumeration does not
-draw.
-
-Because of that, tally splits its trials into contiguous ranges over forked
-processes (Linux, a single-threaded caller, at least 2 * TRIALS_PER_PROCESS
-trials, one process per CPU at most) and merges their counts in range order:
-the result is that of one serial loop, insertion order included.
+StableSetSampler.tally gives every trial its own counter-based stream, the
+bits of blake2b digests of "seed:key:...:trial" salted by block number, so a
+trial's draws depend only on its key.  So tally can split its trials into
+contiguous ranges over forked processes and merge the counts in range order,
+with the result of one serial loop, insertion order included.
+StableSetSampler.sample is trial 0 of tally for a seed drawn by one
+randrange(2**64) of a caller's generator.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
@@ -64,7 +55,7 @@ _ONE = Fraction(1)
 
 OUTSIDE_ENUMERATION_LIMIT = 8
 CHOICE_LIST_LIMIT = 10**6  # 4-subsets listed over all blocks, about 80 bytes each
-POOL_CACHE_LIMIT = 4096  # entries kept per sampler, each of block indices and of shapes
+POOL_CACHE_LIMIT = 4096  # entries kept per sampler in each of its two memos
 TRIALS_PER_PROCESS = 4096  # fewest trials a tally hands to one process
 ENUMERATION_WORK_LIMIT = 10**7
 
@@ -112,11 +103,12 @@ class StableSetSampler:
                 f"blocks have {listed} 4-subsets; a sampler lists at most {CHOICE_LIST_LIMIT}"
             )
         self.block_choices = [list(combinations(b, 4)) for b in self.blocks]
+        self.n_choices = math.prod(len(c) for c in self.block_choices)  # joint choices
         self.outside = tuple(sorted(set(range(g.n)) - set(self.cs.v_omega)))
         self.block_mask = sum(1 << v for v in self.cs.v_omega)
         self.closed = tuple(m | (1 << v) for v, m in enumerate(g.masks))
-        # indices into block_choices -> (pool, *_plan(len(pool)))
-        self._pools: dict[tuple[int, ...], tuple[list[int], int, int, int]] = {}
+        # joint choice index -> (pool, _seen of each column, *_plan(len(pool)))
+        self._pools: dict[int, tuple[list[int], list[int], int, int, int]] = {}
         # (relabelled 4-subset graph, chosen 4-subsets in its labels) -> local pool
         self._shapes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
@@ -126,10 +118,8 @@ class StableSetSampler:
         """Column pool (as vertex bitmasks) for one joint 4-subset choice.
 
         Uniform over the pool, every tilde vertex appears with probability
-        exactly 1/4 and every column meets every chosen 4-subset.  The pool
-        depends only on the choice's shape, the induced 4-subset graph
-        relabelled in vertex order together with the chosen 4-subsets in those
-        labels, so its LP is solved once per shape and relabelled per choice.
+        exactly 1/4 and every column meets every chosen 4-subset.  The LP is
+        solved once per shape (see the module docstring) and relabelled.
         """
         tilde_vertices = sorted(v for sub in choice for v in sub)
         index = {v: i for i, v in enumerate(tilde_vertices)}
@@ -143,26 +133,41 @@ class StableSetSampler:
             _remember(self._shapes, shape, local)
         return [sum(1 << tilde_vertices[i] for i in col) for col in local]
 
-    def _pool_plan(self, picks: tuple[int, ...]) -> tuple[list[int], int, int, int]:
-        """(pool, *_plan(len(pool))) of the joint choice with these indices
-        into block_choices, stored in the memo by the indices."""
-        pool = self.pool(tuple(c[r] for c, r in zip(self.block_choices, picks)))
-        plan = (pool, *_plan(len(pool)))
-        _remember(self._pools, picks, plan)
+    def _pool_plan(self, j: int) -> tuple[list[int], list[int], int, int, int]:
+        """(pool, seen, *_plan(len(pool))) of joint choice j, stored in the
+        memo by j; seen[i] = _seen(pool[i]).  j's mixed-radix digits, block 0
+        the least significant, index each block's block_choices."""
+        choice, rest = [], j
+        for c in self.block_choices:
+            rest, r = divmod(rest, len(c))
+            choice.append(c[r])
+        pool = self.pool(tuple(choice))
+        plan = (pool, [self._seen(col) for col in pool], *_plan(len(pool)))
+        _remember(self._pools, j, plan)
         return plan
 
     # ── stage two ─────────────────────────────────────────────────────────
 
     def extend(self, rng: Random, s_omega_mask: int, active: Sequence[int] | None = None) -> int:
-        vertices = list(self.outside if active is None else sorted(active))
-        for i in range(len(vertices) - 1, 0, -1):
-            j = rng.randrange(i + 1)
-            vertices[i], vertices[j] = vertices[j], vertices[i]
+        """s_omega_mask with stage two drawn through rng.randrange: while the
+        set I of active outside vertices with no neighbour in S is non-empty,
+        r = randrange(|I|) adds I's r-th smallest vertex u to S, and I loses
+        N[u].  _tally draws stage two by this rule, from its stream."""
         s = s_omega_mask
-        for u in vertices:
-            if not self.g.masks[u] & s:
-                s |= 1 << u
+        free = self._outside_mask(active) & ~self._seen(s)
+        while free:
+            u = sorted(mask_to_set(free))[rng.randrange(free.bit_count())]
+            s |= 1 << u
+            free &= ~self.closed[u]
         return s
+
+    def _outside_mask(self, active: Sequence[int] | None) -> int:
+        """The active outside vertices (all when active is None) as a mask."""
+        return sum(1 << v for v in (self.outside if active is None else set(active)))
+
+    def _seen(self, s: int) -> int:
+        """The outside vertices with a neighbour in s, as a mask."""
+        return sum(1 << v for v in self.outside if self.g.masks[v] & s)
 
     def sample(self, rng: Random, active: Sequence[int] | None = None) -> tuple[int, int]:
         """One draw; returns (S_omega mask, S mask).
@@ -183,21 +188,19 @@ class StableSetSampler:
         concatenated 512-bit blocks _block(key, 0), _block(key, 1), ..., read
         from the low end and fetched only when the bits drawn so far run out.
         A draw below n takes the next (n - 1).bit_length() bits and rejects
-        them until they are below n.  A trial draws one index per block, one
-        pool index, then a Fisher-Yates shuffle of the outside vertices from
-        the end.
+        them until they are below n.  A trial draws the joint choice index
+        below n_choices (see _pool_plan), the pool index, then stage two by
+        the rule of extend.
 
         The trials split into contiguous ranges, one per process, each of at
-        least TRIALS_PER_PROCESS trials and no more processes than the CPUs
-        this process may run on.  The caller runs the first range; each other
-        range runs in a forked child that sends its counts back through a
-        pipe, and the counts are merged in range order, so the counts and
-        their insertion order are those of one serial loop.  A child works
-        on a copy of the memos.  A child that fails has its range run again
-        here, which raises what a serial run would.  The run stays in this
-        process without os.fork or os.sched_getaffinity (off Linux), with a
-        second thread running, on one CPU, or below 2 * TRIALS_PER_PROCESS
-        trials.
+        least TRIALS_PER_PROCESS trials, one process per CPU this process
+        may run on at most.  The caller runs the first range, forked children
+        the others, each on a copy of the memos, sending its counts back
+        through a pipe; merged in range order, counts and insertion order are
+        those of one serial loop.  A failed child's range runs again here, so
+        it raises what a serial run would.  The run stays serial without
+        os.fork or os.sched_getaffinity, with a second thread running, on one
+        CPU, or below 2 * TRIALS_PER_PROCESS trials.
         """
         prefix = ":".join(map(str, (seed, *key, ""))).encode()
         parts = _processes(trials)
@@ -248,32 +251,29 @@ class StableSetSampler:
 
         The loop reads the digest bits directly: each draw is an inline
         rejection step (a method call per draw cost more than the hashing),
-        the shuffle and the greedy insertion are written out, and pools are
-        looked up by the tuple of block indices drawn.
+        and pools are looked up by the joint choice index drawn, with the
+        outside vertices each column sees, so the insertable set is one mask.
         """
-        block_plans = [_plan(len(c)) for c in self.block_choices]
-        order = tuple(self.outside if active is None else sorted(active))
-        swap_plans = [(*_plan(i + 1), i) for i in range(len(order) - 1, 0, -1)]
-        masks, pools = self.g.masks, self._pools
+        joint = _plan(self.n_choices)
+        active_mask = self._outside_mask(active)
+        plans = [_plan(i) for i in range(active_mask.bit_count() + 1)]
+        closed, pools = self.closed, self._pools
         counts: Counter[int] = Counter()
         for t in trial_range:
             key_t = prefix + b"%d" % t
             bits, left, block = _block(key_t, 0), 512, 1
-            drawn = []
-            for n, k, mask in block_plans:
-                while True:
-                    while left < k:
-                        bits |= _block(key_t, block) << left
-                        left += 512
-                        block += 1
-                    r = bits & mask
-                    bits >>= k
-                    left -= k
-                    if r < n:
-                        break
-                drawn.append(r)
-            picks = tuple(drawn)
-            pool, n, k, mask = pools.get(picks) or self._pool_plan(picks)
+            n, k, mask = joint
+            while True:
+                while left < k:
+                    bits |= _block(key_t, block) << left
+                    left += 512
+                    block += 1
+                j = bits & mask
+                bits >>= k
+                left -= k
+                if j < n:
+                    break
+            pool, seen, n, k, mask = pools.get(j) or self._pool_plan(j)
             while True:
                 while left < k:
                     bits |= _block(key_t, block) << left
@@ -285,8 +285,9 @@ class StableSetSampler:
                 if r < n:
                     break
             s = pool[r]
-            vertices = list(order)
-            for n, k, mask, i in swap_plans:
+            free = active_mask & ~seen[r]
+            while free:
+                n, k, mask = plans[free.bit_count()]
                 while True:
                     while left < k:
                         bits |= _block(key_t, block) << left
@@ -297,10 +298,12 @@ class StableSetSampler:
                     left -= k
                     if r < n:
                         break
-                vertices[i], vertices[r] = vertices[r], vertices[i]
-            for u in vertices:
-                if not masks[u] & s:
-                    s |= 1 << u
+                rest = free  # its r-th smallest vertex joins S (see extend)
+                for _ in range(r):
+                    rest &= rest - 1
+                u = (rest & -rest).bit_length() - 1
+                s |= 1 << u
+                free &= ~closed[u]
             counts[s] += 1
         return counts
 
@@ -310,11 +313,9 @@ class StableSetSampler:
         """The exact two-stage distribution as integer weights over S masks
         and their total, by recursion on the insertable set.
 
-        In a uniform order of the outside vertices, the first one still
-        insertable is uniform over the insertable set I, and the rest of the
-        order stays uniform.  So the sets stage two inserts are distributed as
-        g(0) = {0: 1} and g(I) = the average over u in I of {u} | g(I - N[u]).
-        The recursion runs on the integers H(I) = |I|! g(I):
+        The sets stage two inserts from the insertable set I are distributed
+        as g(0) = {0: 1} and g(I) = the average over u in I of {u} | g(I - N[u])
+        (see extend).  The recursion runs on the integers H(I) = |I|! g(I):
 
             H(I)[T | {u}] += H(I - N[u])[T] * (|I|-1)! / |I - N[u]|!,
 
@@ -326,16 +327,16 @@ class StableSetSampler:
         n joint choices; the weights are kept per pool size and merged over
         the lcm L of the sizes, giving integer weights out of n L k!.
         """
-        outside = list(self.outside if active is None else sorted(active))
-        if len(outside) > OUTSIDE_ENUMERATION_LIMIT:
+        active_mask = self._outside_mask(active)
+        if active_mask.bit_count() > OUTSIDE_ENUMERATION_LIMIT:
             raise SizeLimit(
                 f"exact enumeration handles at most {OUTSIDE_ENUMERATION_LIMIT} outside vertices"
             )
-        n_choices = math.prod(len(opts) for opts in self.block_choices)
+        n_choices = self.n_choices
         if n_choices > ENUMERATION_WORK_LIMIT:
             raise SizeLimit("too many joint 4-subset choices")
-        masks, closed = self.g.masks, self.closed
-        fact = [math.factorial(i) for i in range(len(outside) + 1)]
+        closed = self.closed
+        fact = [math.factorial(i) for i in range(active_mask.bit_count() + 1)]
         memo: dict[int, dict[int, int]] = {0: {0: 1}}
 
         def inserted(free: int) -> dict[int, int]:
@@ -356,14 +357,11 @@ class StableSetSampler:
 
         by_size: dict[int, dict[int, int]] = {}
         work = 0
-        for picks in product(*(range(len(c)) for c in self.block_choices)):
-            pool = (self._pools.get(picks) or self._pool_plan(picks))[0]
+        for j in range(n_choices):
+            pool, seen = (self._pools.get(j) or self._pool_plan(j))[:2]
             dist = by_size.setdefault(len(pool), {})
-            for col in pool:
-                free = 0
-                for v in outside:
-                    if not masks[v] & col:
-                        free |= 1 << v
+            for col, sees in zip(pool, seen):
+                free = active_mask & ~sees
                 tails = inserted(free)
                 work += len(tails)
                 if work > ENUMERATION_WORK_LIMIT:
@@ -556,10 +554,8 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
     """Seeded Monte Carlo estimates checked against the theoretical floors.
 
     Deterministic for fixed (graph, seed, trials): StableSetSampler.tally
-    draws trial t from the stream keyed "seed:t", so aggregation order
-    cannot matter, and counts the draws by their S masks;
-    StableSetSampler.marginals counts each distinct S into the per-vertex
-    figures once.
+    draws trial t from the stream keyed "seed:t" and counts the S masks,
+    which StableSetSampler.marginals reduces to the per-vertex figures.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

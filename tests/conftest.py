@@ -6,7 +6,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from kdfree.graphs import Graph, block_graph
 from kdfree.intervals import to_multiset
@@ -212,15 +212,17 @@ def brute_near_cliques(g: Graph, delta: int, pattern: str) -> list[tuple[int, ..
 
 def shuffle(rng, items: list) -> None:
     """Fisher-Yates from the end through rng.randrange, as random.Random's
-    shuffle and the sampler do."""
+    shuffle does."""
     for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
         items[i], items[j] = items[j], items[i]
 
 
 class TrialLoopSampler:
-    """The two-stage draw as one loop per trial: `randrange` picks, a written
-    out Fisher-Yates shuffle, and one pool LP per joint 4-subset choice."""
+    """The two-stage draw as one loop per trial: one `randrange` over every
+    joint 4-subset choice, read block 0 first, a `randrange` pool index, one
+    pool LP per joint choice, and one `randrange` over the insertable outside
+    vertices, in vertex order, per insertion."""
 
     def __init__(self, g: Graph):
         self.g = g
@@ -245,16 +247,23 @@ class TrialLoopSampler:
             self.pools[choice] = pool
         return self.pools[choice]
 
-    def sample(self, rng: random.Random, active=None) -> tuple[int, int]:
-        choice = tuple(opts[rng.randrange(len(opts))] for opts in self.sampler.block_choices)
-        pool = self.pool(choice)
+    def sample(self, rng, active=None) -> tuple[int, int]:
+        options = self.sampler.block_choices
+        joint = rng.randrange(prod(len(opts) for opts in options))
+        choice = []
+        for opts in options:
+            choice.append(opts[joint % len(opts)])
+            joint //= len(opts)
+        pool = self.pool(tuple(choice))
         s_omega = pool[rng.randrange(len(pool))]
-        vertices = list(self.sampler.outside if active is None else sorted(active))
-        shuffle(rng, vertices)
+        chosen = {v for v in range(self.g.n) if (s_omega >> v) & 1}
+        outside = self.sampler.outside if active is None else active
+        insertable = sorted(u for u in set(outside) if not self.g.adj[u] & chosen)
         s = s_omega
-        for u in vertices:
-            if not self.g.masks[u] & s:
-                s |= 1 << u
+        while insertable:
+            u = insertable[rng.randrange(len(insertable))]
+            s |= 1 << u
+            insertable = [v for v in insertable if v != u and v not in self.g.adj[u]]
         return s_omega, s
 
 

@@ -9,6 +9,7 @@ import io
 import json
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from kdfree.graphs import (
     write_edge_list,
 )
 from kdfree.intervals import certificate_from_json
-from kdfree.rationals import parse_rational
+from kdfree.rationals import RATIONAL_DIGIT_LIMIT, format_rational, parse_rational
 from kdfree.structure import NEAR_CLIQUE_PATTERNS, find_near_clique, pipeline_eligibility
 
 
@@ -199,6 +200,27 @@ def test_certify_rejects_tampered_certificate(graph_file, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_certify_reads_long_rationals_up_to_the_cap(graph_file, tmp_path, capsys):
+    # k raised by 1/10**5000 has a 5,001-digit denominator, past the
+    # interpreter's 4,300-digit conversion limit, and still bounds the
+    # columns; a numerator past RATIONAL_DIGIT_LIMIT digits is an input error
+    el = graph_file("a.el", instance_a())
+    cert = tmp_path / "cert.json"
+    main(["chif", "--graph", el, "--emit-cert", str(cert)])
+    payload = json.loads(cert.read_text())
+    k = parse_rational(payload["k"])
+    for value, code in (
+        (format_rational(k + Fraction(1, 10**5000)), 0),
+        ("9" * (RATIONAL_DIGIT_LIMIT + 1) + "/7", 2),
+    ):
+        payload["k"] = value
+        cert.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["certify", "--graph", el, "--cert", str(cert)]) == code
+    err = capsys.readouterr().err
+    assert "malformed certificate" in err and f"at most {RATIONAL_DIGIT_LIMIT} digits" in err
+
+
 def test_certify_mismatched_graph_is_input_error(graph_file, tmp_path):
     el = graph_file("a.el", instance_a())
     cert = tmp_path / "cert.json"
@@ -255,8 +277,8 @@ def test_pipeline_montecarlo_file_bytes(graph_file, tmp_path, capsys):
     ]) == 0
     digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, cert)]
     assert digests == [
-        "d5597a8a938b7fa044ceb849daa614d42d674b6bd13e891b546912c123fec9b0",
-        "eaa9ef7c1beffc2984fd2750ae052559f47029028c13b6bf38258d11ca3e8f40",
+        "844a67b24b21f72ad1dd772ebcf1d3d5d0b27326b6844c27081cc6b3762c1563",
+        "1e9bffd318b85fa5297278230a8c2095b9766861bb28be36ff08c2a30d653fdd",
     ]
 
 

@@ -127,6 +127,23 @@ def test_montecarlo_mode_runs_and_is_exact_for_achieved_weights():
     assert again == trace
 
 
+def test_montecarlo_run_stops_when_a_block_vertex_fills():
+    # at y = omega the exact run pays every block vertex exactly 1; estimated
+    # block marginals in a block sum to 1, so one above 1/omega fills its
+    # vertex before y is spent, and the run stops there with the rest unspent
+    g = medium_instance()
+    v_omega = clique_structure(g).v_omega
+    for seed in range(3):
+        trace, weighting = initial_colouring(g, F(5), mode="montecarlo", trials=300, seed=seed)
+        last = trace.iterations[-1]
+        full = [v for v in last.removed if v in v_omega]
+        assert full and all(trace.final_w[v] == 1 for v in full)
+        assert last.leftover_after > 0 and trace.y_total == 5 - last.leftover_after
+        assert weighting.total == trace.y_total == sum(w for _, w in weighting.columns)
+        assert verify_certificate(g, weighting, trace.final_w).ok
+        assert all(not (set(it.removed) & v_omega) for it in trace.iterations[:-1])
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_montecarlo_mode_rejects_nonpositive_trials(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdfree.rationals import format_rational, parse_rational, round_half_even, truncate_decimal
+from kdfree.rationals import (
+    RATIONAL_DIGIT_LIMIT,
+    format_rational,
+    parse_rational,
+    round_half_even,
+    truncate_decimal,
+)
 
 
 def test_output_past_the_digit_limit():
@@ -28,14 +34,54 @@ def test_output_past_the_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-def test_parse_rational_rejects_5000_digit_numerator():
-    format_rational(Fraction(10**6000 + 1, 3))  # output leaves the limit in force
+@pytest.mark.parametrize("digits", [5000, RATIONAL_DIGIT_LIMIT])
+def test_parse_rational_reads_back_past_the_conversion_limit(digits):
+    # past str()'s and int()'s 4,300 digits, under the least conversion limit
+    # Python accepts, and as numerator, denominator and decimal digits
+    top = 10 ** (digits - 1)
+    values = [Fraction(top + 7, 3), Fraction(-3, top + 1), Fraction(top - 1, top + 1)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for x in values:
+            assert parse_rational(format_rational(x)) == x
+        assert parse_rational("-0." + "0" * (digits - 2) + "5") == Fraction(-5, 10 ** (digits - 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_parse_rational_rejects_digits_past_the_cap():
+    past = "7" * (RATIONAL_DIGIT_LIMIT + 1)
+    for text in (past, f"{past}/3", f"3/{past}", f"-{past}", f"0.{past[1:]}", f"{past[1:]}.5"):
+        with pytest.raises(ValueError, match=f"at most {RATIONAL_DIGIT_LIMIT} digits"):
+            parse_rational(text)
+    assert parse_rational("0" * RATIONAL_DIGIT_LIMIT + "/1") == 0
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1/2", Fraction(1, 2)), (" -3 / 4 ", Fraction(-3, 4)), ("1/-2", Fraction(-1, 2)),
+        ("+5", Fraction(5)), ("-.5", Fraction(-1, 2)), ("1.", Fraction(1)), ("0.250", Fraction(1, 4)),
+        ("00012/0004", Fraction(3)), ("-0", Fraction(0)),
+    ],
+)
+def test_parse_rational_reads_integers_decimals_and_quotients(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["", ".", "-", "+-1", "--1", "1.2.3", "1/2/3", "1 2", "1/", "/2", "0x10", "1/0", "inf"]
+)
+def test_parse_rational_rejects_what_is_not_a_rational(text):
     with pytest.raises(ValueError):
-        parse_rational("7" * 5000 + "/3")
+        parse_rational(text)
 
 
 # integers of any size: small ones, and 7^k plus a small offset for k up to
 # 7,500 (about 6,300 digits), past the 4,300-digit limit of str() and int()
+# and below RATIONAL_DIGIT_LIMIT
 _MAGNITUDES = st.one_of(
     st.integers(0, 10**30),
     st.builds(lambda k, a: 7**k + a, st.integers(0, 7500), st.integers(0, 10**6)),
@@ -46,18 +92,4 @@ _MAGNITUDES = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_parse_reads_back_what_format_writes(magnitude, denominator, negative):
     x = Fraction(-magnitude if negative else magnitude, denominator + 1)
-    text = format_rational(x)
-    numerator, _, denominator_text = text.lstrip("-").partition("/")
-    limit = sys.get_int_max_str_digits()
-    if max(len(numerator), len(denominator_text)) <= limit:
-        assert parse_rational(text) == x
-        return
-    # past the limit the parser refuses the text, as documented; with the
-    # limit lifted it reads back the same value
-    with pytest.raises(ValueError):
-        parse_rational(text)
-    sys.set_int_max_str_digits(0)
-    try:
-        assert parse_rational(text) == x
-    finally:
-        sys.set_int_max_str_digits(limit)
+    assert parse_rational(format_rational(x)) == x

@@ -218,12 +218,12 @@ def test_estimate_classes_and_bounds():
 @pytest.mark.parametrize(
     "build, digest",
     [
-        (medium_instance, "e779e2e486e3c6968ca1b028219676c274160bb5017f7d4ef0ed2fd5fb1ba89b"),
-        (three_k7, "3393a7951ffe5efa96cc12e799029bc2ba886b7f74fa8d527e0791a83eee8727"),
+        (medium_instance, "e86a20e77ca25683f3dd5a2758ff14670ae07100f122448fd37569bcdc9fd4ab"),
+        (three_k7, "0f513646e367b700aca395ab258192bb90f46c7ca388963f24744bf27c34b8e0"),
         # Delta = 5: ineligible, so zero floors outside the blocks and no checks
         (
             lambda: block_graph(2, 5, [(0, 5)], [[1, 6], [2]]),
-            "8b24c542106b962a39a537a1456cd6c718120a3bed24b10ff7a66cdb0471722c",
+            "37363d7e317bf2c0ddac24c50a47a8035bfb205935622427a8354670da1e8cb1",
         ),
     ],
     ids=["medium", "3xK7", "ineligible"],
@@ -265,8 +265,8 @@ def test_aharoni_guard_fires_on_overloaded_tilde():
 
 def test_aharoni_guard_fires_with_a_warm_memo():
     # a failing shape is never memoised: the overloaded choice, and a second
-    # choice of the same shape, raise every time, by choice and by block
-    # indices, before and after a good choice has warmed both memos
+    # choice of the same shape, raise every time, by choice and by joint
+    # choice index, before and after a good choice has warmed both memos
     g = block_graph(4, 5, cross_edges=[(0, 5), (0, 10), (0, 15)])
     sampler = StableSetSampler(g)
     bad = ((0, 1, 2, 3), (5, 6, 7, 8), (10, 11, 12, 13), (15, 16, 17, 18))
@@ -274,7 +274,11 @@ def test_aharoni_guard_fires_with_a_warm_memo():
     good = ((1, 2, 3, 4), (6, 7, 8, 9), (11, 12, 13, 14), (16, 17, 18, 19))
 
     def picks(choice):
-        return tuple(c.index(sub) for c, sub in zip(sampler.block_choices, choice))
+        # the mixed-radix index, block 0 the least significant digit
+        j = 0
+        for c, sub in reversed(list(zip(sampler.block_choices, choice))):
+            j = j * len(c) + c.index(sub)
+        return j
 
     def refused(choices):
         for choice in choices:
@@ -592,15 +596,24 @@ def test_tally_matches_per_trial_loop(build, trials):
     assert sampler.tally(7, (), 1) == tally_by_trials(oracle, 7, (), 1)
 
 
-def test_tally_shuffle_crosses_a_block_boundary():
-    # 150 outside vertices on a path: the shuffle alone reads over 512 bits
+def test_tally_shuffle_crosses_a_block_boundary(monkeypatch):
+    # 150 outside vertices on a path: stage two's draws over the insertable
+    # set, dozens per trial, run past the first 512-bit block in some trials
     outside = [[i % 10] for i in range(150)]
     g = block_graph(2, 5, [(0, 5)], outside, [(i, i + 1) for i in range(149)])
     sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
     assert len(sampler.outside) == 150
-    assert sum(i.bit_length() for i in range(1, 150)) > 512
+    blocks_read: dict[bytes, int] = {}  # trial key -> the last block it read
+    block = sampling._block
+
+    def recorded(key, b):
+        blocks_read[key] = max(blocks_read.get(key, 0), b)
+        return block(key, b)
+
+    monkeypatch.setattr(sampling, "_block", recorded)
     for key in ((), (1,)):
         assert sampler.tally(3, key, 40) == tally_by_trials(oracle, 3, key, 40)
+    assert len(blocks_read) == 80 and max(blocks_read.values()) >= 1
 
 
 def test_tally_memos_stay_within_the_cache_cap(monkeypatch):
@@ -681,6 +694,66 @@ def test_pool_caches_stay_within_their_cap(monkeypatch):
     assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
     sampler.enumerate_exact()
     assert len(sampler._pools) == 3 and len(sampler._shapes) <= 3
+
+
+# ── the law of one trial's draws ───────────────────────────────────────────
+
+
+class PathRng:
+    """randrange that answers `path` in turn and 0 after it, recording the
+    range of every draw."""
+
+    def __init__(self, path: tuple[int, ...]):
+        self.path, self.ranges = path, []
+
+    def randrange(self, n: int) -> int:
+        i = len(self.ranges)
+        self.ranges.append(n)
+        return self.path[i] if i < len(self.path) else 0
+
+
+def law_of_draws(trial) -> dict[int, Fraction]:
+    """The law of trial(rng)'s S mask: every path of randrange outcomes,
+    each weighted by the product of 1/n over its draws."""
+    law: dict[int, Fraction] = {}
+    paths = [()]
+    while paths:
+        path = paths.pop()
+        rng = PathRng(path)
+        s = trial(rng)
+        law[s] = law.get(s, F(0)) + F(1, math.prod(rng.ranges))
+        for i in range(len(path), len(rng.ranges)):
+            prefix = path + (0,) * (i - len(path))
+            paths.extend(prefix + (r,) for r in range(1, rng.ranges[i]))
+    return law
+
+
+def seven_outside() -> Graph:
+    """Two bridged K5 blocks with seven outside vertices (k5x2-7out)."""
+    return block_graph(
+        2, 5, [(0, 5)], [[0], [5], [1, 6], [2, 7], [3], [8], [4, 9]], [(0, 1), (2, 3), (4, 5)]
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [instance_a, instance_b, instance_c, medium_instance, seven_outside],
+    ids=["tiny-a", "tiny-b", "tiny-c", "medium", "k5x2-7out"],
+)
+def test_every_draw_path_of_a_trial_gives_the_exact_law(build):
+    # a trial of the per-trial loop (the draws tally makes, see
+    # test_tally_matches_per_trial_loop), and the joint index, pool index and
+    # extend of the sampler, each walked over every outcome of every draw
+    g = build()
+    sampler, oracle = StableSetSampler(g), TrialLoopSampler(g)
+    weights, total = sampler.enumerate_exact()
+    exact = {s: F(w, total) for s, w in weights.items()}
+
+    def sampler_trial(rng):
+        pool = sampler._pool_plan(rng.randrange(sampler.n_choices))[0]
+        return sampler.extend(rng, pool[rng.randrange(len(pool))])
+
+    assert law_of_draws(lambda rng: oracle.sample(rng)[1]) == exact
+    assert law_of_draws(sampler_trial) == exact
 
 
 # ── trials split over forked processes ────────────────────────────────────
@@ -769,10 +842,11 @@ def first_trials_of_shapes(monkeypatch, g: Graph, seed: int, trials: int) -> lis
 @needs_fork
 @pytest.mark.parametrize("refused", [(3,), (2, 3), (1, 3)], ids=["last-child", "both-children", "parent"])
 def test_split_tally_raises_what_a_serial_run_raises(split, monkeypatch, refused):
-    # seed 2 meets four shapes in 24 trials, first at trials 0, 1, 9 and 22:
-    # split into three ranges of 8, the parent's range meets shapes 0 and 1,
-    # the first child's shape 2 and the second child's shape 3
-    g, seed, trials = medium_instance(), 2, 24
+    # seed 5, the least seed whose 24 trials meet a new shape in each range
+    # of 8, meets four shapes, first at trials 0, 1, 10 and 16: split into
+    # three ranges of 8, the parent's range meets shapes 0 and 1, the first
+    # child's shape 2 and the second child's shape 3
+    g, seed, trials = medium_instance(), 5, 24
     met = first_trials_of_shapes(monkeypatch, g, seed, trials)
     assert [t // 8 for t, _ in met] == [0, 0, 1, 2]
     bad = {met[i][1]: f"refused the shape first met at trial {met[i][0]}" for i in refused}
