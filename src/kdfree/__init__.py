@@ -35,7 +35,6 @@ from .intervals import (
     StableSetWeighting,
     hall_extend,
     to_intervals,
-    to_multiset,
     to_weighting,
     verify_certificate,
 )

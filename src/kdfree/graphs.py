@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .errors import GraphFormatError, SizeLimit
@@ -313,6 +313,70 @@ def clique_structure(g: Graph) -> CliqueStructure:
         v_omega_prime=v_prime,
         d_omega=d_omega,
     )
+
+
+COLOURING_NODE_LIMIT = 10**5  # colour assignments one rainbow_colouring search may try
+
+
+def rainbow_colouring(
+    g: Graph, parts: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The four colour classes (sorted) of a proper 4-colouring of g, or None
+    if g has none.  `parts` split g's vertices into cliques, so each class
+    meets every 4-vertex part once.
+
+    A deterministic complete search: it colours the least vertex with the
+    fewest colours left, trying its colours in order.  Each part that the
+    assignment touches then keeps for its uncoloured vertices only the
+    colours they take in some matching onto the part's missing colours; if
+    there is none, Hall's condition fails and the search backtracks.  Raises
+    SizeLimit, naming the parts and edges, after COLOURING_NODE_LIMIT tries.
+    """
+    part_of = {v: tuple(part) for part in parts for v in part}
+    left = [15] * g.n  # the colours each vertex may still take, as 4-bit masks
+    colour = [-1] * g.n
+    stack: list[tuple[int, int, list[tuple[int, int]]]] = []  # (v, its colour, undo log)
+    v, c, nodes = None, 0, 0
+
+    def match(part: tuple[int, ...], log: list[tuple[int, int]]) -> bool:
+        free = [u for u in part if colour[u] < 0]
+        missing = [k for k in range(4) if all(colour[u] != k for u in part)]
+        kept = [0] * len(free)
+        for perm in permutations(missing, len(free)):
+            if all(left[u] >> k & 1 for u, k in zip(free, perm)):
+                kept = [m | 1 << k for m, k in zip(kept, perm)]
+        log += [(u, left[u]) for u in free]
+        for u, m in zip(free, kept):
+            left[u] = m
+        return all(kept)
+
+    while True:
+        if v is None:
+            best = min(((left[u].bit_count(), u) for u in range(g.n) if colour[u] < 0), default=())
+            if not best:
+                return tuple(tuple(u for u in range(g.n) if colour[u] == k) for k in range(4))
+            v = best[1]
+        while c < 4 and not left[v] >> c & 1:
+            c += 1
+        if c < 4:
+            nodes += 1
+            if nodes > COLOURING_NODE_LIMIT:
+                raise SizeLimit(f"colouring search gave up: parts {list(parts)}, edges {g.edges()}")
+            colour[v] = c
+            log = [(u, left[u]) for u in g.adj[v] if colour[u] < 0]
+            for u, m in log:
+                left[u] = m & ~(1 << c)
+            stack.append((v, c, log))
+            if all(match(part, log) for part in {part_of[v], *(part_of[u] for u, _ in log)}):
+                v, c = None, 0
+                continue
+        elif not stack:  # no colour left for v, and no assignment to undo
+            return None
+        v, c, log = stack.pop()  # undo the last assignment and try its next colour
+        for u, m in reversed(log):
+            left[u] = m
+        colour[v] = -1
+        c += 1
 
 
 def reed_weight(

@@ -10,7 +10,6 @@ Hall's condition and an exact max-flow over interval atoms.
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,16 +155,6 @@ def to_intervals(ssw: StableSetWeighting) -> IntervalColouring:
     if cursor > ssw.total:
         raise ValueError("column weights exceed the stated total")
     return IntervalColouring(k=Fraction(ssw.total), assignment=tuple(assignment))
-
-
-def to_multiset(ssw: StableSetWeighting) -> list[frozenset[int]]:
-    """Expand to a multiset of c*total stable sets, each column repeated c*weight
-    times, for the least c making the total and every weight a multiple of 1/c."""
-    c = math.lcm(ssw.total.denominator, *(wt.denominator for _, wt in ssw.columns))
-    out = []
-    for s, wt in ssw.columns:
-        out.extend([frozenset(s)] * (c * wt.numerator // wt.denominator))
-    return out
 
 
 # ── certificate verification ──────────────────────────────────────────────

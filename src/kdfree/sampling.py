@@ -1,21 +1,22 @@
 """Two-stage random stable sets over the block structure.
 
-Stage one draws a uniform 4-subset of every block, fractionally 4-colours the
-induced subgraph (its maximum degree is at most 5, so the clique-partition
-theorem applies), converts the colouring to a uniform column pool with exact
-quarter marginals, and draws one column.  The pool LP depends only on the
-choice's shape (the relabelled 4-subset graph and the chosen 4-subsets in its
-labels), so a sampler solves it once per shape and relabels it per joint
-choice; both memos hold at most POOL_CACHE_LIMIT entries.  Stage two inserts
-the outside vertices greedily in a uniform order.  The first still-insertable
-vertex of such an order is uniform over the insertable set, so stage two
-draws one of that set and removes its closed neighbourhood, until the set is
-empty.  Exact enumeration (tiny instances) runs the same recursion over every
-joint choice and pool column, memoised by insertable set; it validates the
-Monte Carlo estimator.  Both give integer weights over S masks with their
-total (trial counts out of the trials for tally), which
-StableSetSampler.marginals reduces for exact_marginals, estimate and the
-pipeline.
+Stage one draws a uniform 4-subset of every block, properly 4-colours the
+induced 4-subset graph (disjoint K4s, at most 2 edges per vertex between them)
+with graphs.rainbow_colouring, and draws one of the four colour classes.  Each
+class meets every chosen 4-subset once, and a uniform class holds every vertex
+with probability exactly 1/4, the marginal behind p(Delta, d).  The colouring
+depends only on the choice's shape (the relabelled 4-subset graph and the
+chosen 4-subsets in its labels), so a sampler finds it once per shape and
+relabels it per joint choice; both memos hold at most POOL_CACHE_LIMIT
+entries.  Stage two inserts the outside vertices greedily in a uniform
+order.  The first still-insertable vertex of such an order is uniform over
+the insertable set, so stage two draws one of that set and removes its closed
+neighbourhood, until the set is empty.  Exact enumeration (tiny instances)
+runs the same recursion over every joint choice and pool column, memoised by
+insertable set; it validates the Monte Carlo estimator.  Both give integer
+weights over S masks with their total (trial counts out of the trials for
+tally), which StableSetSampler.marginals reduces for exact_marginals,
+estimate and the pipeline.
 
 StableSetSampler.tally gives every trial its own counter-based stream, the
 bits of blake2b digests of "seed:key:...:trial" salted by block number, so a
@@ -42,16 +43,13 @@ from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 
 from .bounds import mu_values, p_value
 from .errors import EligibilityError, HypothesisViolated, SizeLimit
-from .graphs import CliqueStructure, Graph, clique_structure
-from .intervals import to_multiset
-from .lp import chi_f_weighted
+from .graphs import CliqueStructure, Graph, clique_structure, rainbow_colouring
 from .structure import check_disjoint_max_cliques, check_external_neighbours, pipeline_eligibility
 
 if TYPE_CHECKING:
     from random import Random
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 OUTSIDE_ENUMERATION_LIMIT = 8
 CHOICE_LIST_LIMIT = 10**6  # 4-subsets listed over all blocks, about 80 bytes each
@@ -107,20 +105,16 @@ class StableSetSampler:
         self.outside = tuple(sorted(set(range(g.n)) - set(self.cs.v_omega)))
         self.block_mask = sum(1 << v for v in self.cs.v_omega)
         self.closed = tuple(m | (1 << v) for v, m in enumerate(g.masks))
-        # joint choice index -> (pool, _seen of each column, *_plan(len(pool)))
-        self._pools: dict[int, tuple[list[int], list[int], int, int, int]] = {}
+        # joint choice index -> (pool, _seen of each column)
+        self._pools: dict[int, tuple[list[int], list[int]]] = {}
         # (relabelled 4-subset graph, chosen 4-subsets in its labels) -> local pool
         self._shapes: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
     # ── stage one ─────────────────────────────────────────────────────────
 
     def pool(self, choice: tuple[tuple[int, ...], ...]) -> list[int]:
-        """Column pool (as vertex bitmasks) for one joint 4-subset choice.
-
-        Uniform over the pool, every tilde vertex appears with probability
-        exactly 1/4 and every column meets every chosen 4-subset.  The LP is
-        solved once per shape (see the module docstring) and relabelled.
-        """
+        """The four colour classes (vertex bitmasks) of a joint 4-subset
+        choice's 4-subset graph, found once per shape and relabelled."""
         tilde_vertices = sorted(v for sub in choice for v in sub)
         index = {v: i for i, v in enumerate(tilde_vertices)}
         shape = (
@@ -133,16 +127,16 @@ class StableSetSampler:
             _remember(self._shapes, shape, local)
         return [sum(1 << tilde_vertices[i] for i in col) for col in local]
 
-    def _pool_plan(self, j: int) -> tuple[list[int], list[int], int, int, int]:
-        """(pool, seen, *_plan(len(pool))) of joint choice j, stored in the
-        memo by j; seen[i] = _seen(pool[i]).  j's mixed-radix digits, block 0
-        the least significant, index each block's block_choices."""
+    def _pool_plan(self, j: int) -> tuple[list[int], list[int]]:
+        """(pool, seen) of joint choice j, stored in the memo by j; seen[i] =
+        _seen(pool[i]).  j's mixed-radix digits, block 0 the least
+        significant, index each block's block_choices."""
         choice, rest = [], j
         for c in self.block_choices:
             rest, r = divmod(rest, len(c))
             choice.append(c[r])
         pool = self.pool(tuple(choice))
-        plan = (pool, [self._seen(col) for col in pool], *_plan(len(pool)))
+        plan = (pool, [self._seen(col) for col in pool])
         _remember(self._pools, j, plan)
         return plan
 
@@ -188,9 +182,9 @@ class StableSetSampler:
         concatenated 512-bit blocks _block(key, 0), _block(key, 1), ..., read
         from the low end and fetched only when the bits drawn so far run out.
         A draw below n takes the next (n - 1).bit_length() bits and rejects
-        them until they are below n.  A trial draws the joint choice index
-        below n_choices (see _pool_plan), the pool index, then stage two by
-        the rule of extend.
+        them until they are below n.  A trial draws one index below 4 n_choices
+        (its two low bits pick the pool column, the rest is the joint choice
+        index; see _pool_plan), then stage two by the rule of extend.
 
         The trials split into contiguous ranges, one per process, each of at
         least TRIALS_PER_PROCESS trials, one process per CPU this process
@@ -249,12 +243,12 @@ class StableSetSampler:
     ) -> Counter[int]:
         """The S masks of the trials in `trial_range`, in one loop.
 
-        The loop reads the digest bits directly: each draw is an inline
-        rejection step (a method call per draw cost more than the hashing),
-        and pools are looked up by the joint choice index drawn, with the
-        outside vertices each column sees, so the insertable set is one mask.
+        The loop reads the digest bits directly, every draw by one inline
+        rejection step (a method call per draw cost more than the hashing).
+        The first draw picks the pool column, looked up by joint choice index
+        with the outside vertices it sees, so the insertable set is one mask.
         """
-        joint = _plan(self.n_choices)
+        joint = _plan(4 * self.n_choices)
         active_mask = self._outside_mask(active)
         plans = [_plan(i) for i in range(active_mask.bit_count() + 1)]
         closed, pools = self.closed, self._pools
@@ -263,17 +257,7 @@ class StableSetSampler:
             key_t = prefix + b"%d" % t
             bits, left, block = _block(key_t, 0), 512, 1
             n, k, mask = joint
-            while True:
-                while left < k:
-                    bits |= _block(key_t, block) << left
-                    left += 512
-                    block += 1
-                j = bits & mask
-                bits >>= k
-                left -= k
-                if j < n:
-                    break
-            pool, seen, n, k, mask = pools.get(j) or self._pool_plan(j)
+            s = -1
             while True:
                 while left < k:
                     bits |= _block(key_t, block) << left
@@ -282,28 +266,21 @@ class StableSetSampler:
                 r = bits & mask
                 bits >>= k
                 left -= k
-                if r < n:
+                if r >= n:
+                    continue
+                if s < 0:  # the first draw: column r & 3 of joint choice r >> 2
+                    pool, seen = pools.get(r >> 2) or self._pool_plan(r >> 2)
+                    s, free = pool[r & 3], active_mask & ~seen[r & 3]
+                else:  # free's r-th smallest vertex joins S (see extend)
+                    rest = free
+                    for _ in range(r):
+                        rest &= rest - 1
+                    u = (rest & -rest).bit_length() - 1
+                    s |= 1 << u
+                    free &= ~closed[u]
+                if not free:
                     break
-            s = pool[r]
-            free = active_mask & ~seen[r]
-            while free:
                 n, k, mask = plans[free.bit_count()]
-                while True:
-                    while left < k:
-                        bits |= _block(key_t, block) << left
-                        left += 512
-                        block += 1
-                    r = bits & mask
-                    bits >>= k
-                    left -= k
-                    if r < n:
-                        break
-                rest = free  # its r-th smallest vertex joins S (see extend)
-                for _ in range(r):
-                    rest &= rest - 1
-                u = (rest & -rest).bit_length() - 1
-                s |= 1 << u
-                free &= ~closed[u]
             counts[s] += 1
         return counts
 
@@ -323,17 +300,15 @@ class StableSetSampler:
         insertable bitmask for this call only, so its cost is the number of
         distinct insertable sets, not k! orders.  A pool column with
         insertable set F adds its tails scaled by k!/|F|! (k outside
-        vertices), so every column of a pool of size P weighs 1/(n P k!) for
-        n joint choices; the weights are kept per pool size and merged over
-        the lcm L of the sizes, giving integer weights out of n L k!.
+        vertices), so for n joint choices of 4 columns each the weights are
+        integers out of n 4 k!.
         """
         active_mask = self._outside_mask(active)
         if active_mask.bit_count() > OUTSIDE_ENUMERATION_LIMIT:
             raise SizeLimit(
                 f"exact enumeration handles at most {OUTSIDE_ENUMERATION_LIMIT} outside vertices"
             )
-        n_choices = self.n_choices
-        if n_choices > ENUMERATION_WORK_LIMIT:
+        if self.n_choices > ENUMERATION_WORK_LIMIT:
             raise SizeLimit("too many joint 4-subset choices")
         closed = self.closed
         fact = [math.factorial(i) for i in range(active_mask.bit_count() + 1)]
@@ -355,11 +330,10 @@ class StableSetSampler:
                 memo[free] = out
             return out
 
-        by_size: dict[int, dict[int, int]] = {}
+        weights: dict[int, int] = {}
         work = 0
-        for j in range(n_choices):
-            pool, seen = (self._pools.get(j) or self._pool_plan(j))[:2]
-            dist = by_size.setdefault(len(pool), {})
+        for j in range(self.n_choices):
+            pool, seen = self._pools.get(j) or self._pool_plan(j)
             for col, sees in zip(pool, seen):
                 free = active_mask & ~sees
                 tails = inserted(free)
@@ -368,14 +342,8 @@ class StableSetSampler:
                     raise SizeLimit("enumeration work limit exceeded")
                 scale = fact[-1] // fact[free.bit_count()]
                 for t, h in tails.items():
-                    dist[col | t] = dist.get(col | t, 0) + h * scale
-        common = math.lcm(*by_size)
-        weights: dict[int, int] = {}
-        for size, dist in by_size.items():
-            share = common // size
-            for s, w in dist.items():
-                weights[s] = weights.get(s, 0) + w * share
-        return weights, n_choices * common * fact[-1]
+                    weights[col | t] = weights.get(col | t, 0) + h * scale
+        return weights, self.n_choices * 4 * fact[-1]
 
     def marginals(
         self, weighted: Iterable[tuple[int, int]], total: int, outside: Iterable[int]
@@ -451,39 +419,18 @@ def _remember(cache: dict, key, value) -> None:
 def _shape_pool(
     tilde: Graph, subsets: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], ...]:
-    """Uniform column pool of the 4-subset graph `tilde` (columns as sorted
-    vertex tuples) with exact quarter coverage and one hit per 4-subset.
-
-    Raises HypothesisViolated when the hypotheses behind it fail."""
+    """The colour classes of the 4-subset graph `tilde` (rainbow_colouring,
+    which raises SizeLimit when its search gives up).  Raises
+    HypothesisViolated if tilde has degree above 5 or no proper 4-colouring."""
     if tilde.max_degree() > 5:
+        raise HypothesisViolated(f"induced 4-subset graph has degree {tilde.max_degree()} > 5")
+    classes = rainbow_colouring(tilde, subsets)
+    if classes is None:
         raise HypothesisViolated(
-            f"induced 4-subset graph has degree {tilde.max_degree()} > 5"
+            f"no proper 4-colouring of the 4-subset graph on parts {list(subsets)} "
+            f"with edges {tilde.edges()}"
         )
-    result = chi_f_weighted(tilde, [_ONE] * tilde.n)
-    if result.value != 4:
-        raise HypothesisViolated(f"chi_f of the 4-subset graph is {result.value} != 4")
-    columns = to_multiset(result.primal)
-    scale = len(columns) // 4
-    if len(columns) != 4 * scale:
-        raise HypothesisViolated("column pool size is not a multiple of 4")
-    # trim any over-covered vertex down to exactly `scale` occurrences
-    counts = [0] * tilde.n
-    trimmed: list[tuple[int, ...]] = []
-    for col in columns:
-        keep = []
-        for v in sorted(col):
-            if counts[v] < scale:
-                counts[v] += 1
-                keep.append(v)
-        trimmed.append(tuple(keep))
-    if any(c != scale for c in counts):
-        raise HypothesisViolated("pool coverage is not exactly a quarter")
-    for col in trimmed:
-        if any(len(set(col).intersection(sub)) != 1 for sub in subsets):
-            # equality of the coverage sums forces one hit per 4-subset;
-            # a miss here would break maximality of the final draw
-            raise HypothesisViolated("a pool column misses a 4-subset")
-    return tuple(trimmed)
+    return classes
 
 
 @dataclass(frozen=True)

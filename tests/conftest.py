@@ -8,9 +8,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from kdfree.graphs import Graph, block_graph
-from kdfree.intervals import to_multiset
-from kdfree.lp import chi_f_weighted
+from kdfree.graphs import Graph, block_graph, rainbow_colouring
 from kdfree.sampling import StableSetSampler
 
 
@@ -71,6 +69,19 @@ def four_k9() -> Graph:
         [[1], [10], [19], [28], [2, 11]],
         OUTSIDE_K4 + [(3, 4)],
     )
+
+
+def k5_chain(blocks: int) -> Graph:
+    """`blocks` K5 blocks chained 5i - 5(i+1), and an outside K4 on each
+    block triple 3t, 3t+1, 3t+2 seeing them as medium_instance's does
+    (Delta 6, omega 5, eligible; 18 blocks give n = 114)."""
+    cross = [(5 * i, 5 * i + 5) for i in range(blocks - 1)]
+    outside, edges = [], []
+    for t in range(blocks // 3):
+        a, b, c = (15 * t + 5 * i for i in range(3))
+        edges += [(len(outside) + x, len(outside) + y) for x, y in OUTSIDE_K4]
+        outside += [[a + 1], [b + 1], [c + 1], [a + 2, b + 2]]
+    return block_graph(blocks, 5, cross, outside, edges)
 
 
 # ── random generators ─────────────────────────────────────────────────────
@@ -220,42 +231,31 @@ def shuffle(rng, items: list) -> None:
 
 class TrialLoopSampler:
     """The two-stage draw as one loop per trial: one `randrange` over every
-    joint 4-subset choice, read block 0 first, a `randrange` pool index, one
-    pool LP per joint choice, and one `randrange` over the insertable outside
-    vertices, in vertex order, per insertion."""
+    pool column (its remainder mod 4) of every joint 4-subset choice (the
+    quotient, read block 0 first), the 4-subset graph of that choice
+    coloured afresh (no memo, no shapes), and one `randrange` over the
+    insertable outside vertices, in vertex order, per insertion."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.sampler = StableSetSampler(g)  # blocks, choices and outside only
-        self.pools: dict[tuple, list[int]] = {}
 
     def pool(self, choice) -> list[int]:
-        if choice not in self.pools:
-            tilde_vertices = sorted(v for sub in choice for v in sub)
-            tilde = self.g.induced(tilde_vertices)
-            columns = to_multiset(chi_f_weighted(tilde, [Fraction(1)] * tilde.n).primal)
-            scale = len(columns) // 4
-            counts = [0] * tilde.n
-            pool = []
-            for col in columns:
-                mask = 0
-                for v in col:
-                    if counts[v] < scale:
-                        counts[v] += 1
-                        mask |= 1 << tilde_vertices[v]
-                pool.append(mask)
-            self.pools[choice] = pool
-        return self.pools[choice]
+        tilde_vertices = sorted(v for sub in choice for v in sub)
+        local = {v: i for i, v in enumerate(tilde_vertices)}
+        classes = rainbow_colouring(
+            self.g.induced(tilde_vertices), [[local[v] for v in sub] for sub in choice]
+        )
+        return [sum(1 << tilde_vertices[i] for i in cls) for cls in classes]
 
     def sample(self, rng, active=None) -> tuple[int, int]:
         options = self.sampler.block_choices
-        joint = rng.randrange(prod(len(opts) for opts in options))
+        joint, column = divmod(rng.randrange(4 * prod(len(opts) for opts in options)), 4)
         choice = []
         for opts in options:
             choice.append(opts[joint % len(opts)])
             joint //= len(opts)
-        pool = self.pool(tuple(choice))
-        s_omega = pool[rng.randrange(len(pool))]
+        s_omega = self.pool(tuple(choice))[column]
         chosen = {v for v in range(self.g.n) if (s_omega >> v) & 1}
         outside = self.sampler.outside if active is None else active
         insertable = sorted(u for u in set(outside) if not self.g.adj[u] & chosen)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_a, medium_instance
+from conftest import instance_a, k5_chain, medium_instance
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
 from kdfree.graphs import (
@@ -277,8 +277,8 @@ def test_pipeline_montecarlo_file_bytes(graph_file, tmp_path, capsys):
     ]) == 0
     digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, cert)]
     assert digests == [
-        "844a67b24b21f72ad1dd772ebcf1d3d5d0b27326b6844c27081cc6b3762c1563",
-        "1e9bffd318b85fa5297278230a8c2095b9766861bb28be36ff08c2a30d653fdd",
+        "b401816cff5d549cab5fcd2ffc79bd84d41cf5b2f97c6ece620261479d962161",
+        "37eb6c3bcbb9d7192e2e3f28e52c29f14b377ed0a7b934063144a844e32884fc",
     ]
 
 
@@ -305,6 +305,17 @@ def test_sample_failed_hypothesis_is_ineligible(graph_file, capsys):
     assert main(["sample", "--graph", graph_file("over.el", g), "--trials", "5", "--seed", "0"]) == 1
     err = capsys.readouterr().err
     assert err == "ineligible input: induced 4-subset graph has degree 6 > 5\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["sample"], ["pipeline", "--mode", "montecarlo"]], ids=["sample", "pipeline"]
+)
+def test_sampler_runs_past_fifteen_blocks(graph_file, capsys, command):
+    # 18 K5 blocks: their 4-subset graphs have 72 vertices, past the n <= 60
+    # cap of the exact LP that once gave the pools
+    el = graph_file("chain18.el", k5_chain(18))
+    assert main([*command, "--graph", el, "--trials", "100", "--seed", "1"]) == 0
+    assert "capped" not in capsys.readouterr().err
 
 
 def test_missing_graph_file_is_input_error(capsys):
@@ -555,3 +566,78 @@ def test_certify_on_any_certificate_text_ends_with_an_exit_code(tmp_path_factory
     graph.write_text(write_edge_list(Graph(3, [(0, 1)])))
     cert.write_text(text, encoding="utf-8")
     exit_code(["certify", "--graph", str(graph), "--cert", str(cert)])
+
+
+def _int_text(lo: int, hi: int):
+    """An integer in [lo, hi] as text, text with no ASCII digit in it, or a
+    near miss; no example can ask for more than hi."""
+    return st.one_of(
+        st.integers(lo, hi).map(str),
+        st.text(alphabet=st.characters(blacklist_characters="0123456789"), max_size=12),
+        st.sampled_from(["", "1_0", "+3", " 4 ", "\u0663", "1e3", "0x10", "-0", "2.0"]),
+    )
+
+
+_RATIONAL_TEXT = st.one_of(
+    st.fractions(min_value=-2, max_value=20, max_denominator=60).map(str),
+    st.decimals(min_value=-2, max_value=20, places=3, allow_nan=False).map(str),
+    st.text(max_size=12),
+    st.sampled_from(["1/0", "1e-4000000", "nan", "inf", "3/-2", " 1/2 ", "0.5e1"]),
+)
+
+
+@given(text=st.one_of(st.text(max_size=60), st.lists(_RATIONAL_TEXT, max_size=4).map("\n".join)))
+@settings(max_examples=150, deadline=None)
+def test_chif_weights_file_ends_with_an_exit_code(tmp_path_factory, text):
+    folder = tmp_path_factory.mktemp("weights")
+    graph, weights = folder / "g.el", folder / "w.txt"
+    graph.write_text(write_edge_list(Graph(3, [(0, 1)])))
+    weights.write_text(text, encoding="utf-8")
+    exit_code(["chif", "--graph", str(graph), f"--weights={weights}"])
+
+
+@pytest.fixture(scope="module")
+def tiny_a_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tiny") / "a.el"
+    path.write_text(write_edge_list(instance_a()))
+    return str(path)
+
+
+@given(y=_RATIONAL_TEXT, mode=st.sampled_from(["exact", "montecarlo"]))
+@settings(max_examples=100, deadline=None)
+def test_pipeline_y_ends_with_an_exit_code(tiny_a_file, y, mode):
+    # --option=value, so that argparse hands over a value such as "-1" as it is
+    exit_code(["pipeline", "--graph", tiny_a_file, f"--y={y}", "--mode", mode, "--trials", "50"])
+
+
+@given(trials=_int_text(-3, 200), seed=st.one_of(_int_text(-5, 10**30), st.text(max_size=8)))
+@settings(max_examples=100, deadline=None)
+def test_sample_trials_and_seed_end_with_an_exit_code(tiny_a_file, trials, seed):
+    exit_code(["sample", "--graph", tiny_a_file, f"--trials={trials}", f"--seed={seed}"])
+    exit_code([
+        "pipeline", "--graph", tiny_a_file, "--mode", "montecarlo", "--y", "1/2",
+        f"--trials={trials}", f"--seed={seed}",
+    ])
+
+
+@given(deltas=st.lists(_int_text(-3, 60), max_size=3).map(",".join), curve=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_bounds_delta_ends_with_an_exit_code(deltas, curve):
+    exit_code(["bounds", f"--delta={deltas}", *(["--p-curve"] if curve else [])])
+
+
+_PARAM = st.tuples(
+    st.sampled_from(["n", "k", "m", " n", "n "]),
+    st.one_of(_int_text(-3, 30), st.integers(1001, 10**15).map(str)),
+).map("=".join)
+
+
+@given(
+    family=st.sampled_from(["cycle-power", "cycle_power", "petersen", "complete", "c5xk2", "nope"]),
+    params=st.one_of(st.lists(_PARAM, max_size=3).map(",".join), st.text(max_size=20)),
+)
+@settings(max_examples=150, deadline=None)
+def test_gen_params_end_with_an_exit_code(tmp_path_factory, family, params):
+    # values past the vertex cap are refused before anything is built
+    out = tmp_path_factory.mktemp("gen") / "g.el"
+    exit_code(["gen", "--family", family, f"--params={params}", "--out", str(out)])

@@ -18,6 +18,7 @@ from conftest import (
     instance_a,
     random_graph,
 )
+from kdfree import graphs
 from kdfree.errors import GraphFormatError, SizeLimit
 from kdfree.graphs import (
     C5XK3_DELETIONS,
@@ -32,6 +33,7 @@ from kdfree.graphs import (
     delete_vertices,
     generalized_petersen,
     maximal_cliques,
+    rainbow_colouring,
     read_edge_list,
     reed_weight,
     strong_product,
@@ -353,3 +355,48 @@ def test_vertex_cap_is_checked_before_allocation(build):
 def test_vertex_cap_admits_its_bound():
     assert Graph(VERTEX_CAP).n == VERTEX_CAP
     assert read_edge_list(f"{VERTEX_CAP} 0\n").n == VERTEX_CAP
+
+
+# ── rainbow 4-colourings ──────────────────────────────────────────────────
+
+
+def random_k4_partition(rng: random.Random, parts: int) -> Graph:
+    """`parts` disjoint K4s (part i on 4i..4i+3) plus random edges between
+    them, at most 2 per vertex, no vertex meeting another part twice."""
+    part = [v // 4 for v in range(4 * parts)]
+    edges = [e for i in range(parts) for e in combinations(range(4 * i, 4 * i + 4), 2)]
+    degree, met = [0] * len(part), set()
+    pairs = [(u, v) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if degree[u] < 2 and degree[v] < 2 and not {(u, part[v]), (v, part[u])} & met:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+            met |= {(u, part[v]), (v, part[u])}
+    return Graph(len(part), edges)
+
+
+def test_rainbow_colouring_of_random_k4_partitions():
+    # the sampler's 4-subset graphs at 15 blocks: every instance is coloured
+    # under the node cap, each class stable and meeting every part once
+    rng = random.Random("rainbow:15")
+    for _ in range(30):
+        g = random_k4_partition(rng, 15)
+        parts = [range(4 * i, 4 * i + 4) for i in range(15)]
+        classes = rainbow_colouring(g, parts)
+        assert sorted(v for cls in classes for v in cls) == list(range(g.n))
+        for cls in classes:
+            assert list(cls) == sorted(cls) and g.is_stable(cls)
+            assert all(len(set(cls) & set(part)) == 1 for part in parts)
+
+
+def test_rainbow_colouring_exhausts_or_gives_up(monkeypatch):
+    # K5 has no proper 4-colouring: a complete search ends with None
+    assert rainbow_colouring(complete_graph(5), [range(4), [4]]) is None
+    assert rainbow_colouring(Graph(0), []) == ((), (), (), ())
+    g = random_k4_partition(random.Random(1), 3)
+    assert rainbow_colouring(g, [range(4), range(4, 8), range(8, 12)]) is not None
+    monkeypatch.setattr(graphs, "COLOURING_NODE_LIMIT", 11)  # one short of 12 vertices
+    with pytest.raises(SizeLimit, match=r"gave up: parts \[range\(0, 4\), .*edges \[\(0, 1\), "):
+        rainbow_colouring(g, [range(4), range(4, 8), range(8, 12)])

@@ -30,7 +30,6 @@ from kdfree.intervals import (
     empty_colouring,
     hall_extend,
     to_intervals,
-    to_multiset,
     to_weighting,
     verify_certificate,
 )
@@ -105,14 +104,6 @@ def test_to_weighting_single_column():
     assert ssw.columns == ((frozenset({0, 2}), F(5, 2)),)
     back = to_intervals(ssw)
     assert back.coverage(0) == F(5, 2) and back.coverage(1) == 0
-
-
-def test_c5_multiset():
-    ssw = c5_optimal_weighting()
-    ms = to_multiset(ssw)
-    assert len(ms) == 5  # c = 2, total 5/2 -> 5 sets
-    for v in range(5):
-        assert sum(1 for s in ms if v in s) == 2
 
 
 def greedy_stable(g: Graph, rng: random.Random) -> frozenset[int]:

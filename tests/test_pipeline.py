@@ -215,9 +215,10 @@ def test_end_to_end_block_instance_composes():
 @pytest.mark.parametrize(
     "builder, digest",
     [
-        (instance_a, "d3650a52e0f9042e7ad07f0192e67eaaf2263775b1c7077bb3b7af100454cc60"),
-        (medium_instance, "bde146378e625c635191acd5afca8e072ac6c8b5b1b681634a75e1a29106d8d9"),
+        (instance_a, "30c0390c2bc8e8eba6612b46c1e3a6ccddb24c4d5ed65eac41fdd9c510227d7c"),
+        (medium_instance, "4b4faac520e4bb09d4da5a3d4ac4eb6d0d659fa65b107075d9a3f8821261bb00"),
     ],
+    ids=["instance_a", "medium_instance"],
 )
 def test_end_to_end_combined_certificate_bytes(builder, digest):
     # sha256 of the combined certificate's JSON: which path end_to_end takes
