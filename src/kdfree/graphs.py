@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .errors import GraphFormatError, SizeLimit
+from .rationals import parse_integer
 
 VERTEX_CAP = 1000
 
@@ -418,7 +419,7 @@ def write_edge_list(g: Graph) -> str:
 
 def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format, rejecting loops, duplicates and bad ranges."""
-    if not text.isascii() or "_" in text:  # int() reads "1_0" and non-ASCII digits
+    if not text.isascii() or "_" in text:  # the rule named once; split() takes non-ASCII spaces
         raise GraphFormatError("edge lists hold ASCII digits and whitespace only, no '_'")
     rows = [line for line in (ln.strip() for ln in text.splitlines()) if line]
     if not rows:
@@ -427,7 +428,7 @@ def read_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise GraphFormatError(f"header must be 'n m', got {rows[0]!r}")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = parse_integer(head[0]), parse_integer(head[1])
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header {rows[0]!r}") from exc
     _check_vertex_count(n)
@@ -440,7 +441,7 @@ def read_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"bad edge line {row!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = parse_integer(parts[0]), parse_integer(parts[1])
         except ValueError as exc:
             raise GraphFormatError(f"non-integer edge line {row!r}") from exc
         if u == v:

@@ -66,15 +66,14 @@ def initial_colouring(
     if mode == "montecarlo" and trials < 1:
         raise ValueError("trials must be >= 1")
     y = Fraction(y)
-    if cs is None:
-        cs = clique_structure(g)
-    eligibility = pipeline_eligibility(g, cs)
-    if not eligibility.passed:
-        raise EligibilityError("; ".join(eligibility.failures()))
-    omega = cs.omega
+    sampler = StableSetSampler(g, cs)
+    cs, omega = sampler.cs, sampler.cs.omega
+    report = sampler.eligibility
+    if not report.passed:
+        header = f"max degree = {report.delta}, omega = {omega}"
+        raise EligibilityError("; ".join([header, *report.failures()]))
     if not 0 <= y <= omega:
         raise ValueError(f"y must lie in [0, omega]={omega}, got {y}")
-    sampler = StableSetSampler(g, cs)
 
     n = g.n
     capacity = [_ONE] * n

@@ -26,21 +26,24 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"exponent notation is not accepted: {text!r}")
     if "/" in text:
         num, den = text.split("/", 1)
-        q = _read_int(den.strip())
+        q = parse_integer(den.strip())
         if q == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(_read_int(num.strip()), q)
+        return Fraction(parse_integer(num.strip()), q)
     whole, _, frac = text.partition(".")
     if frac and not frac.isdigit():
         raise ValueError(f"not an integer, decimal or p/q: {text!r}")
-    return Fraction(_read_int(whole + frac), 10 ** len(frac))
+    return Fraction(parse_integer(whole + frac), 10 ** len(frac))
 
 
-def _read_int(text: str) -> int:
-    """An optionally signed ASCII digit string as an int, read in chunks
-    that int() converts under any conversion limit."""
+def parse_integer(text: str) -> int:
+    """An optionally signed string of ASCII digits, at most
+    RATIONAL_DIGIT_LIMIT of them, as an int, read in chunks that int()
+    converts under any conversion limit.  The one integer rule of the CLI's
+    options, the edge-list reader and parse_rational: unlike int(), it takes
+    no '_', no non-ASCII digit and no surrounding whitespace."""
     digits = text.lstrip("+-")
-    if not digits.isdigit() or len(text) - len(digits) > 1:
+    if not (digits.isascii() and digits.isdigit()) or len(text) - len(digits) > 1:
         raise ValueError(f"not an integer: {text!r}")
     if len(digits) > RATIONAL_DIGIT_LIMIT:
         raise ValueError(

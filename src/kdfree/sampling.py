@@ -44,7 +44,7 @@ from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 from .bounds import mu_values, p_value
 from .errors import EligibilityError, HypothesisViolated, SizeLimit
 from .graphs import CliqueStructure, Graph, clique_structure, rainbow_colouring
-from .structure import check_disjoint_max_cliques, check_external_neighbours, pipeline_eligibility
+from .structure import pipeline_eligibility
 
 if TYPE_CHECKING:
     from random import Random
@@ -79,8 +79,9 @@ class StableSetSampler:
 
     Requires the structural hypotheses the distribution rests on: pairwise
     disjoint maximum cliques of size >= 4, and no outside vertex with two
-    neighbours in one block.  (Full pipeline eligibility -- max degree >= 6
-    and omega = Delta - 1 -- is enforced by the callers that need it.)
+    neighbours in one block.  self.eligibility is the graph's
+    pipeline_eligibility report, which callers needing max degree >= 6 and
+    omega = Delta - 1 as well read instead of searching again.
     """
 
     def __init__(self, g: Graph, cs: CliqueStructure | None = None):
@@ -88,12 +89,10 @@ class StableSetSampler:
         self.cs = cs if cs is not None else clique_structure(g)
         if self.cs.omega < 4:
             raise EligibilityError(f"blocks must have size >= 4, got omega={self.cs.omega}")
-        witness = check_disjoint_max_cliques(g, self.cs)
-        if witness is not None:
-            raise EligibilityError(f"maximum cliques intersect: {witness}")
-        witness = check_external_neighbours(g, self.cs)
-        if witness is not None:
-            raise EligibilityError(f"vertex {witness[0]} sees a block twice")
+        self.eligibility = pipeline_eligibility(g, self.cs)
+        failed = self.eligibility.failures(sampler_only=True)
+        if failed:
+            raise EligibilityError("; ".join(failed))
         self.blocks = [tuple(sorted(b)) for b in self.cs.max_cliques]
         listed = sum(math.comb(len(b), 4) for b in self.blocks)
         if listed > CHOICE_LIST_LIMIT:
@@ -447,9 +446,9 @@ class ExactMarginals:
 # ── module-level operations ───────────────────────────────────────────────
 
 
-def exact_marginals(g: Graph, cs: CliqueStructure | None = None) -> ExactMarginals:
+def exact_marginals(g: Graph) -> ExactMarginals:
     """Exact per-vertex Pr(v in S) (and companions) by full enumeration."""
-    sampler = StableSetSampler(g, cs)
+    sampler = StableSetSampler(g)
     weights, total = sampler.enumerate_exact()
     return ExactMarginals(
         *sampler.marginals(weights.items(), total, sampler.outside),
@@ -491,13 +490,13 @@ class EstimateReport:
         return all(c.ok for c in self.checks)
 
 
-def hoeffding_band(trials: int, delta_fail: float = HOEFFDING_DELTA, span: int = 1) -> Fraction:
+def hoeffding_band(trials: int, span: int = 1) -> Fraction:
     """Width such that a mean of [0,span] samples strays further with
-    probability at most delta_fail."""
-    return Fraction(span) * Fraction(math.sqrt(math.log(1.0 / delta_fail) / (2.0 * trials)))
+    probability at most HOEFFDING_DELTA."""
+    return Fraction(span) * Fraction(math.sqrt(math.log(1.0 / HOEFFDING_DELTA) / (2.0 * trials)))
 
 
-def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None) -> EstimateReport:
+def estimate(g: Graph, trials: int, seed: int) -> EstimateReport:
     """Seeded Monte Carlo estimates checked against the theoretical floors.
 
     Deterministic for fixed (graph, seed, trials): StableSetSampler.tally
@@ -506,10 +505,8 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if cs is None:
-        cs = clique_structure(g)
-    sampler = StableSetSampler(g, cs)
-    n = g.n
+    sampler = StableSetSampler(g)
+    cs, n = sampler.cs, g.n
     draws = sampler.tally(seed, (), trials)
     freq_s, freq_s_omega, freq_nb_empty, mean_closed = sampler.marginals(
         draws.items(), trials, sampler.outside
@@ -522,7 +519,7 @@ def estimate(g: Graph, trials: int, seed: int, cs: CliqueStructure | None = None
     checks: list[SamplerCheck] = []
     classes: list[str] = []
     lower: list[Fraction] = []
-    eligible = pipeline_eligibility(g, cs).passed
+    eligible = sampler.eligibility.passed
     mu_k, mu, _ = mu_values(delta) if eligible else ({}, _ZERO, 0)
 
     def floor(name: str, v: int, bound: Fraction, value: Fraction, width: Fraction = band):

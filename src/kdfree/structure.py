@@ -28,28 +28,6 @@ _SIGNATURES = {
 NEAR_CLIQUE_PATTERNS = tuple(_SIGNATURES)
 
 
-def check_disjoint_max_cliques(
-    g: Graph, cs: CliqueStructure
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """None if the maximum cliques are pairwise disjoint, else the least
-    intersecting pair (the first one found, as `cs.max_cliques` is in
-    lexicographic order)."""
-    return next(((c1, c2) for c1, c2 in combinations(cs.max_cliques, 2) if c1 & c2), None)
-
-
-def check_external_neighbours(
-    g: Graph, cs: CliqueStructure
-) -> tuple[int, frozenset[int], frozenset[int]] | None:
-    """None if no outside vertex sees a maximum clique twice, else the least
-    witness (v, clique, v's neighbours inside it) by v, then clique."""
-    for v in range(g.n):
-        for c in cs.max_cliques:
-            inside = g.adj[v] & c
-            if len(inside) > 1 and v not in c:
-                return v, c, inside
-    return None
-
-
 @dataclass(frozen=True)
 class Bump:
     clique: frozenset[int]
@@ -162,48 +140,63 @@ def find_near_clique(
 class EligibilityReport:
     delta: int
     omega: int
-    degree_ok: bool  # Delta >= 6
-    omega_ok: bool  # omega == Delta - 1
+    # the least intersecting pair of maximum cliques, and the least (v, clique,
+    # v's neighbours inside it) by v, then clique, of an outside v seeing one twice
     disjoint_witness: tuple[frozenset[int], frozenset[int]] | None
     external_witness: tuple[int, frozenset[int], frozenset[int]] | None
 
     @property
-    def passed(self) -> bool:
-        return (
-            self.degree_ok
-            and self.omega_ok
-            and self.disjoint_witness is None
-            and self.external_witness is None
-        )
+    def degree_ok(self) -> bool:
+        return self.delta >= 6
 
-    def failures(self) -> list[str]:
-        out = []
-        if not self.degree_ok:
-            out.append(f"max degree {self.delta} < 6")
-        if not self.omega_ok:
-            out.append(f"omega {self.omega} != Delta - 1 = {self.delta - 1}")
+    @property
+    def omega_ok(self) -> bool:
+        return self.omega == self.delta - 1
+
+    @property
+    def checks(self) -> tuple[tuple[str, str | None], ...]:
+        """(check, None if it passes, else "FAIL" and its witness) in the order
+        `kdfree check` prints them; the last two are the sampler's hypotheses."""
+        disjoint = external = None
         if self.disjoint_witness is not None:
             c1, c2 = self.disjoint_witness
-            out.append(f"maximum cliques intersect: {sorted(c1)} and {sorted(c2)}")
+            disjoint = f"FAIL ({sorted(c1)} meets {sorted(c2)})"
         if self.external_witness is not None:
             v, c, nbrs = self.external_witness
-            out.append(
-                f"vertex {v} has {len(nbrs)} neighbours {sorted(nbrs)} in clique {sorted(c)}"
-            )
-        return out
+            external = f"FAIL (vertex {v} sees {sorted(nbrs)} in {sorted(c)})"
+        return (
+            ("degree >= 6", None if self.degree_ok else "FAIL"),
+            ("omega == Delta - 1", None if self.omega_ok else "FAIL"),
+            ("maximum cliques pairwise disjoint", disjoint),
+            ("no outside vertex sees a block twice", external),
+        )
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
+
+    def failures(self, sampler_only: bool = False) -> list[str]:
+        """The failing checks as `kdfree check` prints them; with sampler_only,
+        of the sampler's two."""
+        checks = self.checks[2:] if sampler_only else self.checks
+        return [f"{name}: {verdict}" for name, verdict in checks if verdict]
 
 
 def pipeline_eligibility(g: Graph, cs: CliqueStructure | None = None) -> EligibilityReport:
     """Delta >= 6, omega = Delta - 1, disjoint maximum cliques, and no outside
-    vertex with two neighbours in one."""
+    vertex with two neighbours in one.  The only search for the last two
+    witnesses: `cs.max_cliques` is in lexicographic order, so the first of
+    each found is the least."""
     if cs is None:
         cs = clique_structure(g)
-    delta = g.max_degree()
-    return EligibilityReport(
-        delta=delta,
-        omega=cs.omega,
-        degree_ok=delta >= 6,
-        omega_ok=cs.omega == delta - 1,
-        disjoint_witness=check_disjoint_max_cliques(g, cs),
-        external_witness=check_external_neighbours(g, cs),
+    disjoint = next(((c1, c2) for c1, c2 in combinations(cs.max_cliques, 2) if c1 & c2), None)
+    external = next(
+        (
+            (v, c, g.adj[v] & c)
+            for v in range(g.n)
+            for c in cs.max_cliques
+            if v not in c and len(g.adj[v] & c) > 1
+        ),
+        None,
     )
+    return EligibilityReport(g.max_degree(), cs.omega, disjoint, external)

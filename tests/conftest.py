@@ -8,6 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
+from hypothesis import strategies as st
+
 from kdfree.graphs import Graph, block_graph, rainbow_colouring
 from kdfree.sampling import StableSetSampler
 
@@ -82,6 +84,52 @@ def k5_chain(blocks: int) -> Graph:
         edges += [(len(outside) + x, len(outside) + y) for x, y in OUTSIDE_K4]
         outside += [[a + 1], [b + 1], [c + 1], [a + 2, b + 2]]
     return block_graph(blocks, 5, cross, outside, edges)
+
+
+@st.composite
+def eligible_block_graphs(draw, max_blocks: int = 4) -> Graph:
+    """An eligible block graph: 1 to `max_blocks` K_omega blocks, omega 5 or
+    6, and Delta = omega + 1.
+
+    Cross edges and up to 4 outside vertices give each block vertex at most
+    Delta - omega + 1 = 2 neighbours off its block, at most one in any other
+    block, and each outside vertex at most one neighbour per block; random
+    outside edges keep every outside degree at most Delta.  So a clique off
+    the blocks is a block vertex with at most 2 of its neighbours, or at most
+    4 outside vertices: the blocks are the maximum cliques.  Pendant outside
+    vertices fill vertex 0's 2 off-block neighbours, so Delta is omega + 1.
+    """
+    blocks, omega = draw(st.integers(1, max_blocks)), draw(st.sampled_from([5, 6]))
+    base = blocks * omega
+    spare = [2] * base  # off-block neighbours a block vertex may still get
+    sees: list[set[int]] = [set() for _ in range(base)]  # other blocks it meets
+    cross = []
+    for u, v in draw(st.lists(st.tuples(st.integers(0, base - 1), st.integers(0, base - 1)), max_size=8)):
+        bu, bv = u // omega, v // omega
+        if bu != bv and spare[u] and spare[v] and bv not in sees[u] and bu not in sees[v]:
+            cross.append((u, v))
+            spare[u], spare[v] = spare[u] - 1, spare[v] - 1
+            sees[u].add(bv)
+            sees[v].add(bu)
+    outside = []
+    for _ in range(draw(st.integers(0, 4))):
+        nbrs = []
+        for b in range(blocks):
+            i = draw(st.none() | st.integers(0, omega - 1))
+            if i is not None and spare[b * omega + i]:
+                nbrs.append(b * omega + i)
+                spare[b * omega + i] -= 1
+        outside.append(nbrs)
+    degree = [len(nbrs) for nbrs in outside]
+    edges = set()
+    for a, b in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6)):
+        a, b = min(a, b), max(a, b)
+        if a < b < len(outside) and (a, b) not in edges and max(degree[a], degree[b]) <= omega:
+            edges.add((a, b))
+            degree[a] += 1
+            degree[b] += 1
+    outside += [[0]] * spare[0]
+    return block_graph(blocks, omega, cross, outside, sorted(edges))
 
 
 # ── random generators ─────────────────────────────────────────────────────

@@ -227,7 +227,7 @@ def test_criterion_7_sampler_suite():
     tiny_ok = True
     for g in (instance_a(), instance_b(), instance_c()):
         cs = clique_structure(g)
-        ex = exact_marginals(g, cs)
+        ex = exact_marginals(g)
         for v in range(g.n):
             if v in cs.v_omega:
                 tiny_ok &= ex.pr_s_omega[v] == F(1, cs.omega)

@@ -7,6 +7,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -18,12 +19,14 @@ from hypothesis import strategies as st
 from conftest import instance_a, k5_chain, medium_instance
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
+from kdfree.errors import GraphFormatError
 from kdfree.graphs import (
     NAMED_GRAPHS,
     Graph,
     block_graph,
     clique_structure,
     complete_graph,
+    read_edge_list,
     write_edge_list,
 )
 from kdfree.intervals import certificate_from_json
@@ -618,6 +621,34 @@ def test_sample_trials_and_seed_end_with_an_exit_code(tiny_a_file, trials, seed)
         "pipeline", "--graph", tiny_a_file, "--mode", "montecarlo", "--y", "1/2",
         f"--trials={trials}", f"--seed={seed}",
     ])
+
+
+@given(
+    token=st.one_of(
+        st.text(alphabet="0123456789+-_ \t\u0663\u00b2x", max_size=8),
+        st.integers(-(10**12), 10**12).map(str),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_tokens_are_read_alike(tiny_a_file, token):
+    # one integer rule: `--trials`, an edge-list header's edge count and
+    # parse_rational accept the same tokens (no '.' or '/' here, which make
+    # a rational of a non-integer), the last two as the same integer
+    try:
+        want = parse_rational(token)
+    except ValueError:
+        want = None
+    # --trials is read before --seed, so the bad seed ends every run
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["sample", "--graph", tiny_a_file, f"--trials={token}", "--seed=x"]) == 2
+    assert ("--trials takes ASCII integers without '_'" in err.getvalue()) == (want is None)
+    try:
+        got = read_edge_list(f"1 {token}\n").num_edges()  # no edge lines follow
+    except GraphFormatError as exc:
+        counted = re.fullmatch(r"expected (-?\d+) edge lines, found 0", str(exc))
+        got = counted and int(counted[1])
+    assert got == want
 
 
 @given(deltas=st.lists(_int_text(-3, 60), max_size=3).map(",".join), curve=st.booleans())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from conftest import (
     trial_rng,
 )
 from kdfree.bounds import main_bound, mu_values
-from kdfree import pipeline
+from kdfree import pipeline, structure
 from kdfree.errors import BoundViolation, EligibilityError
 from kdfree.graphs import (
     c5xk3_minus,
@@ -37,6 +38,7 @@ from kdfree.pipeline import (
     initial_colouring,
     verify_theorem_initial,
 )
+from kdfree.sampling import estimate
 
 F = Fraction
 ONE = F(1)
@@ -250,6 +252,29 @@ def test_end_to_end_minus_2v():
     g = c5xk3_minus(2)
     report = end_to_end(g)
     assert report.ok and report.delta == 7 and report.chi_f == F(13, 2)
+
+
+def test_witness_search_runs_once_per_sampler_and_gate(monkeypatch):
+    # pipeline_eligibility is the one search for the block witnesses;
+    # end_to_end runs it for its composition gate and once in the sampler,
+    # estimate only in the sampler.  Every kdfree module's binding is counted.
+    calls = []
+    original = structure.pipeline_eligibility
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kdfree"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    assert end_to_end(medium_instance()).composed is not None
+    assert len(calls) == 2
+    calls.clear()
+    assert estimate(medium_instance(), 100, 1).checks
+    assert len(calls) == 1
 
 
 def test_end_to_end_rejects_low_degree():

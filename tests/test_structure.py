@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PATTERN_SHAPES,
@@ -13,11 +18,14 @@ from conftest import (
     brute_bumps,
     brute_maximal_cliques,
     brute_near_cliques,
+    eligible_block_graphs,
     instance_a,
     instance_b,
     instance_c,
     random_graph,
 )
+from kdfree.cli import main
+from kdfree.errors import EligibilityError
 from kdfree.graphs import (
     NAMED_GRAPHS,
     Graph,
@@ -27,13 +35,14 @@ from kdfree.graphs import (
     cycle_graph,
     cycle_power,
     strong_product,
+    write_edge_list,
 )
+from kdfree.pipeline import initial_colouring
+from kdfree.sampling import StableSetSampler
 from kdfree.structure import (
     NEAR_CLIQUE_PATTERNS,
     _signature,
     _SIGNATURES,
-    check_disjoint_max_cliques,
-    check_external_neighbours,
     find_bump,
     find_near_clique,
     pipeline_eligibility,
@@ -42,7 +51,7 @@ from kdfree.structure import (
 
 def test_disjoint_cliques_witness_on_c5_k2():
     g = strong_product(cycle_graph(5), complete_graph(2))
-    witness = check_disjoint_max_cliques(g, clique_structure(g))
+    witness = pipeline_eligibility(g).disjoint_witness
     assert witness is not None
     c1, c2 = witness
     assert len(c1) == len(c2) == 4 and len(c1 & c2) == 2
@@ -50,7 +59,7 @@ def test_disjoint_cliques_witness_on_c5_k2():
 
 def test_disjoint_cliques_ok_on_blocks():
     g = block_graph(3, 4)
-    assert check_disjoint_max_cliques(g, clique_structure(g)) is None
+    assert pipeline_eligibility(g).disjoint_witness is None
 
 
 def test_disjoint_cliques_near_miss_overlap():
@@ -58,7 +67,7 @@ def test_disjoint_cliques_near_miss_overlap():
     edges = [e for e in combinations(range(6), 2) if e != (0, 1)]
     g = Graph(6, edges)
     cs = clique_structure(g)
-    witness = check_disjoint_max_cliques(g, cs)
+    witness = pipeline_eligibility(g, cs).disjoint_witness
     assert witness is not None
     c1, c2 = witness
     assert len(c1 & c2) == cs.omega - 1
@@ -78,7 +87,7 @@ def seeded_graphs(seed: int, count: int) -> list[Graph]:
 def test_disjoint_cliques_least_witness_matches_brute_force():
     found_any = False
     for g in seeded_graphs(75, 80):
-        witness = check_disjoint_max_cliques(g, clique_structure(g))
+        witness = pipeline_eligibility(g).disjoint_witness
         hits = [(c1, c2) for c1, c2 in combinations(brute_max_cliques(g), 2) if set(c1) & set(c2)]
         if witness is None:
             assert not hits
@@ -91,7 +100,7 @@ def test_disjoint_cliques_least_witness_matches_brute_force():
 def test_external_neighbours_least_witness_matches_brute_force():
     found_any = False
     for g in seeded_graphs(77, 80):
-        witness = check_external_neighbours(g, clique_structure(g))
+        witness = pipeline_eligibility(g).external_witness
         cliques = brute_max_cliques(g)
         hits = [
             (v, c, tuple(sorted(g.adj[v] & set(c))))
@@ -110,7 +119,7 @@ def test_external_neighbours_least_witness_matches_brute_force():
 
 def test_external_neighbours_witness():
     g = block_graph(2, 4, outside=[[0, 1]])
-    witness = check_external_neighbours(g, clique_structure(g))
+    witness = pipeline_eligibility(g).external_witness
     assert witness is not None
     v, clique, nbrs = witness
     assert v == 8 and nbrs == frozenset({0, 1}) and nbrs <= clique
@@ -118,12 +127,12 @@ def test_external_neighbours_witness():
 
 def test_external_neighbours_ok_with_matching():
     g = block_graph(2, 4, cross_edges=[(0, 4), (1, 5), (2, 6), (3, 7)])
-    assert check_external_neighbours(g, clique_structure(g)) is None
+    assert pipeline_eligibility(g).external_witness is None
 
 
 def test_external_neighbours_on_c5_k3():
     g = strong_product(cycle_graph(5), complete_graph(3))
-    assert check_external_neighbours(g, clique_structure(g)) is not None
+    assert pipeline_eligibility(g).external_witness is not None
 
 
 def explicit_bump_graph() -> Graph:
@@ -260,3 +269,65 @@ def test_eligibility_fails_on_complete_graph():
     report = pipeline_eligibility(complete_graph(7))
     assert not report.passed and not report.omega_ok
     assert report.failures()
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _break(g: Graph, share: bool, pick: int) -> Graph:
+    """g with one block hypothesis broken: with `share` and two blocks, block
+    0's least vertex a joins block 1 less a vertex a misses, a second maximum
+    clique meeting both; otherwise an outside vertex (a new one if g has
+    none) gets a second neighbour in one block."""
+    cs = clique_structure(g)
+    blocks = [sorted(c) for c in cs.max_cliques]
+    edges = set(g.edges())
+    if share and len(blocks) > 1:
+        a = blocks[0][0]
+        dropped = min(v for v in blocks[1] if v not in g.adj[a])
+        return Graph(g.n, edges | {(a, v) for v in blocks[1] if v != dropped})
+    outside = sorted(set(range(g.n)) - set(cs.v_omega))
+    if not outside:  # a new vertex seeing two vertices of one block
+        block = blocks[pick % len(blocks)]
+        return Graph(g.n + 1, edges | {(block[0], g.n), (block[1], g.n)})
+    x = outside[pick % len(outside)]
+    # a second neighbour in a block x sees, or two in one it does not
+    block = next((b for b in blocks if g.adj[x] & set(b)), blocks[pick % len(blocks)])
+    new = [v for v in block if v not in g.adj[x]][: 1 if g.adj[x] & set(block) else 2]
+    return Graph(g.n, edges | {(v, x) for v in new})
+
+
+@given(g=eligible_block_graphs(), share=st.booleans(), pick=st.integers(0, 100))
+@settings(max_examples=50, deadline=None)
+def test_broken_block_hypothesis_reads_as_check_words_everywhere(tmp_path_factory, g, share, pick):
+    # an eligible block graph passes and builds a sampler; with one block
+    # hypothesis broken, `kdfree check` exits 1, and the sampler, the
+    # pipeline and `kdfree sample` name the witness in its FAIL lines' words
+    cs = clique_structure(g)
+    assert pipeline_eligibility(g, cs).passed
+    assert StableSetSampler(g, cs).eligibility.passed
+    bad = _break(g, share, pick)
+    path = tmp_path_factory.mktemp("broken") / "g.el"
+    path.write_text(write_edge_list(bad))
+    code, out, _ = _run(["check", "--graph", str(path)])
+    assert code == 1
+    fails = [
+        line
+        for line in out.splitlines()
+        if line.startswith(
+            ("maximum cliques pairwise disjoint: FAIL (", "no outside vertex sees a block twice: FAIL (")
+        )
+    ]
+    assert fails
+    with pytest.raises(EligibilityError) as sampler_error:
+        StableSetSampler(bad)
+    assert str(sampler_error.value) == "; ".join(fails)
+    with pytest.raises(EligibilityError) as pipeline_error:
+        initial_colouring(bad, Fraction(1, 2))
+    assert all(line in str(pipeline_error.value) for line in fails)
+    code, _, err = _run(["sample", "--graph", str(path), "--trials", "10", "--seed", "0"])
+    assert (code, err) == (1, f"ineligible input: {'; '.join(fails)}\n")
