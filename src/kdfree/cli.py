@@ -341,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    vars(args).update({k: "--" for k, v in vars(args).items() if v == []})  # argparse reads =-- as []
     try:
         return args.func(args)
     except (BoundViolation, LpError) as exc:

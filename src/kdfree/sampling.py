@@ -1,22 +1,23 @@
 """Two-stage random stable sets over the block structure.
 
-Stage one draws a uniform 4-subset of every block, properly 4-colours the
-induced 4-subset graph (disjoint K4s, at most 2 edges per vertex between them)
-with graphs.rainbow_colouring, and draws one of the four colour classes.  Each
-class meets every chosen 4-subset once, and a uniform class holds every vertex
-with probability exactly 1/4, the marginal behind p(Delta, d).  The colouring
-depends only on the choice's shape (the relabelled 4-subset graph and the
-chosen 4-subsets in its labels), so a sampler finds it once per shape and
-relabels it per joint choice; both memos hold at most POOL_CACHE_LIMIT
-entries.  Stage two inserts the outside vertices greedily in a uniform
-order.  The first still-insertable vertex of such an order is uniform over
-the insertable set, so stage two draws one of that set and removes its closed
-neighbourhood, until the set is empty.  Exact enumeration (tiny instances)
-runs the same recursion over every joint choice and pool column, memoised by
-insertable set; it validates the Monte Carlo estimator.  Both give integer
-weights over S masks with their total (trial counts out of the trials for
-tally), which StableSetSampler.marginals reduces for exact_marginals,
-estimate and the pipeline.
+Stage one draws a uniform 4-subset of every block as one joint index, whose
+mixed-radix digits rank them in combinations order (_subset unranks a digit,
+so none is listed), properly 4-colours the induced 4-subset graph (disjoint
+K4s, at most 2 edges per vertex between them) with graphs.rainbow_colouring,
+and draws one of the four colour classes.  Each class meets every chosen
+4-subset once, and a uniform class holds every vertex with probability exactly
+1/4, the marginal behind p(Delta, d).  The colouring depends only on the
+choice's shape (the relabelled 4-subset graph and the chosen 4-subsets in its
+labels), so a sampler finds it once per shape and relabels it per joint
+choice; both memos hold at most POOL_CACHE_LIMIT entries.  Stage two inserts
+the outside vertices greedily in a uniform order.  The first still-insertable
+vertex of such an order is uniform over the insertable set, so stage two draws
+one of that set and removes its closed neighbourhood, until the set is empty.
+Exact enumeration (tiny instances) runs the same recursion over every joint
+choice and pool column, memoised by insertable set; it validates the Monte
+Carlo estimator.  Both give integer weights over S masks with their total
+(trial counts out of the trials for tally), which StableSetSampler.marginals
+reduces for exact_marginals, estimate and the pipeline.
 
 StableSetSampler.tally gives every trial its own counter-based stream, the
 bits of blake2b digests of "seed:key:...:trial" salted by block number, so a
@@ -36,7 +37,6 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
@@ -52,7 +52,6 @@ if TYPE_CHECKING:
 _ZERO = Fraction(0)
 
 OUTSIDE_ENUMERATION_LIMIT = 8
-CHOICE_LIST_LIMIT = 10**6  # 4-subsets listed over all blocks, about 80 bytes each
 POOL_CACHE_LIMIT = 4096  # entries kept per sampler in each of its two memos
 TRIALS_PER_PROCESS = 4096  # fewest trials a tally hands to one process
 ENUMERATION_WORK_LIMIT = 10**7
@@ -94,13 +93,7 @@ class StableSetSampler:
         if failed:
             raise EligibilityError("; ".join(failed))
         self.blocks = [tuple(sorted(b)) for b in self.cs.max_cliques]
-        listed = sum(math.comb(len(b), 4) for b in self.blocks)
-        if listed > CHOICE_LIST_LIMIT:
-            raise SizeLimit(
-                f"blocks have {listed} 4-subsets; a sampler lists at most {CHOICE_LIST_LIMIT}"
-            )
-        self.block_choices = [list(combinations(b, 4)) for b in self.blocks]
-        self.n_choices = math.prod(len(c) for c in self.block_choices)  # joint choices
+        self.n_choices = math.prod(math.comb(len(b), 4) for b in self.blocks)  # joint choices
         self.outside = tuple(sorted(set(range(g.n)) - set(self.cs.v_omega)))
         self.block_mask = sum(1 << v for v in self.cs.v_omega)
         self.closed = tuple(m | (1 << v) for v, m in enumerate(g.masks))
@@ -111,9 +104,15 @@ class StableSetSampler:
 
     # ── stage one ─────────────────────────────────────────────────────────
 
-    def pool(self, choice: tuple[tuple[int, ...], ...]) -> list[int]:
-        """The four colour classes (vertex bitmasks) of a joint 4-subset
-        choice's 4-subset graph, found once per shape and relabelled."""
+    def pool(self, j: int) -> tuple[list[int], list[int]]:
+        """(pool, seen) of joint choice j, memoised by j: the four colour
+        classes (vertex bitmasks) of its 4-subset graph, found once per shape
+        and relabelled, and seen[i] = _seen(pool[i]).  j's mixed-radix
+        digits, block 0 the least significant, rank each block's 4-subset."""
+        choice, rest = [], j
+        for b in self.blocks:
+            rest, r = divmod(rest, math.comb(len(b), 4))
+            choice.append(_subset(b, r))
         tilde_vertices = sorted(v for sub in choice for v in sub)
         index = {v: i for i, v in enumerate(tilde_vertices)}
         shape = (
@@ -124,17 +123,7 @@ class StableSetSampler:
         if local is None:
             local = _shape_pool(*shape)
             _remember(self._shapes, shape, local)
-        return [sum(1 << tilde_vertices[i] for i in col) for col in local]
-
-    def _pool_plan(self, j: int) -> tuple[list[int], list[int]]:
-        """(pool, seen) of joint choice j, stored in the memo by j; seen[i] =
-        _seen(pool[i]).  j's mixed-radix digits, block 0 the least
-        significant, index each block's block_choices."""
-        choice, rest = [], j
-        for c in self.block_choices:
-            rest, r = divmod(rest, len(c))
-            choice.append(c[r])
-        pool = self.pool(tuple(choice))
+        pool = [sum(1 << tilde_vertices[i] for i in col) for col in local]
         plan = (pool, [self._seen(col) for col in pool])
         _remember(self._pools, j, plan)
         return plan
@@ -183,7 +172,7 @@ class StableSetSampler:
         A draw below n takes the next (n - 1).bit_length() bits and rejects
         them until they are below n.  A trial draws one index below 4 n_choices
         (its two low bits pick the pool column, the rest is the joint choice
-        index; see _pool_plan), then stage two by the rule of extend.
+        index; see pool), then stage two by the rule of extend.
 
         The trials split into contiguous ranges, one per process, each of at
         least TRIALS_PER_PROCESS trials, one process per CPU this process
@@ -268,7 +257,7 @@ class StableSetSampler:
                 if r >= n:
                     continue
                 if s < 0:  # the first draw: column r & 3 of joint choice r >> 2
-                    pool, seen = pools.get(r >> 2) or self._pool_plan(r >> 2)
+                    pool, seen = pools.get(r >> 2) or self.pool(r >> 2)
                     s, free = pool[r & 3], active_mask & ~seen[r & 3]
                 else:  # free's r-th smallest vertex joins S (see extend)
                     rest = free
@@ -332,7 +321,7 @@ class StableSetSampler:
         weights: dict[int, int] = {}
         work = 0
         for j in range(self.n_choices):
-            pool, seen = self._pools.get(j) or self._pool_plan(j)
+            pool, seen = self._pools.get(j) or self.pool(j)
             for col, sees in zip(pool, seen):
                 free = active_mask & ~sees
                 tails = inserted(free)
@@ -406,6 +395,17 @@ def _collect(child: tuple[int, int] | None) -> dict[int, int] | None:
     if os.waitpid(pid, 0)[1] != 0:
         return None
     return marshal.loads(sent)
+
+
+def _subset(b: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The r-th 4-subset of b in (lexicographic) itertools.combinations order."""
+    sub, x = [], 0
+    for k in (3, 2, 1, 0):
+        while r >= (c := math.comb(len(b) - x - 1, k)):
+            r, x = r - c, x + 1
+        sub.append(b[x])
+        x += 1
+    return tuple(sub)
 
 
 def _remember(cache: dict, key, value) -> None:

@@ -73,6 +73,13 @@ def four_k9() -> Graph:
     )
 
 
+def two_k75() -> Graph:
+    """Two K75 blocks bridged 0-75, and two adjacent outside vertices seeing
+    0, 76 and 1, 77 (n = 152, Delta 76, eligible): 1,215,450 4-subsets per
+    block."""
+    return block_graph(2, 75, [(0, 75)], [[0, 76], [1, 77]], [(0, 1)])
+
+
 def k5_chain(blocks: int) -> Graph:
     """`blocks` K5 blocks chained 5i - 5(i+1), and an outside K4 on each
     block triple 3t, 3t+1, 3t+2 seeing them as medium_instance's does
@@ -280,15 +287,21 @@ def shuffle(rng, items: list) -> None:
 class TrialLoopSampler:
     """The two-stage draw as one loop per trial: one `randrange` over every
     pool column (its remainder mod 4) of every joint 4-subset choice (the
-    quotient, read block 0 first), the 4-subset graph of that choice
-    coloured afresh (no memo, no shapes), and one `randrange` over the
-    insertable outside vertices, in vertex order, per insertion."""
+    quotient, its digits indexing each block's own `combinations(b, 4)`
+    list, block 0 first), the 4-subset graph of that choice coloured afresh
+    (no memo, no shapes), and one `randrange` over the insertable outside
+    vertices, in vertex order, per insertion."""
 
     def __init__(self, g: Graph):
         self.g = g
-        self.sampler = StableSetSampler(g)  # blocks, choices and outside only
+        self.sampler = StableSetSampler(g)  # blocks and outside only
+        self.choices = [list(combinations(b, 4)) for b in self.sampler.blocks]
 
-    def pool(self, choice) -> list[int]:
+    def pool(self, j: int) -> list[int]:
+        choice = []
+        for opts in self.choices:
+            j, r = divmod(j, len(opts))
+            choice.append(opts[r])
         tilde_vertices = sorted(v for sub in choice for v in sub)
         local = {v: i for i, v in enumerate(tilde_vertices)}
         classes = rainbow_colouring(
@@ -297,13 +310,8 @@ class TrialLoopSampler:
         return [sum(1 << tilde_vertices[i] for i in cls) for cls in classes]
 
     def sample(self, rng, active=None) -> tuple[int, int]:
-        options = self.sampler.block_choices
-        joint, column = divmod(rng.randrange(4 * prod(len(opts) for opts in options)), 4)
-        choice = []
-        for opts in options:
-            choice.append(opts[joint % len(opts)])
-            joint //= len(opts)
-        s_omega = self.pool(tuple(choice))[column]
+        joint, column = divmod(rng.randrange(4 * prod(len(opts) for opts in self.choices)), 4)
+        s_omega = self.pool(joint)[column]
         chosen = {v for v in range(self.g.n) if (s_omega >> v) & 1}
         outside = self.sampler.outside if active is None else active
         insertable = sorted(u for u in set(outside) if not self.g.adj[u] & chosen)
@@ -313,6 +321,17 @@ class TrialLoopSampler:
             s |= 1 << u
             insertable = [v for v in insertable if v != u and v not in self.g.adj[u]]
         return s_omega, s
+
+
+def joint_index(blocks, choice) -> int:
+    """The joint choice index of `choice`, one 4-subset of each block: its
+    mixed-radix digits, block 0 the least significant, are the 4-subsets'
+    positions in each block's own `combinations(b, 4)` list."""
+    j = 0
+    for b, sub in reversed(list(zip(blocks, choice))):
+        opts = list(combinations(b, 4))
+        j = j * len(opts) + opts.index(tuple(sub))
+    return j
 
 
 class TrialStream:

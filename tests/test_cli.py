@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_a, k5_chain, medium_instance
+from conftest import instance_a, k5_chain, medium_instance, two_k75
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
 from kdfree.errors import GraphFormatError
@@ -442,11 +442,31 @@ def test_edge_list_over_vertex_cap_is_input_error(tmp_path, capsys, command):
     assert "capped at n <= 1000" in capsys.readouterr().err
 
 
-def test_sample_over_block_choice_cap_is_input_error(tmp_path, capsys):
-    el = tmp_path / "k150.el"
-    el.write_text(write_edge_list(complete_graph(150)))
-    assert main(["sample", "--graph", str(el), "--trials", "1", "--seed", "0"]) == 2
-    assert "a sampler lists at most 1000000" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "command", [["sample"], ["pipeline", "--mode", "montecarlo"]], ids=["sample", "pipeline"]
+)
+def test_sampler_runs_on_75_vertex_blocks(graph_file, capsys, command):
+    # no 4-subset is listed: each trial unranks its blocks' 4-subsets
+    el = graph_file("two-k75.el", two_k75())
+    assert main([*command, "--graph", el, "--trials", "2000", "--seed", "1"]) == 0
+    if command == ["sample"]:
+        assert len(capsys.readouterr().out.splitlines()) == 153
+
+
+def test_pipeline_on_k80_is_ineligible(graph_file, capsys):
+    # omega = Delta + 1, read off the structural report before any draw
+    assert main(["pipeline", "--graph", graph_file("k80.el", complete_graph(80))]) == 1
+    assert "omega == Delta - 1: FAIL" in capsys.readouterr().err
+
+
+def test_option_value_of_two_dashes_is_input_error(graph_file, capsys):
+    # argparse reads "--trials=--" as [], not "--": still an input error
+    el = graph_file("a.el", instance_a())
+    assert main(["sample", "--graph", el, "--trials=--", "--seed=1"]) == 2
+    assert "--trials takes ASCII integers without '_', got '--'" in capsys.readouterr().err
+    assert main(["sample", "--graph=--", "--trials=1", "--seed=1"]) == 2
+    assert main(["bounds", "--delta=--"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_pipeline_exact_over_outside_cap_is_input_error(graph_file, capsys):

@@ -12,13 +12,14 @@ import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations
 
 import pytest
 
 from conftest import (
     TrialLoopSampler,
     four_k9,
+    joint_index,
     instance_a,
     instance_b,
     instance_c,
@@ -27,6 +28,7 @@ from conftest import (
     shuffle,
     three_k7,
     trial_rng,
+    two_k75,
 )
 from kdfree import graphs, sampling
 from kdfree.bounds import p_value
@@ -105,11 +107,17 @@ def test_two_disjoint_blocks_independent_choices():
     assert sum(weights.values()) == total
     pr_s_omega = sampler.marginals(weights.items(), total, sampler.outside)[1]
     assert all(pr == F(1, 5) for pr in pr_s_omega)
-    choices = list(product(*sampler.block_choices))
-    assert len(choices) == 25
+    assert sampler.n_choices == 25
+    chosen = [chosen_mask(sampler, j) for j in range(sampler.n_choices)]
     for u, v in ((0, 5), (3, 9)):
-        hits = sum(1 for joint in choices if u in joint[0] and v in joint[1])
-        assert F(hits, len(choices)) == F(4, 5) * F(4, 5)
+        hits = sum(1 for c in chosen if (c >> u) & (c >> v) & 1)
+        assert F(hits, len(chosen)) == F(4, 5) * F(4, 5)
+
+
+def chosen_mask(sampler: StableSetSampler, j: int) -> int:
+    """The vertices of joint choice j's 4-subsets: its pool's colour classes
+    split them."""
+    return sum(sampler.pool(j)[0])
 
 
 def test_block_tilde_membership_independent():
@@ -119,10 +127,11 @@ def test_block_tilde_membership_independent():
     sampler = StableSetSampler(g)
     total = 0
     both = one_a = one_b = 0
-    for joint in product(*sampler.block_choices):
+    for j in range(sampler.n_choices):
         total += 1
-        in_a = 0 in joint[0]
-        in_b = 5 in joint[1]
+        chosen = chosen_mask(sampler, j)
+        in_a = chosen & 1
+        in_b = (chosen >> 5) & 1
         both += in_a and in_b
         one_a += in_a
         one_b += in_b
@@ -252,21 +261,15 @@ def test_aharoni_guard_fires_on_overloaded_tilde():
     # graph's degree bound
     g = block_graph(4, 5, cross_edges=[(0, 5), (0, 10), (0, 15)])
     sampler = StableSetSampler(g)
-    bad = (
-        (0, 1, 2, 3),
-        (4 + 1, 4 + 2, 4 + 3, 5),  # block vertices 5..9; include 5
-        (10, 11, 12, 13),
-        (15, 16, 17, 18),
-    )
-    bad = tuple(tuple(sorted(sub)) for sub in bad)
+    bad = ((0, 1, 2, 3), (5, 6, 7, 8), (10, 11, 12, 13), (15, 16, 17, 18))
     with pytest.raises(HypothesisViolated):
-        sampler.pool(bad)
+        sampler.pool(joint_index(sampler.blocks, bad))
 
 
 def test_aharoni_guard_fires_with_a_warm_memo():
     # a failing shape is never memoised: the overloaded choice, and a second
-    # choice of the same shape, raise every time, by choice and by joint
-    # choice index, before and after a good choice has warmed both memos
+    # choice of the same shape, raise every time, before and after a good
+    # choice has warmed both memos
     g = block_graph(4, 5, cross_edges=[(0, 5), (0, 10), (0, 15)])
     sampler = StableSetSampler(g)
     bad = ((0, 1, 2, 3), (5, 6, 7, 8), (10, 11, 12, 13), (15, 16, 17, 18))
@@ -274,23 +277,17 @@ def test_aharoni_guard_fires_with_a_warm_memo():
     good = ((1, 2, 3, 4), (6, 7, 8, 9), (11, 12, 13, 14), (16, 17, 18, 19))
 
     def picks(choice):
-        # the mixed-radix index, block 0 the least significant digit
-        j = 0
-        for c, sub in reversed(list(zip(sampler.block_choices, choice))):
-            j = j * len(c) + c.index(sub)
-        return j
+        return joint_index(sampler.blocks, choice)
 
     def refused(choices):
         for choice in choices:
             with pytest.raises(HypothesisViolated):
-                sampler.pool(choice)
-            with pytest.raises(HypothesisViolated):
-                sampler._pool_plan(picks(choice))
+                sampler.pool(picks(choice))
 
     refused((bad, bad, same_shape))
     assert not sampler._pools and not sampler._shapes
-    pool = sampler._pool_plan(picks(good))[0]
-    assert sampler.pool(good) == pool
+    plan = sampler.pool(picks(good))
+    assert sampler._pools[picks(good)] == plan
     refused((bad, same_shape, bad))
     assert list(sampler._pools) == [picks(good)] and len(sampler._shapes) == 1
 
@@ -302,13 +299,12 @@ def test_shape_without_a_colouring_or_past_the_node_cap_is_named(monkeypatch):
     with pytest.raises(HypothesisViolated, match=r"parts \[\(0, 1, 2, 3\), \(4,\)\] with edges"):
         sampling._shape_pool(complete_graph(5), ((0, 1, 2, 3), (4,)))
     sampler = StableSetSampler(medium_instance())
-    choice = tuple(c[0] for c in sampler.block_choices)
     monkeypatch.setattr(graphs, "COLOURING_NODE_LIMIT", 11)
     with pytest.raises(SizeLimit, match=r"gave up: parts \[\(0, 1, 2, 3\), \(4, 5, 6, 7\)"):
-        sampler.pool(choice)
+        sampler.pool(0)  # each block's first 4-subset
     assert not sampler._shapes
     monkeypatch.setattr(graphs, "COLOURING_NODE_LIMIT", 12)
-    assert len(sampler.pool(choice)) == 4
+    assert len(sampler.pool(0)[0]) == 4
 
 
 def test_enumeration_size_limit():
@@ -323,7 +319,7 @@ def test_enumeration_work_counts_inserted_sets(monkeypatch):
     for edges, pairs in (((), 4), (((0, 1),), 8)):
         g = block_graph(1, 4, outside=[[], []], outside_edges=edges)
         sampler = StableSetSampler(g)
-        assert len(sampler.pool(tuple(sampler.block_choices[0]))) == 4
+        assert len(sampler.pool(0)[0]) == 4
         monkeypatch.setattr(sampling, "ENUMERATION_WORK_LIMIT", pairs)
         sampler.enumerate_exact()
         monkeypatch.setattr(sampling, "ENUMERATION_WORK_LIMIT", pairs - 1)
@@ -340,14 +336,13 @@ def enumerate_by_orders(sampler: StableSetSampler, active=None) -> ExactMarginal
     g = sampler.g
     n, masks = g.n, g.masks
     closed = [masks[v] | (1 << v) for v in range(n)]
-    joints = list(product(*sampler.block_choices))
     orders = list(permutations(outside))
     pr_s_omega = [F(0)] * n
     nb_empty = {v: F(0) for v in outside}
     dist: dict[int, Fraction] = {}
-    for joint in joints:
-        pool = sampler.pool(joint)
-        col_p = F(1, len(joints) * len(pool))
+    for j in range(sampler.n_choices):
+        pool = sampler.pool(j)[0]
+        col_p = F(1, sampler.n_choices * len(pool))
         for col in pool:
             for v in range(n):
                 if (col >> v) & 1:
@@ -421,7 +416,7 @@ def test_enumerate_exact_matches_order_walk(outside_count):
 def test_enumerate_exact_matches_order_walk_on_medium():
     # every pool is the 4 colour classes, so the weights are out of n 4 k!
     sampler = StableSetSampler(medium_instance())
-    assert {len(sampler.pool(joint)) for joint in product(*sampler.block_choices)} == {4}
+    assert {len(sampler.pool(j)[0]) for j in range(sampler.n_choices)} == {4}
     for active in (None, [15, 17], [16, 17, 18]):
         assert enumerate_exact_marginals(sampler, active) == enumerate_by_orders(sampler, active)
 
@@ -505,19 +500,29 @@ def test_estimate_loads_no_openssl_hash():
     assert out.stdout.strip() == "[]"
 
 
-def test_block_choice_cap_is_checked_before_listing():
-    g = complete_graph(150)  # C(150, 4) is about 2e7 4-subsets
+def test_subset_unranks_combinations_order():
+    # the r-th 4-subset in combinations order, every index of blocks of 4-20
+    # vertices and 200 seeded indices of a 75-vertex block
+    for size in range(4, 21):
+        b = tuple(range(3, 3 + 2 * size, 2))
+        assert [sampling._subset(b, r) for r in range(math.comb(size, 4))] == list(combinations(b, 4))
+    b, rng = tuple(range(75)), random.Random(75)
+    for r in (rng.randrange(math.comb(75, 4)) for _ in range(200)):
+        assert sampling._subset(b, r) == next(islice(combinations(b, 4), r, None))
+
+
+def test_sampler_lists_no_4_subsets():
+    g = two_k75()
     cs = clique_structure(g)
     tracemalloc.start()
     try:
-        with pytest.raises(SizeLimit, match=f"lists at most {sampling.CHOICE_LIST_LIMIT}"):
-            StableSetSampler(g, cs)
+        sampler = StableSetSampler(g, cs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 50_000
-    # one block of up to 71 vertices fits (README)
-    assert math.comb(71, 4) <= sampling.CHOICE_LIST_LIMIT < math.comb(72, 4)
+    assert peak < 1_000_000
+    assert sampler.n_choices == math.comb(75, 4) ** 2
+    assert sum(sampler.tally(1, (), 50).values()) == 50
 
 
 # ── differential check against the per-trial loop ─────────────────────────
@@ -682,7 +687,7 @@ def test_shared_shape_pools_are_rainbow_colourings_in_g(monkeypatch):
     first = ((1, 2, 3, 4), (8, 9, 10, 11), (15, 16, 17, 18))
     second = ((2, 3, 5, 6), (9, 10, 12, 13), (16, 17, 19, 20))
     colourings = CountedColouring(monkeypatch)
-    pools = [sampler.pool(first), sampler.pool(second)]
+    pools = [sampler.pool(joint_index(sampler.blocks, choice))[0] for choice in (first, second)]
     assert colourings.calls == 1
     for choice, pool in zip((first, second), pools):
         assert len(pool) == 4
@@ -768,7 +773,7 @@ def test_every_draw_path_of_a_trial_gives_the_exact_law(build):
 
     def sampler_trial(rng):
         joint, column = divmod(rng.randrange(4 * sampler.n_choices), 4)
-        return sampler.extend(rng, sampler._pool_plan(joint)[0][column])
+        return sampler.extend(rng, sampler.pool(joint)[0][column])
 
     assert law_of_draws(lambda rng: oracle.sample(rng)[1]) == exact
     assert law_of_draws(sampler_trial) == exact

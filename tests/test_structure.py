@@ -37,7 +37,8 @@ from kdfree.graphs import (
     strong_product,
     write_edge_list,
 )
-from kdfree.pipeline import initial_colouring
+from kdfree.intervals import verify_certificate
+from kdfree.pipeline import end_to_end, initial_colouring
 from kdfree.sampling import StableSetSampler
 from kdfree.structure import (
     NEAR_CLIQUE_PATTERNS,
@@ -331,3 +332,18 @@ def test_broken_block_hypothesis_reads_as_check_words_everywhere(tmp_path_factor
     assert all(line in str(pipeline_error.value) for line in fails)
     code, _, err = _run(["sample", "--graph", str(path), "--trials", "10", "--seed", "0"])
     assert (code, err) == (1, f"ineligible input: {'; '.join(fails)}\n")
+
+
+@given(g=eligible_block_graphs(max_blocks=3))
+@settings(max_examples=50, deadline=None)
+def test_eligible_block_graphs_compose_end_to_end(tmp_path_factory, g):
+    # every eligible block graph composes: the combined certificate covers
+    # each vertex once within the bound, and `kdfree pipeline --mode exact`
+    # meets every condition on the same edge list
+    report = end_to_end(g)
+    assert report.composed is not None and report.ok
+    assert report.composed.combined.total <= report.bound
+    assert verify_certificate(g, report.composed.combined, [Fraction(1)] * g.n).ok
+    path = tmp_path_factory.mktemp("eligible") / "g.el"
+    path.write_text(write_edge_list(g))
+    assert _run(["pipeline", "--graph", str(path), "--mode", "exact"])[0] == 0
