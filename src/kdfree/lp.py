@@ -8,7 +8,10 @@ exact branch-and-bound maximum-weight stable set oracle until none is
 violated, at which point the dual vector y certifies optimality over all
 stable sets.  One integer simplex tableau lives for the whole solve: each
 priced column is one new dual row, and dual simplex pivots re-optimise from
-the current basis.  Values leave the solver as Fractions.
+the current basis.  Past the first solve the tableau stores only its at
+most n rows basic in a y, so a pivot rewrites at most n rows however many
+columns were priced in; pricing reads the tableau's integer duals as they
+are.  Values leave the solver as Fractions.
 """
 
 from __future__ import annotations
@@ -40,8 +43,15 @@ class _DualTableau:
     denominators.  Pivots use Bareiss exact division, so every entry stays an
     integer (a subdeterminant of the constraint matrix); D stays positive
     because a negative pivot row is negated first.  The tableau is compact:
-    one row per basic variable (``basis``), one column per nonbasic variable
-    (``cols``).  Variables 0..n-1 are y; variable n+i is the slack of row i.
+    one column per nonbasic variable (``cols``), and variables 0..n-1 are y;
+    variable n+i is the slack of row i, the row y(sets[i]) <= 1.
+
+    Rows are stored keyed by their basic variable (``rows`` and ``rhs``).
+    The primal phase stores every row; after it, only the rows whose basic
+    variable is a y are kept, so there are at most n of them and a dual pivot
+    updates at most n rows.  A row whose slack is basic is rebuilt when a step
+    reads it: D*a_S minus the stored rows whose basic y lies in S, with rhs
+    D minus the D*y_v over v in S.
 
     The first solve is primal simplex from the slack basis with Bland's rule.
     A new row enters basic in its own slack, and dual simplex with the dual
@@ -50,59 +60,59 @@ class _DualTableau:
     """
 
     def __init__(self, weights: Sequence[Fraction], rows: Iterable[frozenset[int]]):
-        self.n = len(weights)
+        self.n = n = len(weights)
         self.scale = lcm(*(x.denominator for x in weights))
         self.d = 1
-        self.cols = list(range(self.n))
+        self.cols = list(range(n))
         self.z = [-(x.numerator * (self.scale // x.denominator)) for x in weights]
         self.z_rhs = 0
-        self.rows: list[list[int]] = []
-        self.rhs: list[int] = []
-        self.basis: list[int] = []
-        for s in rows:
-            self._append(s)
-        rows, rhs, basis, z = self.rows, self.rhs, self.basis, self.z
+        self.sets = list(rows)
+        self.rows: dict[int, list[int]] = {}
+        self.rhs: dict[int, int] = {}
+        # the primal phase stores every row: the seed rows, at most n of them
+        for b in range(n, n + len(self.sets)):
+            self.rows[b], self.rhs[b] = self._row(b)
+        stored, rhs, cols, z = self.rows, self.rhs, self.cols, self.z
         while True:
-            entering = [(v, j) for j, v in enumerate(self.cols) if z[j] < 0]
+            entering = [(v, j) for j, v in enumerate(cols) if z[j] < 0]
             if not entering:
-                return
+                break
             enter = min(entering)[1]
             leave = -1
-            for i, row in enumerate(rows):
+            for b, row in stored.items():
                 a = row[enter]
                 if a > 0:
-                    # minimise rhs[i]/a; ties leave the smallest basic variable
-                    diff = -1 if leave < 0 else rhs[i] * rows[leave][enter] - rhs[leave] * a
-                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
-                        leave = i
+                    # minimise rhs[b]/a; ties leave the smallest basic variable
+                    diff = -1 if leave < 0 else rhs[b] * stored[leave][enter] - rhs[leave] * a
+                    if diff < 0 or (diff == 0 and b < leave):
+                        leave = b
             if leave < 0:
                 raise LpError("unbounded linear program")
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, stored[leave], rhs[leave], keep=True)
+        for b in [b for b in stored if b >= n]:
+            del stored[b], rhs[b]
 
-    def _append(self, s: frozenset[int]) -> None:
-        """The row y(s) <= 1, basic in a new slack and reduced against the
-        current basis: D*a_s minus the rows whose basic y lies in s."""
+    def _row(self, b: int) -> tuple[list[int], int]:
+        """The row whose basic variable is b, stored or rebuilt."""
+        if b in self.rows:
+            return self.rows[b], self.rhs[b]
+        s = self.sets[b - self.n]
         row = [self.d if v in s else 0 for v in self.cols]
         rhs = self.d
-        for i, b in enumerate(self.basis):
-            if b in s:
-                row = [x - y for x, y in zip(row, self.rows[i])]
-                rhs -= self.rhs[i]
-        self.basis.append(self.n + len(self.rows))
-        self.rows.append(row)
-        self.rhs.append(rhs)
+        for v in s:
+            if v in self.rows:
+                row = [x - y for x, y in zip(row, self.rows[v])]
+                rhs -= self.rhs[v]
+        return row, rhs
 
     def add_row(self, s: frozenset[int]) -> None:
-        self._append(s)
-        rows, rhs, basis, cols, z = self.rows, self.rhs, self.basis, self.cols, self.z
-        while True:
-            leave = -1
-            for i, b in enumerate(rhs):
-                if b < 0 and (leave < 0 or basis[i] < basis[leave]):
-                    leave = i
-            if leave < 0:
-                return
-            row = rows[leave]
+        """Append y(s) <= 1, basic in a new slack, and re-optimise."""
+        self.sets.append(s)
+        n, rhs, cols, z = self.n, self.rhs, self.cols, self.z
+        # the basis was feasible, so only the new row can be infeasible
+        leave = n + len(self.sets) - 1
+        row, r = self._row(leave)
+        while r < 0:
             enter = -1
             for j, a in enumerate(row):
                 if a < 0:
@@ -112,43 +122,55 @@ class _DualTableau:
                         enter = j
             if enter < 0:
                 raise LpError("infeasible row in the dual simplex")
-            self._pivot(leave, enter)
+            self._pivot(leave, enter, row, r)
+            leave = min((b for b, x in rhs.items() if x < 0), default=-1)
+            if leave < 0:
+                # D - D*y(S) per row: 0 where the slack is nonbasic, so a
+                # negative value is the rhs of a basic slack's row
+                y, d = self.scaled_dual().__getitem__, self.d
+                leave = next((n + i for i, t in enumerate(self.sets) if d < sum(map(y, t))), -1)
+                if leave < 0:
+                    return
+            row, r = self._row(leave)
 
-    def _pivot(self, r: int, e: int) -> None:
+    def _pivot(self, leave: int, e: int, prow: list[int], prhs: int, keep: bool = False) -> None:
+        """Pivot on entry e of the row basic in `leave`.  The row is stored
+        under the entering variable if that is a y, or if `keep` is set."""
         rows, rhs, z, d = self.rows, self.rhs, self.z, self.d
-        prow, prhs = rows[r], rhs[r]
         p = prow[e]
         sign = 1
         if p < 0:
             sign, p, prhs = -1, -p, -prhs
             prow = [-b for b in prow]
-        for i, row in enumerate(rows):
-            if i == r:
+        for b, row in rows.items():
+            if b == leave:
                 continue
             f = row[e]
             if f:
-                row = rows[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                row = rows[b] = [(a * p - f * c) // d for a, c in zip(row, prow)]
                 row[e] = -sign * f
-                rhs[i] = (rhs[i] * p - f * prhs) // d
+                rhs[b] = (rhs[b] * p - f * prhs) // d
             elif p != d:
-                rows[i] = [a * p // d for a in row]
-                rhs[i] = rhs[i] * p // d
+                rows[b] = [a * p // d for a in row]
+                rhs[b] = rhs[b] * p // d
         f = z[e]
-        z[:] = [(a * p - f * b) // d for a, b in zip(z, prow)]
+        z[:] = [(a * p - f * c) // d for a, c in zip(z, prow)]
         z[e] = -sign * f
         self.z_rhs = (self.z_rhs * p - f * prhs) // d
         # the leaving variable takes the entering one's column
         prow[e] = sign * d
-        rows[r], rhs[r] = prow, prhs
-        self.basis[r], self.cols[e] = self.cols[e], self.basis[r]
+        rows.pop(leave, None)
+        rhs.pop(leave, None)
+        enter, self.cols[e] = self.cols[e], leave
+        if keep or enter < self.n:
+            rows[enter], rhs[enter] = prow, prhs
         self.d = p
 
     def scaled_dual(self) -> list[int]:
         """D*y for the current basis."""
         y = [0] * self.n
-        for i, b in enumerate(self.basis):
-            if b < self.n:
-                y[b] = self.rhs[i]
+        for v, b in self.rhs.items():
+            y[v] = b
         return y
 
     def value(self) -> Fraction:
@@ -156,7 +178,7 @@ class _DualTableau:
 
     def primal(self) -> list[Fraction]:
         """Row weights of the covering LP: the reduced costs of the slacks."""
-        x = [_ZERO] * len(self.rows)
+        x = [_ZERO] * len(self.sets)
         for j, v in enumerate(self.cols):
             if v >= self.n:
                 x[v - self.n] = Fraction(self.z[j], self.d * self.scale)
@@ -167,7 +189,7 @@ class _DualTableau:
 
 
 def max_weight_stable_set(
-    g: Graph, weights: Sequence[Fraction]
+    g: Graph, weights: Sequence[Fraction | int]
 ) -> tuple[frozenset[int], Fraction]:
     """Exact maximiser via one branch and bound.
 
@@ -177,9 +199,12 @@ def max_weight_stable_set(
     positive-weight vertices, the one whose membership, read along the
     branching order (weight descending, ties to the smaller vertex), is
     greatest.  The weights are scaled once by the lcm of their denominators,
-    so the search runs on integers.
+    so the search runs on integers, and int weights are read as they are.
+    The search runs on the positive-weight vertices relabelled to their
+    positions in the branching order, so the next branch is the lowest set
+    bit of the candidate mask and the bound walks set bits only.
     """
-    w = [Fraction(x) for x in weights]
+    w = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in weights]
     if len(w) != g.n:
         raise ValueError(f"expected {g.n} weights, got {len(w)}")
     if any(x < 0 for x in w):
@@ -187,25 +212,27 @@ def max_weight_stable_set(
     scale = lcm(*(x.denominator for x in w))
     iw = [x.numerator * (scale // x.denominator) for x in w]
     order = sorted((v for v in range(g.n) if iw[v] > 0), key=lambda v: (-iw[v], v))
-    masks = g.masks
-    full = 0
-    for v in order:
-        full |= 1 << v
+    weight = [iw[v] for v in order]
+    label = [0] * g.n  # vertex -> its bit in the relabelled masks
+    for i, v in enumerate(order):
+        label[v] = 1 << i
+    # the candidates order[i] leaves: neither it nor a neighbour
+    apart = [~(sum(map(label.__getitem__, g.adj[v])) | label[v]) for v in order]
 
     def cover_bound(mask: int) -> int:
         total = 0
         cliques: list[int] = []
-        for v in order:
-            if not (mask >> v) & 1:
-                continue
-            bit = 1 << v
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            i = bit.bit_length() - 1
             for idx, cm in enumerate(cliques):
-                if cm & ~masks[v] == 0:
+                if cm & apart[i] == 0:
                     cliques[idx] = cm | bit
                     break
             else:
                 cliques.append(bit)
-                total += iw[v]
+                total += weight[i]
         return total
 
     best = 0
@@ -217,13 +244,13 @@ def max_weight_stable_set(
             best, best_set = acc, chosen
         if not mask or acc + cover_bound(mask) <= best:
             return
-        v = next(u for u in order if (mask >> u) & 1)
-        bit = 1 << v
-        search(mask & ~masks[v] & ~bit, acc + iw[v], chosen | bit)
+        bit = mask & -mask
+        i = bit.bit_length() - 1
+        search(mask & apart[i], acc + weight[i], chosen | bit)
         search(mask & ~bit, acc, chosen)
 
-    search(full, 0, 0)
-    return frozenset(v for v in order if (best_set >> v) & 1), Fraction(best, scale)
+    search((1 << len(order)) - 1, 0, 0)
+    return frozenset(v for i, v in enumerate(order) if (best_set >> i) & 1), Fraction(best, scale)
 
 
 # ── column generation ─────────────────────────────────────────────────────
@@ -241,13 +268,18 @@ class LpResult:
 
 
 def _seed_columns(g: Graph) -> list[frozenset[int]]:
+    # the mask answers the stability test; the set is still built vertex by
+    # vertex, since a frozenset's iteration order (the order the LP reads a
+    # row's members) depends on how it was built
     order = degeneracy_order(g)
+    masks = g.masks
     seeds = []
     for v in order:
-        s = {v}
+        s, mask = {v}, 1 << v
         for u in order:
-            if u not in s and not (g.adj[u] & s):
+            if not (mask >> u) & 1 and not masks[u] & mask:
                 s.add(u)
+                mask |= 1 << u
         seeds.append(frozenset(s))
     return list(dict.fromkeys(seeds))
 

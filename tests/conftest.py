@@ -6,10 +6,11 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, lcm, prod
 
 from hypothesis import strategies as st
 
+from kdfree.errors import LpError
 from kdfree.graphs import Graph, block_graph, rainbow_colouring
 from kdfree.sampling import StableSetSampler
 
@@ -274,6 +275,127 @@ def brute_near_cliques(g: Graph, delta: int, pattern: str) -> list[tuple[int, ..
         if shapes == want:
             hits.append(sub)
     return hits
+
+
+class ReferenceTableau:
+    """The LP's dual tableau with every row stored: one row per basic
+    variable, slack or y, each rewritten by every pivot.  The same Bareiss
+    pivots and Bland rules as `kdfree.lp._DualTableau`, which stores only the
+    rows whose basic variable is a y, so the two must agree pivot for pivot.
+    """
+
+    def __init__(self, weights, rows):
+        self.n = len(weights)
+        self.scale = lcm(*(x.denominator for x in weights))
+        self.d = 1
+        self.cols = list(range(self.n))
+        self.z = [-(x.numerator * (self.scale // x.denominator)) for x in weights]
+        self.z_rhs = 0
+        self.rows: list[list[int]] = []
+        self.rhs: list[int] = []
+        self.basis: list[int] = []
+        for s in rows:
+            self._append(s)
+        rows, rhs, basis, z = self.rows, self.rhs, self.basis, self.z
+        while True:
+            entering = [(v, j) for j, v in enumerate(self.cols) if z[j] < 0]
+            if not entering:
+                return
+            enter = min(entering)[1]
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a > 0:
+                    # minimise rhs[i]/a; ties leave the smallest basic variable
+                    diff = -1 if leave < 0 else rhs[i] * rows[leave][enter] - rhs[leave] * a
+                    if diff < 0 or (diff == 0 and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                raise LpError("unbounded linear program")
+            self._pivot(leave, enter)
+
+    def _append(self, s):
+        """The row y(s) <= 1, basic in a new slack and reduced against the
+        current basis: D*a_s minus the rows whose basic y lies in s."""
+        row = [self.d if v in s else 0 for v in self.cols]
+        rhs = self.d
+        for i, b in enumerate(self.basis):
+            if b in s:
+                row = [x - y for x, y in zip(row, self.rows[i])]
+                rhs -= self.rhs[i]
+        self.basis.append(self.n + len(self.rows))
+        self.rows.append(row)
+        self.rhs.append(rhs)
+
+    def add_row(self, s):
+        self._append(s)
+        rows, rhs, basis, cols, z = self.rows, self.rhs, self.basis, self.cols, self.z
+        while True:
+            leave = -1
+            for i, b in enumerate(rhs):
+                if b < 0 and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+            if leave < 0:
+                return
+            row = rows[leave]
+            enter = -1
+            for j, a in enumerate(row):
+                if a < 0:
+                    # minimise z[j]/-a; ties enter the smallest variable
+                    diff = -1 if enter < 0 else z[enter] * a - z[j] * row[enter]
+                    if diff < 0 or (diff == 0 and cols[j] < cols[enter]):
+                        enter = j
+            if enter < 0:
+                raise LpError("infeasible row in the dual simplex")
+            self._pivot(leave, enter)
+
+    def _pivot(self, r, e):
+        rows, rhs, z, d = self.rows, self.rhs, self.z, self.d
+        prow, prhs = rows[r], rhs[r]
+        p = prow[e]
+        sign = 1
+        if p < 0:
+            sign, p, prhs = -1, -p, -prhs
+            prow = [-b for b in prow]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            f = row[e]
+            if f:
+                row = rows[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                row[e] = -sign * f
+                rhs[i] = (rhs[i] * p - f * prhs) // d
+            elif p != d:
+                rows[i] = [a * p // d for a in row]
+                rhs[i] = rhs[i] * p // d
+        f = z[e]
+        z[:] = [(a * p - f * b) // d for a, b in zip(z, prow)]
+        z[e] = -sign * f
+        self.z_rhs = (self.z_rhs * p - f * prhs) // d
+        # the leaving variable takes the entering one's column
+        prow[e] = sign * d
+        rows[r], rhs[r] = prow, prhs
+        self.basis[r], self.cols[e] = self.cols[e], self.basis[r]
+        self.d = p
+
+    def scaled_dual(self):
+        """D*y for the current basis."""
+        y = [0] * self.n
+        for i, b in enumerate(self.basis):
+            if b < self.n:
+                y[b] = self.rhs[i]
+        return y
+
+    def value(self):
+        return Fraction(self.z_rhs, self.d * self.scale)
+
+    def primal(self):
+        """Row weights of the covering LP: the reduced costs of the slacks."""
+        x = [Fraction(0)] * len(self.rows)
+        for j, v in enumerate(self.cols):
+            if v >= self.n:
+                x[v - self.n] = Fraction(self.z[j], self.d * self.scale)
+        return x
 
 
 def shuffle(rng, items: list) -> None:

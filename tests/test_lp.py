@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ReferenceTableau,
     brute_independence_number,
     brute_max_weight_stable,
     brute_stable_sets,
     random_graph,
     random_weights,
 )
+from kdfree import lp
 from kdfree.errors import HypothesisViolated
 from kdfree.graphs import (
     NAMED_GRAPHS,
@@ -26,6 +28,8 @@ from kdfree.graphs import (
     complete_graph,
     cycle_graph,
     cycle_power,
+    degeneracy_order,
+    generalized_petersen,
     strong_product,
 )
 from kdfree.intervals import StableSetWeighting, verify_certificate
@@ -355,3 +359,139 @@ def test_aharoni_rejects_bad_hypotheses():
     spiked = block_graph(2, 4, cross_edges=[(0, 4), (0, 5), (0, 6), (0, 7)])
     with pytest.raises(HypothesisViolated, match="degree"):
         verify_aharoni(spiked, [range(4), range(4, 8)], 2)
+
+
+# ── the tableau against its stored-row reference ─────────────────────────
+
+
+def seeded_gnp(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def reference_seed_columns(g):
+    """The seed columns as sets: one greedy stable set from each vertex,
+    read in degeneracy order."""
+    order = degeneracy_order(g)
+    seeds = []
+    for v in order:
+        s = {v}
+        for u in order:
+            if u not in s and not (g.adj[u] & s):
+                s.add(u)
+        seeds.append(frozenset(s))
+    return list(dict.fromkeys(seeds))
+
+
+def weighted_batch(seed: int, count: int):
+    """G(n, 1/2) graphs, n cycling through 14..18, with weights p/q, q in
+    1..6 and 0 <= p/q <= 2: the benchmark's weighted chi_f batch."""
+    rng = random.Random(f"chif-weighted:{seed}")
+    out = []
+    for i in range(count):
+        n = 14 + i % 5
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        weights = []
+        for _ in range(n):
+            den = rng.randint(1, 6)
+            weights.append(F(rng.randint(0, 2 * den), den))
+        out.append((g, weights))
+    return out
+
+
+def assert_same_as_reference(monkeypatch, g, w):
+    """chi_f_weighted gives the same result, down to its repr, under the
+    stored-row tableau; the seed columns are those of the set-built greedy."""
+    assert [tuple(s) for s in lp._seed_columns(g)] == [
+        tuple(s) for s in reference_seed_columns(g)
+    ]
+    result = repr(chi_f_weighted(g, w))
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_DualTableau", ReferenceTableau)
+        assert repr(chi_f_weighted(g, w)) == result
+
+
+ORACLE_GRAPHS = {
+    **NAMED_GRAPHS,
+    **{f"c{n}cube": (lambda n=n: cycle_power(n, 3)) for n in range(19, 24)},
+    "c9xk2": lambda: strong_product(cycle_graph(9), complete_graph(2)),
+    "p92": lambda: generalized_petersen(9, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+def test_tableau_matches_reference_on_named_graphs(monkeypatch, name):
+    g = ORACLE_GRAPHS[name]()
+    assert_same_as_reference(monkeypatch, g, ones(g.n))
+
+
+def test_tableau_matches_reference_on_weighted_batch(monkeypatch):
+    for g, w in weighted_batch(1, 40):
+        assert_same_as_reference(monkeypatch, g, w)
+
+
+def test_tableau_matches_reference_on_prime_denominators(monkeypatch):
+    g = cycle_power(19, 3)
+    w = [F(p // 2 + i, p) for i, p in enumerate(primes_above(10**6, g.n))]
+    assert_same_as_reference(monkeypatch, g, w)
+
+
+@given(
+    st.integers(1, 14).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+            st.lists(
+                st.tuples(st.integers(0, 12), st.sampled_from([1, 2, 3, 5, 6, 7, 1000003])),
+                min_size=n,
+                max_size=n,
+            ),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_tableau_matches_reference_property(case):
+    n, present, fractions = case
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
+    w = [F(a, b) for a, b in fractions]
+    with pytest.MonkeyPatch.context() as m:
+        assert_same_as_reference(m, g, w)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: cycle_power(30, 3), lambda: seeded_gnp(40, 0.1, 1)], ids=["c30cube", "g40"]
+)
+def test_tableau_stores_only_basic_y_rows_and_prices_on_ints(monkeypatch, build):
+    # every pivot leaves at most n stored rows (the seed rows in the primal
+    # phase, then only rows basic in a y) while the LP holds more rows than
+    # that; pricing is called once per round, on the tableau's integer duals
+    g = build()
+    stored = []
+
+    class Watched(lp._DualTableau):
+        def __init__(self, *args):
+            super().__init__(*args)
+            assert all(b < self.n for b in self.rows)
+
+        def _pivot(self, *args, **kwargs):
+            super()._pivot(*args, **kwargs)
+            stored.append(len(self.rows))
+
+        def add_row(self, s):
+            super().add_row(s)
+            assert all(b < self.n for b in self.rows)
+
+    calls = []
+    price = lp.max_weight_stable_set
+
+    def watched_price(graph, weights):
+        calls.append(all(type(x) is int for x in weights))
+        return price(graph, weights)
+
+    monkeypatch.setattr(lp, "_DualTableau", Watched)
+    monkeypatch.setattr(lp, "max_weight_stable_set", watched_price)
+    res = chi_f(g)
+    assert stored and max(stored) <= g.n < res.columns_generated
+    assert len(calls) == res.columns_generated - len(lp._seed_columns(g)) + 1
+    assert all(calls)
