@@ -161,7 +161,6 @@ def check_weight_conditions(
     cs: CliqueStructure,
     y: Fraction,
     w: Sequence[Fraction],
-    band: Fraction = _ZERO,
 ) -> list[ConditionCheck]:
     """The five conditions the initial weights satisfy: block vertices pay
     y/omega; outside vertices at least min(p(Delta,l)y, 1); cliques of size
@@ -170,24 +169,21 @@ def check_weight_conditions(
 
     A clique condition is checked on the k lightest vertices of each maximal
     clique, k <= min(|M|, omega - 1); its `violators` detail counts the
-    failing (maximal clique, k) pairs.
-
-    With band = 0 the checks are exact; a positive per-vertex band loosens
-    them for weights achieved by Monte Carlo estimation.
+    failing (maximal clique, k) pairs.  Every check is exact.
     """
     delta = g.max_degree()
     omega = cs.omega
     mu_k, mu, _ = mu_values(delta)
     checks: list[ConditionCheck] = []
 
-    bad = [v for v in cs.v_omega if abs(w[v] - y / omega) > band]
+    bad = [v for v in cs.v_omega if w[v] != y / omega]
     checks.append(ConditionCheck("block_weight", not bad, f"violators {bad[:4]}"))
 
     bad = [
         v
         for v in range(g.n)
         if v not in cs.v_omega
-        and w[v] < min(p_value(delta, cs.d_omega[v]) * y, _ONE) - band
+        and w[v] < min(p_value(delta, cs.d_omega[v]) * y, _ONE)
     ]
     checks.append(ConditionCheck("outside_floor", not bad, f"violators {bad[:4]}"))
 
@@ -195,7 +191,7 @@ def check_weight_conditions(
     # the least weight of any k-subclique, so these prefixes are the cases
     floor = min(mu * y, _ONE)
     floors = [
-        (k, k * (floor - band), k * (min(mu_k[delta + 1 - k] * y, _ONE) - band))
+        (k, k * floor, k * min(mu_k[delta + 1 - k] * y, _ONE))
         for k in range(1, omega)
     ]
     small_bad = large_bad = 0
@@ -208,19 +204,14 @@ def check_weight_conditions(
     checks.append(ConditionCheck("clique_floor", not small_bad, f"violators {small_bad}"))
     checks.append(ConditionCheck("large_clique_floor", not large_bad, f"violators {large_bad}"))
 
-    bad = []
-    for v in range(g.n):
-        if w[v] < 1:
-            closed = sum((w[u] for u in g.adj[v]), w[v])
-            if closed < y - (g.degree(v) + 1) * band:
-                bad.append(v)
+    bad = [v for v in range(g.n) if w[v] < 1 and sum((w[u] for u in g.adj[v]), w[v]) < y]
     checks.append(ConditionCheck("closed_nb_weight", not bad, f"violators {bad[:4]}"))
     return checks
 
 
 @dataclass(frozen=True)
 class InitialColouringReport:
-    y: Fraction
+    y: Fraction  # the weight spent, trace.y_total
     mu: Fraction
     trace: PipelineTrace
     weighting: StableSetWeighting
@@ -235,16 +226,24 @@ class InitialColouringReport:
 
 
 def verify_theorem_initial(
-    g: Graph, y: Fraction, cs: CliqueStructure | None = None
+    g: Graph,
+    y: Fraction,
+    cs: CliqueStructure | None = None,
+    mode: str = "exact",
+    trials: int = 10000,
+    seed: int = 0,
 ) -> InitialColouringReport:
-    """Exact run of the initial colouring plus the residual Reed-weight bound
-    rho_{1-w}(G) <= Delta - (1+mu)y."""
+    """Run the initial colouring (mode, trials and seed as initial_colouring
+    takes them), then check exactly, at the weight y it spent, the five
+    weight conditions and the residual Reed-weight bound
+    rho_{1-w}(G) <= Delta - (1+mu)y.  An exact run spends all of the given
+    y; a Monte Carlo run that fills a block vertex spends less."""
     if cs is None:
         cs = clique_structure(g)
-    y = Fraction(y)
     delta = g.max_degree()
     _, mu, _ = mu_values(delta)
-    trace, weighting = initial_colouring(g, y, mode="exact", cs=cs)
+    trace, weighting = initial_colouring(g, y, mode, trials, seed, cs)
+    y = trace.y_total
     rho_vec, rho = reed_weight(g, cs, [_ONE - wv for wv in trace.final_w])
     return InitialColouringReport(
         y=y,

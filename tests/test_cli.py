@@ -267,7 +267,39 @@ def test_pipeline_default_y_and_montecarlo(graph_file, capsys):
     assert main([
         "pipeline", "--graph", el, "--mode", "montecarlo", "--trials", "300", "--seed", "2",
     ]) == 0
-    assert "statistically supported" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("condition ")] == [
+        "condition block_weight: FAIL violators [0, 1, 2, 3]",
+        "condition outside_floor: pass",
+        "condition clique_floor: pass",
+        "condition large_clique_floor: pass",
+        "condition closed_nb_weight: pass",
+    ]
+    assert [ln for ln in lines if ln.startswith("residual Reed weight ")] == [
+        "residual Reed weight 238673/61758 (~3.864649) <= 45674/10293 (~4.437385): pass"
+    ]
+
+
+def test_pipeline_montecarlo_stdout(graph_file, capsys):
+    # the conditions and the residual bound are checked exactly at the weight
+    # spent in both modes; an estimated block marginal is never exactly
+    # 1/omega, so block_weight fails, and only the certificate sets the exit
+    el = graph_file("m.el", medium_instance())
+    assert main([
+        "pipeline", "--graph", el, "--mode", "montecarlo", "--trials", "10000", "--seed", "1",
+    ]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "using y = ytilde(6) = 15625/10293 (~1.518022)",
+        "condition block_weight: FAIL violators [0, 1, 2, 3]",
+        "condition outside_floor: pass",
+        "condition clique_floor: pass",
+        "condition large_clique_floor: pass",
+        "condition closed_nb_weight: pass",
+        "residual Reed weight 689053/164688 (~4.183990) <= 45674/10293 (~4.437385): pass",
+        "montecarlo run (10000 trials/iteration): the certificate of the achieved weights "
+        "verifies, which alone sets the exit code; the lines above are exact diagnostics",
+        "iterations: 1, total weight spent: 15625/10293 (~1.518022)",
+    ]
 
 
 def test_pipeline_montecarlo_file_bytes(graph_file, tmp_path, capsys):
@@ -289,8 +321,26 @@ def test_pipeline_montecarlo_file_bytes(graph_file, tmp_path, capsys):
 def test_pipeline_montecarlo_rejects_nonpositive_trials(graph_file, capsys, trials):
     el = graph_file("a.el", instance_a())
     assert main(["pipeline", "--graph", el, "--mode", "montecarlo", "--trials", trials]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "trials must be >= 1" in err and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["chif"], "--emit-cert"),
+        (["chif"], "--emit-dual"),
+        (["pipeline"], "--emit-trace"),
+        (["pipeline"], "--emit-cert"),
+    ],
+)
+def test_emit_options_refuse_stdout(graph_file, capsys, command, option):
+    # an --emit-* file written to stdout would land inside the report
+    el = graph_file("a.el", instance_a())
+    assert main([*command, "--graph", el, option, "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {option} takes a file path, not '-'\n"
 
 
 def test_pipeline_ineligible_graph(tmp_path, capsys):

@@ -132,11 +132,15 @@ def test_montecarlo_mode_runs_and_is_exact_for_achieved_weights():
 def test_montecarlo_run_stops_when_a_block_vertex_fills():
     # at y = omega the exact run pays every block vertex exactly 1; estimated
     # block marginals in a block sum to 1, so one above 1/omega fills its
-    # vertex before y is spent, and the run stops there with the rest unspent
+    # vertex before y is spent, and the run stops there with the rest unspent;
+    # the conditions and the residual bound are checked at the weight spent
     g = medium_instance()
-    v_omega = clique_structure(g).v_omega
+    cs = clique_structure(g)
+    v_omega = cs.v_omega
+    _, mu, _ = mu_values(6)
     for seed in range(3):
-        trace, weighting = initial_colouring(g, F(5), mode="montecarlo", trials=300, seed=seed)
+        report = verify_theorem_initial(g, F(5), cs, mode="montecarlo", trials=300, seed=seed)
+        trace, weighting = report.trace, report.weighting
         last = trace.iterations[-1]
         full = [v for v in last.removed if v in v_omega]
         assert full and all(trace.final_w[v] == 1 for v in full)
@@ -144,6 +148,11 @@ def test_montecarlo_run_stops_when_a_block_vertex_fills():
         assert weighting.total == trace.y_total == sum(w for _, w in weighting.columns)
         assert verify_certificate(g, weighting, trace.final_w).ok
         assert all(not (set(it.removed) & v_omega) for it in trace.iterations[:-1])
+        assert report.y == trace.y_total < 5
+        assert report.rho_target == 6 - (1 + mu) * trace.y_total
+        assert report.conditions == tuple(
+            check_weight_conditions(g, cs, trace.y_total, trace.final_w)
+        )
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -284,7 +293,7 @@ def test_end_to_end_rejects_low_degree():
         end_to_end(complete_graph(8))  # omega = Delta + 1 frame
 
 
-def clique_conditions_by_subsets(g, cs, y, w, band):
+def clique_conditions_by_subsets(g, cs, y, w):
     """clique_floor and large_clique_floor over every subclique of size
     1..omega-1 of every maximal clique."""
     delta = g.max_degree()
@@ -296,9 +305,9 @@ def clique_conditions_by_subsets(g, cs, y, w, band):
         for sub in combinations(sorted(clique), size)
     }
     floor = min(mu * y, ONE)
-    small = all(sum((w[v] for v in c), F(0)) >= len(c) * (floor - band) for c in cliques)
+    small = all(sum((w[v] for v in c), F(0)) >= len(c) * floor for c in cliques)
     large = all(
-        sum((w[v] for v in c), F(0)) >= len(c) * (min(mu_k[delta + 1 - len(c)] * y, ONE) - band)
+        sum((w[v] for v in c), F(0)) >= len(c) * min(mu_k[delta + 1 - len(c)] * y, ONE)
         for c in cliques
         if len(c) >= 4
     )
@@ -318,10 +327,9 @@ def test_clique_conditions_match_subset_enumeration():
         for _ in range(25):
             y = F(rng.randint(1, 8), rng.randint(1, 3))
             low = rng.choice((0, 3, 4))
-            w = [mu * y * F(rng.randint(low, 8), 4) for _ in range(g.n)]
-            band = rng.choice((F(0), mu * y / 8))
-            checks = {c.name: c.ok for c in check_weight_conditions(g, cs, y, w, band)}
+            w = [mu * y * F(rng.randint(low, 12), 4) for _ in range(g.n)]
+            checks = {c.name: c.ok for c in check_weight_conditions(g, cs, y, w)}
             got = (checks["clique_floor"], checks["large_clique_floor"])
-            assert got == clique_conditions_by_subsets(g, cs, y, w, band)
+            assert got == clique_conditions_by_subsets(g, cs, y, w)
             seen.add(got)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
