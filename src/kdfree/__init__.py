@@ -11,7 +11,6 @@ from .bounds import (
     main_bound,
     mu_values,
     p_value,
-    ytilde_values,
 )
 from .graphs import (
     CliqueStructure,
@@ -38,14 +37,7 @@ from .intervals import (
     to_weighting,
     verify_certificate,
 )
-from .lp import (
-    LpResult,
-    chi_f,
-    chi_f_weighted,
-    max_weight_stable_set,
-    verify_aharoni,
-    verify_reed_bounds,
-)
+from .lp import LpResult, chi_f, chi_f_weighted, max_weight_stable_set
 from .pipeline import end_to_end, initial_colouring, verify_theorem_initial
 from .sampling import StableSetSampler, estimate, exact_marginals
 from .structure import (

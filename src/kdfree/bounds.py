@@ -176,14 +176,6 @@ def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
     return mu_k, mu_k[argmin], argmin
 
 
-def ytilde_values(delta: int) -> tuple[dict[int, Fraction], Fraction]:
-    """Step caps ytilde_k for k in [1, Delta-2] and their convenience-capped min."""
-    if delta < 6:
-        raise ValueError(f"needs Delta >= 6, got {delta}")
-    mu_k, mu, _ = mu_values(delta)
-    return _ytilde_k(delta, mu_k, mu), _ytilde(delta, mu_k, mu)
-
-
 def _step_mu(delta: int, mu_k: Mapping[int, Fraction], mu: Fraction, k: int) -> Fraction:
     """The floor m in ytilde_k: mu for k <= 3, mu_k[Delta+1-k] for k >= 4."""
     return mu if k <= 3 else mu_k[delta + 1 - k]
@@ -243,15 +235,9 @@ class BoundReport:
     mu_k: Mapping[int, Fraction]
     mu: Fraction
     argmin_d: int
-    eps_prime: Fraction
     ytilde: Fraction
     epsilon: Fraction
     bound: Fraction
-
-    @property
-    def p_curve(self) -> tuple[Fraction, ...]:
-        """p(Delta, d) for d = 0..Delta, rebuilt on each read rather than stored."""
-        return p_curve(self.delta)
 
     @property
     def ytilde_k(self) -> dict[int, Fraction]:
@@ -275,7 +261,6 @@ def main_bound(delta: int) -> BoundReport:
         mu_k=mu_k,
         mu=mu,
         argmin_d=argmin,
-        eps_prime=mu,
         ytilde=ytilde,
         epsilon=epsilon,
         bound=delta - epsilon,

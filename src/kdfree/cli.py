@@ -159,9 +159,11 @@ def cmd_sample(args) -> int:
     failed = [c for c in report.checks if not c.ok]
     if failed:
         for c in failed:
+            # a floor fails only below; the two-sided pr_s_omega fails on either side
+            op, sign = ("<", "-") if c.empirical < c.bound else (">", "+")
             print(
-                f"check {c.name} failed at vertex {c.vertex}: "
-                f"{_show(c.empirical)} < {_show(c.bound)} - band",
+                f"check {c.name} failed at vertex {c.vertex}: {_show(c.empirical)} "
+                f"{op} {_show(c.bound)} {sign} band {round_half_even(c.band, 6)}",
                 file=sys.stderr,
             )
         return 1

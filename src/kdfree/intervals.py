@@ -112,9 +112,6 @@ class StableSetWeighting:
     columns: tuple[tuple[frozenset[int], Fraction], ...]
     total: Fraction
 
-    def coverage(self, v: int) -> Fraction:
-        return sum((wt for s, wt in self.columns if v in s), _ZERO)
-
     def coverage_vector(self, n: int) -> list[Fraction]:
         cov = [_ZERO] * n
         for s, wt in self.columns:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import HypothesisViolated, LpError, SizeLimit
-from .graphs import Graph, clique_structure, degeneracy_order, reed_weight
+from .errors import LpError, SizeLimit
+from .graphs import Graph, degeneracy_order
 from .intervals import StableSetWeighting, verify_certificate
 
 _ZERO = Fraction(0)
@@ -339,100 +339,3 @@ def _check_optimal(g, weights, value, primal, duals, pricing_value):
 
 def chi_f(g: Graph) -> LpResult:
     return chi_f_weighted(g, [_ONE] * g.n)
-
-
-# ── theorem verification reports ──────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class ReedBoundsReport:
-    chi_f: Fraction
-    rho: Fraction
-    weighted_ok: bool
-    delta: int
-    omega: int
-    halfsum_bound: Fraction | None  # (Delta + 1 + omega)/2, unit weights only
-    halfsum_ok: bool | None
-    local_bound: Fraction | None  # max over v of (d(v) + 1 + omega(v))/2
-    local_ok: bool | None
-
-    @property
-    def ok(self) -> bool:
-        checks = [self.weighted_ok, self.halfsum_ok, self.local_ok]
-        return all(c for c in checks if c is not None)
-
-
-def verify_reed_bounds(g: Graph, w: Sequence[Fraction]) -> ReedBoundsReport:
-    """Check chi_f^w <= rho_w(G) exactly; with unit weights also check the
-    global and per-vertex half-sum bounds it generalizes."""
-    weights = [Fraction(x) for x in w]
-    cs = clique_structure(g)
-    result = chi_f_weighted(g, weights)
-    _, rho = reed_weight(g, cs, weights)
-    delta = g.max_degree()
-    unit = all(x == 1 for x in weights) and g.n > 0
-    halfsum = half_ok = local = local_ok = None
-    if unit:
-        halfsum = Fraction(delta + 1 + cs.omega, 2)
-        half_ok = result.value <= halfsum
-        local = max(
-            Fraction(g.degree(v) + 1 + cs.level[v], 2) for v in range(g.n)
-        )
-        local_ok = result.value <= local
-    return ReedBoundsReport(
-        chi_f=result.value,
-        rho=rho,
-        weighted_ok=result.value <= rho,
-        delta=delta,
-        omega=cs.omega,
-        halfsum_bound=halfsum,
-        halfsum_ok=half_ok,
-        local_bound=local,
-        local_ok=local_ok,
-    )
-
-
-@dataclass(frozen=True)
-class CliquePartitionReport:
-    omega: int
-    k: int
-    delta: int
-    chi_f: Fraction
-    ok: bool
-
-
-def verify_aharoni(
-    g: Graph, partition: Sequence[Iterable[int]], k: int
-) -> CliquePartitionReport:
-    """Check the clique-partition hypothesis, then assert chi_f = omega exactly.
-
-    Hypothesis: the parts partition V, each is a clique of one common size
-    omega >= 2k, and the maximum degree is at most omega + k - 1.
-    """
-    parts = [sorted(set(p)) for p in partition]
-    if k < 1:
-        raise HypothesisViolated(f"k must be a positive integer, got {k}")
-    covered: set[int] = set()
-    for p in parts:
-        overlap = covered & set(p)
-        if overlap:
-            raise HypothesisViolated(f"parts overlap on {sorted(overlap)}")
-        covered |= set(p)
-    if covered != set(range(g.n)):
-        raise HypothesisViolated("parts do not cover the vertex set exactly")
-    sizes = {len(p) for p in parts}
-    if len(sizes) != 1:
-        raise HypothesisViolated(f"parts have mixed sizes {sorted(sizes)}")
-    omega = sizes.pop()
-    for p in parts:
-        if not g.is_clique(p):
-            raise HypothesisViolated(f"part {p} is not a clique")
-    if omega < 2 * k:
-        raise HypothesisViolated(f"need part size >= 2k, got {omega} < {2 * k}")
-    delta = g.max_degree()
-    if delta > omega + k - 1:
-        raise HypothesisViolated(f"max degree {delta} exceeds omega + k - 1 = {omega + k - 1}")
-    result = chi_f(g)
-    return CliquePartitionReport(
-        omega=omega, k=k, delta=delta, chi_f=result.value, ok=result.value == omega
-    )

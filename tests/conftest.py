@@ -156,6 +156,44 @@ def random_weights(n: int, rng: random.Random, hi: int = 2) -> list[Fraction]:
     return out
 
 
+def assert_clique_partition(g: Graph, parts, k: int) -> int:
+    """The clique-partition hypothesis under which chi_f = omega: the parts
+    partition V into cliques of one size omega >= 2k, and Delta <= omega + k - 1.
+    Returns omega."""
+    assert sorted(v for p in parts for v in p) == list(range(g.n))
+    omega = len(parts[0])
+    assert all(len(p) == omega and g.is_clique(p) for p in parts)
+    assert omega >= 2 * k and g.max_degree() <= omega + k - 1
+    return omega
+
+
+def random_partitioned_instance(
+    rng: random.Random, omega: int, k: int, blocks: int, p: float
+) -> Graph:
+    """`blocks` disjoint K_omega parts plus random edges between parts, each
+    kept with probability p while both ends have degree below omega + k - 1."""
+    g = block_graph(blocks, omega)
+    cap = omega + k - 1
+    degree = {v: omega - 1 for v in range(g.n)}
+    edges = set(g.edges())
+    candidates = [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if u // omega != v // omega
+    ]
+    rng.shuffle(candidates)
+    for u, v in candidates:
+        if degree[u] < cap and degree[v] < cap and rng.random() < p:
+            edges.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    g2 = Graph(g.n, edges)
+    parts = [range(i * omega, (i + 1) * omega) for i in range(blocks)]
+    assert_clique_partition(g2, parts, k)
+    return g2
+
+
 # ── brute-force oracles ───────────────────────────────────────────────────
 
 

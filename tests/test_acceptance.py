@@ -21,6 +21,7 @@ from conftest import (
     medium_instance,
     quarter_tail_sum,
     random_graph,
+    random_partitioned_instance,
     random_weights,
 )
 from kdfree.bounds import main_bound, matches_published, p_value
@@ -33,7 +34,7 @@ from kdfree.graphs import (
     strong_product,
 )
 from kdfree.intervals import verify_certificate
-from kdfree.lp import chi_f, chi_f_weighted, verify_aharoni
+from kdfree.lp import chi_f, chi_f_weighted
 from kdfree.pipeline import end_to_end, verify_theorem_initial
 from kdfree.sampling import estimate, exact_marginals
 from kdfree.structure import (
@@ -182,38 +183,14 @@ def test_criterion_5_weighted_reed_bound_suite():
     )
 
 
-def _random_partition_instance(rng, omega, k, blocks):
-    from kdfree.graphs import Graph, block_graph
-
-    g = block_graph(blocks, omega)
-    cap = omega + k - 1
-    degree = {v: omega - 1 for v in range(g.n)}
-    edges = set(g.edges())
-    candidates = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if u // omega != v // omega
-    ]
-    rng.shuffle(candidates)
-    for u, v in candidates:
-        if degree[u] < cap and degree[v] < cap and rng.random() < 0.6:
-            edges.add((u, v))
-            degree[u] += 1
-            degree[v] += 1
-    parts = [range(i * omega, (i + 1) * omega) for i in range(blocks)]
-    return Graph(g.n, edges), parts
-
-
 def test_criterion_6_clique_partition_suite():
     rng = random.Random(6)
     bad = 0
     for trial in range(50):
         omega, k = rng.choice([(4, 2), (5, 2), (6, 2), (6, 3)])
         blocks = rng.randint(2, 3)
-        g, parts = _random_partition_instance(rng, omega, k, blocks)
-        report = verify_aharoni(g, parts, k)
-        if not report.ok or report.chi_f != omega:
+        g = random_partitioned_instance(rng, omega, k, blocks, p=0.6)
+        if chi_f(g).value != omega:
             bad += 1
     _report(
         "6 (clique-partition chi_f = omega)",

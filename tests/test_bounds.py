@@ -19,7 +19,6 @@ from kdfree.bounds import (
     p_curve,
     p_value,
     table_rows,
-    ytilde_values,
 )
 from kdfree.errors import SizeLimit
 from kdfree.rationals import round_half_even, truncate_decimal
@@ -117,8 +116,7 @@ def test_ytilde_defining_inequality_is_tight():
     half = F(1, 2)
     for delta in (6, 7, 9, 11):
         mu_k, mu, _ = mu_values(delta)
-        ytilde_k, _ = ytilde_values(delta)
-        for k, yk in ytilde_k.items():
+        for k, yk in main_bound(delta).ytilde_k.items():
             rate = half * k * (mu if k <= 3 else mu_k[delta + 1 - k])
             lhs = (1 + mu) * yk
             rhs = half * (delta - 1 - k) + (half + rate) * yk
@@ -129,10 +127,9 @@ def test_ytilde_defining_inequality_is_tight():
 
 def test_ytilde_takes_convenience_caps():
     for delta in (6, 7, 8, 9, 10, 20):
-        mu_k, mu, _ = mu_values(delta)
-        ytilde_k, ytilde = ytilde_values(delta)
-        omega = delta - 1
-        assert ytilde == min(
+        report = main_bound(delta)
+        ytilde_k, mu, omega = report.ytilde_k, report.mu, report.omega
+        assert report.ytilde == min(
             min(ytilde_k.values()), F(omega), F(omega - 3) / (1 - 3 * mu)
         )
         assert set(ytilde_k) == set(range(1, delta - 1))
@@ -172,9 +169,9 @@ def test_product_below_one_fifth():
 def test_report_internal_consistency():
     report = main_bound(8)
     assert report.omega == 7
-    assert report.eps_prime == report.mu
-    assert report.p_curve[report.argmin_d] == report.mu
-    assert min(report.p_curve) == report.mu
+    curve = p_curve(report.delta)
+    assert curve[report.argmin_d] == report.mu
+    assert min(curve) == report.mu
 
 
 def test_emit_table_runs_and_matches_rows():

@@ -64,20 +64,19 @@ def reduced_curve_constants(delta: int):
         mu_k[d] = running
     ytilde_k, ytilde = brute_ytilde(delta, mu_k, running)
     epsilon = min(Fraction(1, 2), ytilde * running)
-    return curve, mu_k, running, argmin, ytilde_k, ytilde, epsilon, delta - epsilon
+    return mu_k, running, argmin, ytilde_k, ytilde, epsilon, delta - epsilon
 
 
 @pytest.mark.parametrize("delta", DELTAS)
 def test_minima_match_reduced_curve(delta):
-    curve, mu_k, mu, argmin, ytilde_k, ytilde, epsilon, bound = reduced_curve_constants(delta)
+    mu_k, mu, argmin, ytilde_k, ytilde, epsilon, bound = reduced_curve_constants(delta)
     assert mu_values(delta) == (mu_k, mu, argmin)
     report = main_bound(delta)
     assert report.mu_k == mu_k
-    assert (report.mu, report.eps_prime, report.argmin_d) == (mu, mu, argmin)
+    assert (report.mu, report.argmin_d) == (mu, argmin)
     assert report.ytilde_k == ytilde_k
     assert (report.ytilde, report.epsilon, report.bound) == (ytilde, epsilon, bound)
     assert all(report.mu_k[d] is report.mu for d in range(argmin, delta + 1))
-    assert report.p_curve == curve
 
 
 @pytest.mark.parametrize("delta", list(range(5, 301)) + [1000, 1500, 2000])

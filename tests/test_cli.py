@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import instance_a, k5_chain, medium_instance, two_k75
+import kdfree.cli
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
 from kdfree.errors import GraphFormatError
@@ -31,6 +33,7 @@ from kdfree.graphs import (
 )
 from kdfree.intervals import certificate_from_json
 from kdfree.rationals import RATIONAL_DIGIT_LIMIT, format_rational, parse_rational
+from kdfree.sampling import SamplerCheck
 from kdfree.structure import NEAR_CLIQUE_PATTERNS, find_near_clique, pipeline_eligibility
 
 
@@ -241,6 +244,26 @@ def test_sample_csv_and_determinism(graph_file, tmp_path, capsys):
     header = out1.read_text().splitlines()[0]
     assert header == "vertex,class,empirical,paper_lower_bound,margin"
     assert len(out1.read_text().splitlines()) == 12
+
+
+def test_sample_failure_line_is_true_on_either_side(graph_file, monkeypatch, capsys):
+    # pr_s_omega is two-sided, so it can fail above its bound; a floor fails only below
+    estimate = kdfree.cli.estimate
+
+    def failing(g, trials, seed):
+        checks = (
+            SamplerCheck("pr_s_omega", 0, Fraction(1, 5), Fraction(1, 2), Fraction(1, 10), False),
+            SamplerCheck("pr_s_outside", 10, Fraction(1, 5), Fraction(1, 20), Fraction(1, 10), False),
+        )
+        return dataclasses.replace(estimate(g, trials, seed), checks=checks)
+
+    monkeypatch.setattr(kdfree.cli, "estimate", failing)
+    el = graph_file("a.el", instance_a())
+    assert main(["sample", "--graph", el, "--trials", "100", "--seed", "1", "--out", "-"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "check pr_s_omega failed at vertex 0: 1/2 (~0.500000) > 1/5 (~0.200000) + band 0.100000",
+        "check pr_s_outside failed at vertex 10: 1/20 (~0.050000) < 1/5 (~0.200000) - band 0.100000",
+    ]
 
 
 def test_pipeline_run_with_artifacts(graph_file, tmp_path, capsys):

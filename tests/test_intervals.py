@@ -124,8 +124,7 @@ def test_round_trip_preserves_coverage():
         )
         ssw = StableSetWeighting(cols, sum(w for _, w in cols))
         back = to_weighting(to_intervals(ssw))
-        for v in range(g.n):
-            assert back.coverage(v) == ssw.coverage(v)
+        assert back.coverage_vector(g.n) == ssw.coverage_vector(g.n)
         assert back.total == ssw.total
 
 

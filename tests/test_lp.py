@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     ReferenceTableau,
+    assert_clique_partition,
     brute_independence_number,
     brute_max_weight_stable,
     brute_stable_sets,
     random_graph,
+    random_partitioned_instance,
     random_weights,
 )
 from kdfree import lp
-from kdfree.errors import HypothesisViolated
 from kdfree.graphs import (
     NAMED_GRAPHS,
     Graph,
@@ -30,6 +31,7 @@ from kdfree.graphs import (
     cycle_power,
     degeneracy_order,
     generalized_petersen,
+    reed_weight,
     strong_product,
 )
 from kdfree.intervals import StableSetWeighting, verify_certificate
@@ -38,8 +40,6 @@ from kdfree.lp import (
     chi_f,
     chi_f_weighted,
     max_weight_stable_set,
-    verify_aharoni,
-    verify_reed_bounds,
 )
 
 F = Fraction
@@ -284,81 +284,43 @@ def test_monotonicity_and_scaling():
         assert chi_f_weighted(g, [c * x for x in w1]).value == c * v1
 
 
+def unit_reed_bounds(g: Graph) -> tuple[Fraction, ...]:
+    """chi_f, rho_w at unit weights, then the per-vertex and global half-sum
+    bounds max_v (d(v) + 1 + omega(v))/2 <= (Delta + 1 + omega)/2 it generalizes."""
+    cs = clique_structure(g)
+    _, rho = reed_weight(g, cs, ones(g.n))
+    local = max(F(g.degree(v) + 1 + cs.level[v], 2) for v in range(g.n))
+    return chi_f(g).value, rho, local, F(g.max_degree() + 1 + cs.omega, 2)
+
+
 def test_reed_bounds_c5_tight():
-    report = verify_reed_bounds(cycle_graph(5), ones(5))
-    assert report.ok and report.chi_f == report.rho == F(5, 2)
+    value, rho, local, halfsum = unit_reed_bounds(cycle_graph(5))
+    assert value == rho == F(5, 2) <= local <= halfsum
 
 
 def test_reed_bounds_c5_k2_tight():
-    g = strong_product(cycle_graph(5), complete_graph(2))
-    report = verify_reed_bounds(g, ones(10))
-    assert report.ok and report.chi_f == report.rho == 5
-    assert report.halfsum_ok and report.local_ok
-
-
-def test_reed_bounds_random_weighted():
-    rng = random.Random(59)
-    for _ in range(25):
-        g = random_graph(rng.randint(1, 8), 0.5, rng)
-        report = verify_reed_bounds(g, random_weights(g.n, rng))
-        assert report.weighted_ok
+    value, rho, local, halfsum = unit_reed_bounds(strong_product(cycle_graph(5), complete_graph(2)))
+    assert value == rho == 5 <= local <= halfsum
 
 
 def test_aharoni_disjoint_blocks():
     g = block_graph(3, 4)
-    parts = [range(i * 4, (i + 1) * 4) for i in range(3)]
-    report = verify_aharoni(g, parts, 2)
-    assert report.ok and report.chi_f == 4
+    assert assert_clique_partition(g, [range(i * 4, (i + 1) * 4) for i in range(3)], 2) == 4
+    assert chi_f(g).value == 4
 
 
 def test_aharoni_bridged_blocks():
     # blocks of four, at most two external neighbours each, max degree five
     g = block_graph(2, 4, cross_edges=[(0, 4), (1, 5), (0, 5)])
-    report = verify_aharoni(g, [range(4), range(4, 8)], 2)
-    assert report.ok and report.chi_f == 4
-
-
-def random_partitioned_instance(rng: random.Random, omega: int, k: int, blocks: int):
-    g = block_graph(blocks, omega)
-    cap = omega + k - 1
-    degree = {v: omega - 1 for v in range(g.n)}
-    edges = set(g.edges())
-    candidates = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if u // omega != v // omega
-    ]
-    rng.shuffle(candidates)
-    for u, v in candidates:
-        if degree[u] < cap and degree[v] < cap and rng.random() < 0.5:
-            edges.add((u, v))
-            degree[u] += 1
-            degree[v] += 1
-    g2 = Graph(g.n, edges)
-    parts = [range(i * omega, (i + 1) * omega) for i in range(blocks)]
-    return g2, parts
+    assert assert_clique_partition(g, [range(4), range(4, 8)], 2) == 4
+    assert chi_f(g).value == 4
 
 
 def test_aharoni_random_instances():
     rng = random.Random(61)
     for _ in range(5):
-        g, parts = random_partitioned_instance(rng, omega=6, k=3, blocks=2)
-        report = verify_aharoni(g, parts, 3)
-        assert report.ok and report.chi_f == 6
-
-
-def test_aharoni_rejects_bad_hypotheses():
-    g = block_graph(2, 4)
-    with pytest.raises(HypothesisViolated, match="cover"):
-        verify_aharoni(g, [range(4)], 2)
-    with pytest.raises(HypothesisViolated, match="2k"):
-        verify_aharoni(g, [range(4), range(4, 8)], 3)
-    with pytest.raises(HypothesisViolated, match="clique"):
-        verify_aharoni(Graph(4, [(0, 1)]), [range(4)], 2)
-    spiked = block_graph(2, 4, cross_edges=[(0, 4), (0, 5), (0, 6), (0, 7)])
-    with pytest.raises(HypothesisViolated, match="degree"):
-        verify_aharoni(spiked, [range(4), range(4, 8)], 2)
+        g = random_partitioned_instance(rng, omega=6, k=3, blocks=2, p=0.5)
+        assert chi_f(g).value == 6
 
 
 # ── the tableau against its stored-row reference ─────────────────────────
