@@ -13,6 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import GraphFormatError, HallViolation
@@ -20,6 +21,7 @@ from .graphs import Graph
 from .rationals import format_rational, parse_rational
 
 _ZERO = Fraction(0)
+_RATIONAL = (int, Fraction)
 
 
 class IntervalSet:
@@ -120,7 +122,14 @@ class StableSetWeighting:
         return cov
 
     def weight_sum(self) -> Fraction:
-        return sum((wt for _, wt in self.columns), _ZERO)
+        den, nums = _numerators(self.columns)
+        return Fraction(sum(nums), den)
+
+
+def _numerators(columns) -> tuple[int, list[int]]:
+    """The lcm D of the weights' denominators, and each weight times D."""
+    den = lcm(*(wt.denominator for _, wt in columns))
+    return den, [wt.numerator * (den // wt.denominator) for _, wt in columns]
 
 
 # ── the three equivalent representations ──────────────────────────────────
@@ -172,25 +181,43 @@ def verify_certificate(
     """Independent exact check: stable columns, weight budget, coverage >= w.
 
     Trusts nothing from the producer; the first violated constraint is named.
+    Sums run on integers over the lcm of the column weights' denominators.
     """
     if len(w) != g.n:
         return CertificateCheck(False, f"weight vector has {len(w)} entries, graph has {g.n}")
     for idx, (s, wt) in enumerate(ssw.columns):
         if any(not 0 <= v < g.n for v in s):
             return CertificateCheck(False, f"column {idx} has out-of-range vertex")
+        if not isinstance(wt, _RATIONAL):
+            return CertificateCheck(False, f"column {idx} has non-rational weight {wt!r}")
         if wt <= 0:
-            return CertificateCheck(False, f"column {idx} has non-positive weight {wt}")
+            return CertificateCheck(
+                False, f"column {idx} has non-positive weight {format_rational(wt)}"
+            )
         if not g.is_stable(s):
             return CertificateCheck(False, f"non-stable column {idx}: {sorted(s)}")
-    if ssw.weight_sum() > ssw.total:
+    den, nums = _numerators(ssw.columns)
+    weight, total = sum(nums), ssw.total
+    if not isinstance(total, _RATIONAL):
+        return CertificateCheck(False, f"claimed total {total!r} is not rational")
+    if weight * total.denominator > total.numerator * den:
         return CertificateCheck(
-            False, f"column weights sum to {ssw.weight_sum()} > claimed total {ssw.total}"
+            False,
+            f"column weights sum to {format_rational(Fraction(weight, den))}"
+            f" > claimed total {format_rational(total)}",
         )
-    cov = ssw.coverage_vector(g.n)
-    for v in range(g.n):
-        if cov[v] < w[v]:
+    cov = [0] * g.n
+    for (s, _), x in zip(ssw.columns, nums):
+        for v in s:
+            cov[v] += x
+    for v, x in enumerate(w):
+        if not isinstance(x, _RATIONAL):
+            return CertificateCheck(False, f"weight {x!r} of vertex {v} is not rational")
+        if cov[v] * x.denominator < x.numerator * den:
             return CertificateCheck(
-                False, f"undercovered vertex {v}: coverage {cov[v]} < weight {w[v]}"
+                False,
+                f"undercovered vertex {v}: coverage {format_rational(Fraction(cov[v], den))}"
+                f" < weight {format_rational(x)}",
             )
     return CertificateCheck(True)
 

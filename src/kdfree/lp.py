@@ -18,12 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import LpError, SizeLimit
 from .graphs import Graph, degeneracy_order
 from .intervals import StableSetWeighting, verify_certificate
+from .rationals import format_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -204,37 +206,24 @@ def max_weight_stable_set(
     positions in the branching order, so the next branch is the lowest set
     bit of the candidate mask and the bound walks set bits only.
     """
-    w = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in weights]
-    if len(w) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(w)}")
-    if any(x < 0 for x in w):
+    if len(weights) != g.n:
+        raise ValueError(f"expected {g.n} weights, got {len(weights)}")
+    scale = 1
+    if not all(type(x) is int for x in weights):
+        w = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in weights]
+        scale = lcm(*(x.denominator for x in w))
+        weights = [x.numerator * (scale // x.denominator) for x in w]
+    if min(weights, default=0) < 0:
         raise ValueError("weights must be nonnegative")
-    scale = lcm(*(x.denominator for x in w))
-    iw = [x.numerator * (scale // x.denominator) for x in w]
-    order = sorted((v for v in range(g.n) if iw[v] > 0), key=lambda v: (-iw[v], v))
-    weight = [iw[v] for v in order]
+    # a stable sort keeps ties in vertex order
+    order = sorted(compress(range(g.n), weights), key=weights.__getitem__, reverse=True)
+    weight = [weights[v] for v in order]
     label = [0] * g.n  # vertex -> its bit in the relabelled masks
     for i, v in enumerate(order):
         label[v] = 1 << i
+    near = [sum(map(label.__getitem__, g.adj[v])) for v in order]
     # the candidates order[i] leaves: neither it nor a neighbour
-    apart = [~(sum(map(label.__getitem__, g.adj[v])) | label[v]) for v in order]
-
-    def cover_bound(mask: int) -> int:
-        total = 0
-        cliques: list[int] = []
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            i = bit.bit_length() - 1
-            for idx, cm in enumerate(cliques):
-                if cm & apart[i] == 0:
-                    cliques[idx] = cm | bit
-                    break
-            else:
-                cliques.append(bit)
-                total += weight[i]
-        return total
-
+    apart = [~(m | label[v]) for m, v in zip(near, order)]
     best = 0
     best_set = 0
 
@@ -242,7 +231,7 @@ def max_weight_stable_set(
         nonlocal best, best_set
         if acc > best:
             best, best_set = acc, chosen
-        if not mask or acc + cover_bound(mask) <= best:
+        if not mask or acc + _cover_bound(mask, near, weight) <= best:
             return
         bit = mask & -mask
         i = bit.bit_length() - 1
@@ -251,6 +240,25 @@ def max_weight_stable_set(
 
     search((1 << len(order)) - 1, 0, 0)
     return frozenset(v for i, v in enumerate(order) if (best_set >> i) & 1), Fraction(best, scale)
+
+
+def _cover_bound(mask: int, near: Sequence[int], weight: Sequence[int]) -> int:
+    """Weight of the first-fit clique cover of `mask`, built clique by
+    clique: the lowest candidate left opens one and absorbs, lowest first,
+    each candidate that sees every member so far (`near[i]`: i's neighbours).
+    """
+    total = 0
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        i = bit.bit_length() - 1
+        total += weight[i]
+        common = mask & near[i]
+        while common:
+            bit = common & -common
+            mask ^= bit
+            common &= near[bit.bit_length() - 1]
+    return total
 
 
 # ── column generation ─────────────────────────────────────────────────────
@@ -307,34 +315,41 @@ def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
         tableau.add_row(pricing_set)
 
     value = tableau.value()
-    dual = [Fraction(y, tableau.d) for y in scaled_dual]
     pricing_value = mass / tableau.d
     primal = StableSetWeighting(
         tuple((s, x) for s, x in zip(columns, tableau.primal()) if x > 0), value
     )
-    _check_optimal(g, weights, value, primal, dual, pricing_value)
+    _check_optimal(g, weights, value, primal, scaled_dual, tableau.d, pricing_value)
     return LpResult(
         value=value,
         primal=primal,
-        dual=tuple(dual),
+        dual=tuple(Fraction(y, tableau.d) for y in scaled_dual),
         columns_generated=len(columns),
         pricing_value=pricing_value,
     )
 
 
-def _check_optimal(g, weights, value, primal, duals, pricing_value):
+def _check_optimal(g, weights, value, primal, scaled_dual, d, pricing_value):
+    """Raise LpError unless both certificates hold; y = scaled_dual/d, d > 0."""
     if primal.weight_sum() != value:
         raise LpError("primal column weights do not sum to the optimum")
     check = verify_certificate(g, primal, weights)
     if not check.ok:
         raise LpError(f"primal certificate failed: {check.reason}")
-    if any(y < 0 for y in duals):
+    if min(scaled_dual, default=0) < 0:
         raise LpError("negative dual value")
     if pricing_value > 1:
         raise LpError("dual infeasible over stable sets")
-    dual_value = sum((y * wv for y, wv in zip(duals, weights)), _ZERO)
-    if dual_value != value:
-        raise LpError(f"strong duality failed: {dual_value} != {value}")
+    # d*(w.y) as an integer sum within each weight denominator, then one
+    # Fraction per denominator: scaling every term by the lcm of all of them
+    # costs a long product per term when they are long and distinct
+    sums: dict[int, int] = {}
+    for y, x in zip(scaled_dual, weights):
+        sums[x.denominator] = sums.get(x.denominator, 0) + y * x.numerator
+    mass = sum(Fraction(s, b) for b, s in sums.items())
+    if mass != value * d:
+        dual_value = format_rational(Fraction(mass, d))
+        raise LpError(f"strong duality failed: {dual_value} != {format_rational(value)}")
 
 
 def chi_f(g: Graph) -> LpResult:

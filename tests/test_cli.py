@@ -209,7 +209,9 @@ def test_certify_rejects_tampered_certificate(graph_file, tmp_path, capsys):
 def test_certify_reads_long_rationals_up_to_the_cap(graph_file, tmp_path, capsys):
     # k raised by 1/10**5000 has a 5,001-digit denominator, past the
     # interpreter's 4,300-digit conversion limit, and still bounds the
-    # columns; a numerator past RATIONAL_DIGIT_LIMIT digits is an input error
+    # columns; lowered by as much, it fails, and the FAIL line prints both
+    # rationals in full; a numerator past RATIONAL_DIGIT_LIMIT digits is an
+    # input error
     el = graph_file("a.el", instance_a())
     cert = tmp_path / "cert.json"
     main(["chif", "--graph", el, "--emit-cert", str(cert)])
@@ -217,12 +219,16 @@ def test_certify_reads_long_rationals_up_to_the_cap(graph_file, tmp_path, capsys
     k = parse_rational(payload["k"])
     for value, code in (
         (format_rational(k + Fraction(1, 10**5000)), 0),
+        (format_rational(k - Fraction(1, 10**5000)), 1),
         ("9" * (RATIONAL_DIGIT_LIMIT + 1) + "/7", 2),
     ):
         payload["k"] = value
         cert.write_text(json.dumps(payload))
         capsys.readouterr()
         assert main(["certify", "--graph", el, "--cert", str(cert)]) == code
+        if code == 1:
+            fail = f"FAIL: column weights sum to {format_rational(k)} > claimed total {value}\n"
+            assert capsys.readouterr().out == fail
     err = capsys.readouterr().err
     assert "malformed certificate" in err and f"at most {RATIONAL_DIGIT_LIMIT} digits" in err
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from kdfree.intervals import (
     verify_certificate,
 )
 from kdfree.lp import chi_f
+from kdfree.rationals import format_rational as fmt
 
 F = Fraction
 ONE = F(1)
@@ -444,7 +446,15 @@ def test_verify_certificate_rejects_undercoverage():
     w = [ONE] * 5
     w[3] = F(3, 2)
     check = verify_certificate(g, ssw, w)
-    assert not check.ok and "undercovered" in check.reason
+    assert not check.ok and check.reason == "undercovered vertex 3: coverage 1 < weight 3/2"
+    # coverage reduced to lowest terms, and 0 with no column at all
+    thirds = StableSetWeighting(((frozenset({0, 2}), F(1, 3)), (frozenset({1, 3}), F(2, 3))), ONE)
+    assert verify_certificate(g, thirds, [0, 0, F(1, 2), 0, 2]).reason == (
+        "undercovered vertex 2: coverage 1/3 < weight 1/2"
+    )
+    assert verify_certificate(g, StableSetWeighting((), F(0)), [0, 0, 0, 0, F(1, 7)]).reason == (
+        "undercovered vertex 4: coverage 0 < weight 1/7"
+    )
 
 
 def test_verify_certificate_rejects_total_overrun():
@@ -452,7 +462,106 @@ def test_verify_certificate_rejects_total_overrun():
     base = c5_optimal_weighting()
     ssw = StableSetWeighting(base.columns, F(2))
     check = verify_certificate(g, ssw, [F(0)] * 5)
-    assert not check.ok and "claimed total" in check.reason
+    assert not check.ok and check.reason == "column weights sum to 5/2 > claimed total 2"
+
+
+def test_verify_certificate_accepts_mixed_int_and_fraction_weights():
+    g = Graph(3, [(0, 1)])
+    ssw = StableSetWeighting(((frozenset({0, 2}), 1), (frozenset({1}), F(3, 2))), F(5, 2))
+    assert verify_certificate(g, ssw, [1, F(3, 2), ONE]).ok
+    assert verify_certificate(g, StableSetWeighting(ssw.columns, 3), [F(1, 2), 1, 1]).ok
+    check = verify_certificate(g, StableSetWeighting(ssw.columns, 2), [1, 1, 1])
+    assert check.reason == "column weights sum to 5/2 > claimed total 2"
+
+
+def test_verify_certificate_rejects_a_total_one_unit_short():
+    # two columns over distinct 1,000-digit denominators; the claimed total
+    # falls short of their sum by 1/D, D the lcm of the denominators
+    g = Graph(3, [(0, 1)])
+    p, q = 10**999 + 7, 10**999 + 9
+    a, b = F(p - 1, p), F(q - 2, q)
+    ssw = StableSetWeighting(((frozenset({0, 2}), a), (frozenset({1}), b)), a + b)
+    assert verify_certificate(g, ssw, [a, b, a]).ok
+    short = StableSetWeighting(ssw.columns, a + b - F(1, p * q))
+    check = verify_certificate(g, short, [a, b, a])
+    assert check.reason == f"column weights sum to {a + b} > claimed total {a + b - F(1, p * q)}"
+    check = verify_certificate(g, ssw, [a, b + F(1, p * q), a])
+    assert check.reason == f"undercovered vertex 1: coverage {b} < weight {b + F(1, p * q)}"
+
+
+def test_verify_certificate_rejects_non_rational_weights():
+    g = Graph(3, [(0, 1)])
+    column = ((frozenset({0, 2}), ONE), (frozenset({1}), ONE))
+    ssw = StableSetWeighting(((frozenset({0, 2}), 0.5),), ONE)
+    assert verify_certificate(g, ssw, [0, 0, 0]).reason == "column 0 has non-rational weight 0.5"
+    check = verify_certificate(g, StableSetWeighting(column, 2.0), [0, 0, 0])
+    assert check.reason == "claimed total 2.0 is not rational"
+    check = verify_certificate(g, StableSetWeighting(column, F(2)), [1, 0.5, 1])
+    assert check.reason == "weight 0.5 of vertex 1 is not rational"
+
+
+def fraction_sum_check(g, ssw, w):
+    """verify_certificate's sums as they were written on Fractions: the
+    weight budget, then every vertex's coverage, each summed one column at a
+    time.  None where both hold."""
+    total = sum((wt for _, wt in ssw.columns), F(0))
+    if total > ssw.total:
+        return f"column weights sum to {fmt(total)} > claimed total {fmt(ssw.total)}"
+    cov = [F(0)] * g.n
+    for s, wt in ssw.columns:
+        for v in s:
+            cov[v] += wt
+    for v in range(g.n):
+        if cov[v] < w[v]:
+            return f"undercovered vertex {v}: coverage {fmt(cov[v])} < weight {fmt(w[v])}"
+    return None
+
+
+_LONG = st.integers(10**999, 10**1000 - 1)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+            st.lists(st.integers(1, 9), min_size=1, max_size=6).flatmap(
+                lambda nums: st.tuples(
+                    st.just(nums),
+                    st.one_of(
+                        st.lists(st.sampled_from([1, 2, 3, 6, 7]), min_size=len(nums),
+                                 max_size=len(nums)),
+                        st.lists(_LONG, min_size=len(nums), max_size=len(nums), unique=True),
+                    ),
+                )
+            ),
+            st.integers(0, 2**16),
+            st.integers(-2, 2),
+            st.integers(-2, 2),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_verify_certificate_matches_fraction_sums_property(case):
+    # stable columns over short or distinct 1,000-digit denominators; the
+    # total and one vertex's weight sit at, just above or just below the sums,
+    # whose denominators may pass str()'s 4,300 digits
+    n, present, (nums, dens), picks, over, under = case
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
+    columns = []
+    for i, (a, b) in enumerate(zip(nums, dens)):
+        s = set()
+        for v in range(n):
+            if (picks >> ((i * n + v) % 17)) & 1 and not g.adj[v] & s:
+                s.add(v)
+        columns.append((frozenset(s), F(a, b)))
+    ulp = F(1, lcm(*dens))
+    ssw = StableSetWeighting(tuple(columns), sum((wt for _, wt in columns), F(0)) + over * ulp)
+    w = [c if v else c + under * ulp for v, c in enumerate(ssw.coverage_vector(n))]
+    check = verify_certificate(g, ssw, w)
+    assert check.reason == fraction_sum_check(g, ssw, w)
+    assert check.ok == (check.reason is None)
 
 
 def test_certificate_json_round_trip():

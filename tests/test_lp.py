@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from conftest import (
     random_weights,
 )
 from kdfree import lp
+from kdfree.errors import LpError
 from kdfree.graphs import (
     NAMED_GRAPHS,
     Graph,
@@ -144,6 +146,50 @@ def test_mwis_tie_rule_property(case):
     assert max_weight_stable_set(g, w) == branching_order_maximiser(g, w)
 
 
+def first_fit_cover_bound(mask, near, weight):
+    """The pricing bound as first fit builds it: each candidate, in bit
+    order, joins the first clique whose members all see it, or opens a new
+    one; the bound is the total weight of the vertices that opened one."""
+    total = 0
+    cliques = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        i = bit.bit_length() - 1
+        for idx, members in enumerate(cliques):
+            if members & ~near[i] == 0:
+                cliques[idx] = members | bit
+                break
+        else:
+            cliques.append(bit)
+            total += weight[i]
+    return total
+
+
+@given(
+    st.integers(1, 14).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+            st.lists(st.integers(1, 50), min_size=n, max_size=n),
+            st.integers(0, 2**n - 1),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_cover_bound_matches_first_fit_property(case):
+    # bits are vertices in branching order: weights descending
+    n, present, weights, mask = case
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    near = [0] * n
+    for (u, v), keep in zip(pairs, present):
+        if keep:
+            near[u] |= 1 << v
+            near[v] |= 1 << u
+    weight = sorted(weights, reverse=True)
+    assert lp._cover_bound(mask, near, weight) == first_fit_cover_bound(mask, near, weight)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_chi_f_complete(n):
     assert chi_f(complete_graph(n)).value == n
@@ -183,6 +229,46 @@ def test_strong_duality_and_oracle_on_randoms():
         res = chi_f_weighted(g, w)
         assert verify_certificate(g, res.primal, w).ok
         assert_optimal_by_enumeration(g, w, res)
+
+
+def optimality_inputs(g, w):
+    """What chi_f_weighted hands _check_optimal for g and w: the value, the
+    primal, the duals times their common denominator d, d and the pricing
+    value."""
+    res = chi_f_weighted(g, w)
+    d = lcm(*(y.denominator for y in res.dual))
+    scaled = [int(y * d) for y in res.dual]
+    return [g, w, res.value, res.primal, scaled, d, res.pricing_value]
+
+
+@pytest.mark.parametrize(
+    "case", ["primal-sum", "certificate", "negative-dual", "pricing", "strong-duality"]
+)
+def test_check_optimal_names_each_failure(case):
+    # one corrupted input per case, on a C7 x K2 solve with mixed weights
+    g = strong_product(cycle_graph(7), complete_graph(2))
+    args = optimality_inputs(g, [F(1 + i % 3, 1 + i % 4) for i in range(g.n)])
+    _, _, value, primal, scaled, d, _ = args
+    lp._check_optimal(*args)
+    (s, x), *rest = primal.columns
+    s = s | {min(g.adj[min(s)])}  # a column that meets an edge; the sums stay
+    negated = list(scaled)
+    negated[scaled.index(max(scaled))] *= -1
+    index, spoiled, message = {
+        "primal-sum": (2, value + F(1, 7), "primal column weights do not sum to the optimum"),
+        "certificate": (
+            3,
+            StableSetWeighting(((s, x), *rest), primal.total),
+            f"primal certificate failed: non-stable column 0: {sorted(s)}",
+        ),
+        "negative-dual": (4, negated, "negative dual value"),
+        "pricing": (6, ONE + F(1, 10**30), "dual infeasible over stable sets"),
+        "strong-duality": (5, 2 * d, f"strong duality failed: {value / 2} != {value}"),
+    }[case]
+    args[index] = spoiled
+    with pytest.raises(LpError) as info:
+        lp._check_optimal(*args)
+    assert str(info.value) == message
 
 
 def assert_optimal_by_enumeration(g, w, res):
@@ -361,16 +447,24 @@ def weighted_batch(seed: int, count: int):
     return out
 
 
+def exactly(res):
+    """What repr shows of an LpResult, with no integer turned into text (str
+    refuses one past 4,300 digits): the result, and the order in which each
+    column's frozenset iterates."""
+    return res, [tuple(s) for s, _ in res.primal.columns]
+
+
 def assert_same_as_reference(monkeypatch, g, w):
-    """chi_f_weighted gives the same result, down to its repr, under the
-    stored-row tableau; the seed columns are those of the set-built greedy."""
+    """chi_f_weighted gives the same result, down to what its repr shows,
+    under the stored-row tableau; the seed columns are those of the
+    set-built greedy."""
     assert [tuple(s) for s in lp._seed_columns(g)] == [
         tuple(s) for s in reference_seed_columns(g)
     ]
-    result = repr(chi_f_weighted(g, w))
+    result = exactly(chi_f_weighted(g, w))
     with monkeypatch.context() as m:
         m.setattr(lp, "_DualTableau", ReferenceTableau)
-        assert repr(chi_f_weighted(g, w)) == result
+        assert exactly(chi_f_weighted(g, w)) == result
 
 
 ORACLE_GRAPHS = {
@@ -392,6 +486,18 @@ def test_tableau_matches_reference_on_weighted_batch(monkeypatch):
         assert_same_as_reference(monkeypatch, g, w)
 
 
+def test_pricing_matches_first_fit_bound(monkeypatch):
+    # the same bound gives the same search tree: every pricing answer, and
+    # so every column, dual and certificate, is the same
+    cases = [(g(), None) for g in ORACLE_GRAPHS.values()] + weighted_batch(1, 40)
+    for g, w in cases:
+        w = w or ones(g.n)
+        result = repr(chi_f_weighted(g, w))
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_cover_bound", first_fit_cover_bound)
+            assert repr(chi_f_weighted(g, w)) == result
+
+
 def test_tableau_matches_reference_on_prime_denominators(monkeypatch):
     g = cycle_power(19, 3)
     w = [F(p // 2 + i, p) for i, p in enumerate(primes_above(10**6, g.n))]
@@ -403,20 +509,24 @@ def test_tableau_matches_reference_on_prime_denominators(monkeypatch):
         lambda n: st.tuples(
             st.just(n),
             st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
-            st.lists(
-                st.tuples(st.integers(0, 12), st.sampled_from([1, 2, 3, 5, 6, 7, 1000003])),
-                min_size=n,
-                max_size=n,
+            st.lists(st.integers(0, 12), min_size=n, max_size=n),
+            st.one_of(
+                st.lists(st.sampled_from([1, 2, 3, 5, 6, 7, 1000003]), min_size=n, max_size=n),
+                # distinct 1,000-digit denominators: the certificate sums run
+                # over their lcm, about n thousand digits
+                st.lists(
+                    st.integers(10**999, 10**1000 - 1), min_size=n, max_size=n, unique=True
+                ),
             ),
         )
     )
 )
 @settings(max_examples=150, deadline=None)
 def test_tableau_matches_reference_property(case):
-    n, present, fractions = case
+    n, present, numerators, denominators = case
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
-    w = [F(a, b) for a, b in fractions]
+    w = [F(a, b) for a, b in zip(numerators, denominators)]
     with pytest.MonkeyPatch.context() as m:
         assert_same_as_reference(m, g, w)
 
