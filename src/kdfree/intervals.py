@@ -122,14 +122,7 @@ class StableSetWeighting:
         return cov
 
     def weight_sum(self) -> Fraction:
-        den, nums = _numerators(self.columns)
-        return Fraction(sum(nums), den)
-
-
-def _numerators(columns) -> tuple[int, list[int]]:
-    """The lcm D of the weights' denominators, and each weight times D."""
-    den = lcm(*(wt.denominator for _, wt in columns))
-    return den, [wt.numerator * (den // wt.denominator) for _, wt in columns]
+        return sum((wt for _, wt in self.columns), _ZERO)
 
 
 # ── the three equivalent representations ──────────────────────────────────
@@ -196,7 +189,8 @@ def verify_certificate(
             )
         if not g.is_stable(s):
             return CertificateCheck(False, f"non-stable column {idx}: {sorted(s)}")
-    den, nums = _numerators(ssw.columns)
+    den = lcm(*(wt.denominator for _, wt in ssw.columns))
+    nums = [wt.numerator * (den // wt.denominator) for _, wt in ssw.columns]
     weight, total = sum(nums), ssw.total
     if not isinstance(total, _RATIONAL):
         return CertificateCheck(False, f"claimed total {total!r} is not rational")
