@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .bounds import emit_p_curve, emit_table, main_bound
@@ -93,9 +94,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def cmd_bounds(args) -> int:
-    deltas = [_integer(part, "--delta") for part in args.delta.split(",") if part]
-    if not deltas:
-        raise GraphFormatError("no Delta values given")
+    deltas = [_integer(part, "--delta") for part in args.delta.split(",")]
     if any(d < 6 for d in deltas):
         raise GraphFormatError("bounds needs Delta >= 6")
     if args.p_curve:
@@ -170,27 +169,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _trace_json(trace) -> str:
-    payload = {
-        "y_total": format_rational(trace.y_total),
-        "exact": trace.exact,
-        "final_w": [format_rational(w) for w in trace.final_w],
-        "iterations": [
-            {
-                "active": list(it.active),
-                "prob": {str(v): format_rational(p) for v, p in sorted(it.prob.items())},
-                "y_step": format_rational(it.y_step),
-                "w_step": {str(v): format_rational(p) for v, p in sorted(it.w_step.items())},
-                "leftover_after": format_rational(it.leftover_after),
-                "removed": list(it.removed),
-                "zero_prob_flagged": list(it.zero_prob_flagged),
-            }
-            for it in trace.iterations
-        ],
-    }
-    return json.dumps(payload, indent=1)
-
-
 def cmd_pipeline(args) -> int:
     _refuse_stdout(args, "emit_trace", "emit_cert")
     trials, seed = _integer(args.trials, "--trials"), _integer(args.seed, "--seed")
@@ -216,7 +194,7 @@ def cmd_pipeline(args) -> int:
         )
     print(f"iterations: {len(trace.iterations)}, total weight spent: {_show(trace.y_total)}")
     if args.emit_trace:
-        _write_out(_trace_json(trace), args.emit_trace)
+        _write_out(json.dumps(asdict(trace), indent=1, default=format_rational), args.emit_trace)
         print(f"trace written to {args.emit_trace}")
     if args.emit_cert:
         _write_out(certificate_to_json(g.n, trace.final_w, report.weighting), args.emit_cert)
@@ -251,7 +229,8 @@ def _parse_params(raw: str | None) -> dict[str, int]:
 
 
 def cmd_gen(args) -> int:
-    parametric = {  # the generator and the parameters it takes, in order
+    families = {  # the generator and the parameters it takes, in order
+        **{name: (NAMED_GRAPHS[name], ()) for name in sorted(NAMED_GRAPHS)},
         "cycle-power": (cycle_power, ("n", "k")),
         "petersen": (generalized_petersen, ("n", "k")),
         "complete": (complete_graph, ("n",)),
@@ -260,13 +239,9 @@ def cmd_gen(args) -> int:
     if family == "cycle_power":
         family = "cycle-power"
     params = _parse_params(args.params)
-    if family in NAMED_GRAPHS:
-        build, names = NAMED_GRAPHS[family], ()
-    elif family in parametric:
-        build, names = parametric[family]
-    else:
-        known = ", ".join(sorted(NAMED_GRAPHS) + list(parametric))
-        raise GraphFormatError(f"unknown family {family!r}; known: {known}")
+    if family not in families:
+        raise GraphFormatError(f"unknown family {family!r}; known: {', '.join(families)}")
+    build, names = families[family]
     extra = [key for key in params if key not in names]
     if extra:
         takes = ", ".join(names) or "no parameters"

@@ -121,9 +121,6 @@ class StableSetWeighting:
                 cov[v] += wt
         return cov
 
-    def weight_sum(self) -> Fraction:
-        return sum((wt for _, wt in self.columns), _ZERO)
-
 
 # ── the three equivalent representations ──────────────────────────────────
 

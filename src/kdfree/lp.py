@@ -331,7 +331,10 @@ def chi_f_weighted(g: Graph, w: Sequence[Fraction]) -> LpResult:
 
 def _check_optimal(g, weights, value, primal, scaled_dual, d, pricing_value):
     """Raise LpError unless both certificates hold; y = scaled_dual/d, d > 0."""
-    if primal.weight_sum() != value:
+    # with the checks below, the column weights sum to the value:
+    # verify_certificate checks sum(x) <= total, and coverage, y >= 0,
+    # y(S) <= 1 and w.y = value give sum(x) >= sum_S x_S y(S) >= w.y = value
+    if primal.total != value:
         raise LpError("primal column weights do not sum to the optimum")
     check = verify_certificate(g, primal, weights)
     if not check.ok:

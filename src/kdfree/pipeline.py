@@ -45,10 +45,11 @@ class PipelineIteration:
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    iterations: tuple[PipelineIteration, ...]
-    final_w: tuple[Fraction, ...]
+    # the field order is the key order of the --emit-trace file
     y_total: Fraction
     exact: bool
+    final_w: tuple[Fraction, ...]
+    iterations: tuple[PipelineIteration, ...]
 
 
 def initial_colouring(
@@ -91,7 +92,7 @@ def initial_colouring(
         else:
             weights, total = sampler.tally(seed, (len(iterations),), trials, active_outside), trials
         pr_s = sampler.marginals(weights.items(), total, ())[0]
-        prob = {v: pr_s[v] for v in active}
+        prob = {v: pr_s[v] for v in sorted(active)}  # the trace file's key order
         positive = [v for v in active if prob[v] > 0]
         flagged = tuple(v for v in active if prob[v] == 0)
         if mode == "exact":
@@ -102,7 +103,7 @@ def initial_colouring(
                 raise LpError("zero step probability in exact mode")
         y_prime = min(capacity[v] / prob[v] for v in positive)
         y_step = min(leftover, y_prime)
-        w_step = {v: prob[v] * y_step for v in active}
+        w_step = {v: p * y_step for v, p in prob.items()}
         for v in active:
             capacity[v] -= w_step[v]
             if capacity[v] < 0:

@@ -92,21 +92,14 @@ def round_half_even(value: Fraction, places: int) -> str:
     """Round exactly to `places` decimals with ties to even; returns a string."""
     value = Fraction(value)
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**places
-    whole, rem = divmod(scaled.numerator, scaled.denominator)
-    double = 2 * rem
-    if double > scaled.denominator or (double == scaled.denominator and whole % 2 == 1):
-        whole += 1
-    return _place_point(sign, whole, places)
+    return _place_point(sign, round(abs(value) * 10**places), places)
 
 
 def truncate_decimal(value: Fraction, places: int) -> str:
     """Truncate toward zero to `places` decimals; returns a string."""
     value = Fraction(value)
     sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**places
-    whole = scaled.numerator // scaled.denominator
-    return _place_point(sign, whole, places)
+    return _place_point(sign, int(abs(value) * 10**places), places)
 
 
 def _place_point(sign: str, units: int, places: int) -> str:

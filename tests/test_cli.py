@@ -130,6 +130,15 @@ def test_bounds_rejects_small_delta():
     assert main(["bounds", "--delta", "5"]) == 2
 
 
+@pytest.mark.parametrize("deltas", ["6,,7", "6,", ",7", ",", ""])
+def test_bounds_rejects_an_empty_delta_entry(deltas, capsys):
+    # an empty entry is an input error like any other bad integer, not dropped
+    assert main(["bounds", "--delta", deltas]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --delta takes ASCII integers without '_', got ''\n"
+
+
 def test_check_exit_codes(graph_file, capsys):
     eligible = graph_file("a.el", instance_a())
     assert main(["check", "--graph", eligible]) == 0
@@ -344,6 +353,22 @@ def test_pipeline_montecarlo_file_bytes(graph_file, tmp_path, capsys):
         "b401816cff5d549cab5fcd2ffc79bd84d41cf5b2f97c6ece620261479d962161",
         "37eb6c3bcbb9d7192e2e3f28e52c29f14b377ed0a7b934063144a844e32884fc",
     ]
+
+
+def test_pipeline_exact_trace_bytes_key_steps_by_vertex(graph_file, tmp_path, capsys):
+    # sha256 of the exact trace of the medium instance relabelled v -> v + 4
+    # mod 19: its outside vertices become 0-3 and `active` lists them last,
+    # while each step's prob and w_step are keyed by vertex, ascending
+    g = medium_instance()
+    shifted = Graph(g.n, [((u + 4) % g.n, (v + 4) % g.n) for u, v in g.edges()])
+    trace = tmp_path / "trace.json"
+    assert main(["pipeline", "--graph", graph_file("s.el", shifted), "--emit-trace", str(trace)]) == 0
+    step = json.loads(trace.read_text())["iterations"][0]
+    assert step["active"] == [*range(4, 19), *range(4)]
+    assert list(step["prob"]) == list(step["w_step"]) == [str(v) for v in range(19)]
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "6649daf292e2faf909c6fa2057bf17b3e303160806001b8d9d12e75c07d12537"
+    )
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

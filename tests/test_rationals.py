@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -93,3 +94,48 @@ _MAGNITUDES = st.one_of(
 def test_parse_reads_back_what_format_writes(magnitude, denominator, negative):
     x = Fraction(-magnitude if negative else magnitude, denominator + 1)
     assert parse_rational(format_rational(x)) == x
+
+
+def _quantized(value: Fraction, places: int, rounding: str) -> str:
+    """value at `places` decimals by the decimal module, an independent
+    oracle: at a precision past the digits of num * 10**places and den
+    together, the quotient lies nearer the exact value than any tie or place
+    the exact value is not on, so quantize rounds it as it would the exact
+    value."""
+    with localcontext() as ctx:
+        ctx.prec = len(str(abs(value.numerator) * 10**places)) + len(str(value.denominator)) + 5
+        quotient = Decimal(value.numerator) / Decimal(value.denominator)
+        return f"{quotient.quantize(Decimal(1).scaleb(-places), rounding=rounding):f}"
+
+
+def _assert_rounds_like_decimal(value: Fraction, places: int) -> None:
+    assert round_half_even(value, places) == _quantized(value, places, ROUND_HALF_EVEN)
+    assert truncate_decimal(value, places) == _quantized(value, places, ROUND_DOWN)
+
+
+_PLACES = st.integers(0, 8)
+# long denominators, and products of powers of 2 and 5, whose values end in
+# few decimals and so often sit on a tie or on a place exactly
+_DENOMINATORS = st.one_of(
+    st.integers(1, 10**30),
+    st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 12), st.integers(0, 12)),
+)
+
+
+@given(st.integers(-(10**30), 10**30), _DENOMINATORS, _PLACES)
+@settings(max_examples=300, deadline=None)
+def test_rounding_agrees_with_decimal(numerator, denominator, places):
+    _assert_rounds_like_decimal(Fraction(numerator, denominator), places)
+
+
+@given(st.integers(0, 10**12), _PLACES, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_rounding_of_exact_ties_agrees_with_decimal(k, places, negative):
+    tie = Fraction(2 * k + 1, 2 * 10**places)
+    _assert_rounds_like_decimal(-tie if negative else tie, places)
+
+
+@pytest.mark.parametrize("value", [Fraction(-1, 10**9), Fraction(-1, 2 * 10**6)])
+def test_a_negative_value_that_rounds_to_zero_keeps_its_sign(value):
+    _assert_rounds_like_decimal(value, 6)
+    assert round_half_even(value, 6) == truncate_decimal(value, 6) == "-0.000000"
