@@ -7,7 +7,7 @@ probability floor of an outside vertex with d block neighbours is
 
 its minima mu_k / mu over d, the per-clique-size step caps ytilde_k, their
 minimum ytilde, and the headline quantity Delta - min(1/2, ytilde * mu).
-p_value and the p-curve read p(Delta, d) from one integer factorisation (see
+p_value is the one formula for p(Delta, d), behind p_curve and mu_values (see
 _r).  Its terms run to thousands of bits, but the ratio of neighbouring terms
 is a quotient of integers of a few dozen bits, so whether the curve falls at
 each d is decided on those.  The curve falls along its first run and never
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BoundViolation, SizeLimit
 from .rationals import format_rational, round_half_even, truncate_decimal
@@ -34,9 +34,9 @@ _HALF = Fraction(1, 2)
 
 # The p-curve's integers grow with Delta (about 22,000 bits at Delta = 2000),
 # though main_bound reduces only the terms down to the argmin (d = 221 there).
-# On a 2-core x86 machine main_bound takes about 0.007 s at Delta = 1000 and
+# On a 2-core x86 machine main_bound takes about 0.005 s at Delta = 1000 and
 # 0.02 s at Delta = 2000, most of it in _ytilde; emitting the whole reduced
-# curve takes about 0.3 s and 2.3 s.
+# curve, each term from p_value, takes about 0.3 s and 2.2 s.
 DELTA_CAP = 2000
 
 # Display rules per table column, chosen to agree with as many published
@@ -88,9 +88,9 @@ def _r(q: int, d: int) -> int:
 
 
 def p_value(delta: int, d: int) -> Fraction:
-    """Inclusion probability floor p(Delta, d) for an outside vertex."""
-    if delta < 5:
-        raise ValueError(f"needs Delta >= 5, got {delta}")
+    """Inclusion probability floor p(Delta, d) for an outside vertex, the one
+    formula behind p_curve and mu_values; Delta is capped at DELTA_CAP."""
+    _check_delta(delta)
     if not 0 <= d <= delta:
         raise ValueError(f"needs 0 <= d <= Delta, got d={d}")
     q = delta - 5
@@ -104,27 +104,14 @@ def _check_delta(delta: int) -> None:
         raise SizeLimit(f"the p-curve is capped at Delta <= {DELTA_CAP}, got {delta}")
 
 
-def _p_terms(delta: int) -> Iterator[tuple[int, int]]:
-    """Unreduced (N(d), 4 omega^d (Delta-d+1)) of p(Delta, d) for d = 0..Delta,
-    from R(d) and running powers of q and omega.  Delta is capped at
-    DELTA_CAP; the checks run when iteration starts.
-    """
-    _check_delta(delta)
-    omega, q = delta - 1, delta - 5
-    q_pow = omega_pow = 1
-    for d in range(delta + 1):
-        yield q_pow * _r(q, d), 4 * omega_pow * (delta - d + 1)
-        q_pow *= q if d >= 3 else 1
-        omega_pow *= omega
-
-
 def p_curve(delta: int) -> tuple[Fraction, ...]:
-    """p(Delta, d) for d = 0..Delta: every term of the integer pass, reduced.
+    """p(Delta, d) for d = 0..Delta.
 
     main_bound never builds this tuple; mu_values reduces only the terms
     down to the first argmin.
     """
-    return tuple(Fraction(n, den) for n, den in _p_terms(delta))
+    _check_delta(delta)  # a negative Delta would give an empty range
+    return tuple(p_value(delta, d) for d in range(delta + 1))
 
 
 def _falls(delta: int) -> list[bool]:
@@ -171,7 +158,7 @@ def mu_values(delta: int) -> tuple[dict[int, Fraction], Fraction, int]:
     reduced.
     """
     argmin = _first_argmin(delta, _falls(delta))
-    mu_k = {d: Fraction(*term) for d, term in zip(range(argmin + 1), _p_terms(delta))}
+    mu_k = {d: p_value(delta, d) for d in range(argmin + 1)}
     mu_k.update(dict.fromkeys(range(argmin + 1, delta + 1), mu_k[argmin]))
     return mu_k, mu_k[argmin], argmin
 

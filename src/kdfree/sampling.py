@@ -144,8 +144,12 @@ class StableSetSampler:
         return s
 
     def _outside_mask(self, active: Sequence[int] | None) -> int:
-        """The active outside vertices (all when active is None) as a mask."""
-        return sum(1 << v for v in (self.outside if active is None else set(active)))
+        """The active outside vertices (all when active is None) as a mask;
+        ValueError names any active vertex that is not an outside vertex."""
+        chosen = set(self.outside if active is None else active)
+        if stray := sorted(chosen.difference(self.outside)):
+            raise ValueError(f"active vertices {stray} are not outside vertices")
+        return sum(1 << v for v in chosen)
 
     def _seen(self, s: int) -> int:
         """The outside vertices with a neighbour in s, as a mask."""
@@ -185,23 +189,22 @@ class StableSetSampler:
         CPU, or below 2 * TRIALS_PER_PROCESS trials.
         """
         prefix = ":".join(map(str, (seed, *key, ""))).encode()
+        active_mask = self._outside_mask(active)  # checked before any child starts
         parts = _processes(trials)
         ranges = [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]
-        children = [self._fork(prefix, part, active) for part in ranges[1:]]
+        children = [self._fork(prefix, part, active_mask) for part in ranges[1:]]
         try:
-            counts = self._tally(prefix, ranges[0], active)
+            counts = self._tally(prefix, ranges[0], active_mask)
         finally:
             sent = [_collect(child) for child in children]
         for part, got in zip(ranges[1:], sent):
             if got is None:
-                got = self._tally(prefix, part, active)
+                got = self._tally(prefix, part, active_mask)
             for s, c in got.items():
                 counts[s] += c
         return counts
 
-    def _fork(
-        self, prefix: bytes, part: range, active: Sequence[int] | None
-    ) -> tuple[int, int] | None:
+    def _fork(self, prefix: bytes, part: range, active_mask: int) -> tuple[int, int] | None:
         """(pid, pipe read end) of a child that tallies `part` and writes its
         counts, marshalled, to the pipe; None if no child could start."""
         try:
@@ -219,16 +222,14 @@ class StableSetSampler:
             try:
                 os.close(r)
                 with open(w, "wb") as out:
-                    marshal.dump(dict(self._tally(prefix, part, active)), out)
+                    marshal.dump(dict(self._tally(prefix, part, active_mask)), out)
                 status = 0
             finally:
                 os._exit(status)
         os.close(w)
         return pid, r
 
-    def _tally(
-        self, prefix: bytes, trial_range: range, active: Sequence[int] | None
-    ) -> Counter[int]:
+    def _tally(self, prefix: bytes, trial_range: range, active_mask: int) -> Counter[int]:
         """The S masks of the trials in `trial_range`, in one loop.
 
         The loop reads the digest bits directly, every draw by one inline
@@ -237,7 +238,6 @@ class StableSetSampler:
         with the outside vertices it sees, so the insertable set is one mask.
         """
         joint = _plan(4 * self.n_choices)
-        active_mask = self._outside_mask(active)
         plans = [_plan(i) for i in range(active_mask.bit_count() + 1)]
         closed, pools = self.closed, self._pools
         counts: Counter[int] = Counter()

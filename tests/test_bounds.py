@@ -69,17 +69,21 @@ def test_p_curve_equals_quarter_tail_form():
 
 
 def test_p_value_range_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^needs Delta >= 5, got 4$"):
         p_value(4, 0)
     with pytest.raises(ValueError):
         p_value(6, 7)
     with pytest.raises(ValueError):
         p_curve(4)
+    with pytest.raises(ValueError):
+        p_curve(-1)
 
 
 def test_p_curve_rejects_delta_above_cap():
     with pytest.raises(SizeLimit, match=f"Delta <= {DELTA_CAP}"):
         p_curve(DELTA_CAP + 1)
+    with pytest.raises(SizeLimit, match=f"Delta <= {DELTA_CAP}, got {DELTA_CAP + 1}$"):
+        p_value(DELTA_CAP + 1, 0)
     with pytest.raises(SizeLimit):
         main_bound(10**6)
 

@@ -15,7 +15,6 @@ from kdfree.bounds import (
     BoundReport,
     _falls,
     _first_argmin,
-    _p_terms,
     _ytilde,
     _ytilde_k,
     main_bound,
@@ -81,7 +80,7 @@ def test_minima_match_reduced_curve(delta):
 
 @pytest.mark.parametrize("delta", list(range(5, 301)) + [1000, 1500, 2000])
 def test_minima_match_big_integer_prefix_minima(delta):
-    assert mu_values(delta) == _prefix_minima(_p_terms(delta))
+    assert mu_values(delta) == _prefix_minima((x.numerator, x.denominator) for x in p_curve(delta))
 
 
 def test_mu_values_at_delta_5():

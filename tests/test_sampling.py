@@ -951,6 +951,29 @@ def test_serial_fallbacks_never_fork(monkeypatch, setting):
     assert list(got.items()) == want
 
 
+@pytest.mark.parametrize("active, stray", [([15, 0], [0]), ([99, 16], [99])], ids=["block", "range"])
+@pytest.mark.parametrize("entry", ["extend", "sample", "tally", "enumerate_exact"])
+def test_active_vertices_must_be_outside_vertices(monkeypatch, entry, active, stray):
+    # a block vertex or an id past n, named before any child is forked
+    sampler = StableSetSampler(medium_instance())
+
+    def refuse():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(sampling, "TRIALS_PER_PROCESS", 8)
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    call = {
+        "extend": lambda: sampler.extend(random.Random(0), 0, active),
+        "sample": lambda: sampler.sample(random.Random(0), active),
+        "tally": lambda: sampler.tally(1, (), 64, active),
+        "enumerate_exact": lambda: sampler.enumerate_exact(active),
+    }[entry]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"active vertices {stray} are not outside vertices"
+
+
 @needs_fork
 def test_split_tally_runs_a_range_here_when_no_child_starts(split, monkeypatch):
     g = medium_instance()
