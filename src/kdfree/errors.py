@@ -10,11 +10,10 @@ class GraphFormatError(ValueError):
 class HallViolation(ValueError):
     """Hall's condition fails; carries the witness subset."""
 
-    def __init__(self, witness, shortfall=None):
+    def __init__(self, witness, shortfall):
         self.witness = frozenset(witness)
         self.shortfall = shortfall
-        detail = f" (short by {shortfall})" if shortfall is not None else ""
-        super().__init__(f"Hall condition violated on {sorted(self.witness)}{detail}")
+        super().__init__(f"Hall condition violated on {sorted(self.witness)} (short by {shortfall})")
 
 
 class SizeLimit(ValueError):

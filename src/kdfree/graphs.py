@@ -265,29 +265,25 @@ def degeneracy_order(g: Graph) -> list[int]:
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All maximal cliques via pivoting Bron-Kerbosch over a degeneracy ordering.
+    """All maximal cliques via Tomita-pivot Bron-Kerbosch run once from the
+    root on an explicit (R, P, X) stack: no vertex ordering, no recursion.
 
     Output is sorted lexicographically (by sorted vertex tuple) so downstream
     consumers are reproducible run to run.
     """
+    adj = g.adj
     found: list[frozenset[int]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
+    stack = [(frozenset(), set(range(g.n)), set())] if g.n else []
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
-            found.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: (len(g.adj[u] & p), -u))
-        for v in sorted(p - g.adj[pivot]):
-            expand(r | {v}, p & g.adj[v], x & g.adj[v])
+            found.append(r)
+            continue
+        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
+        for v in sorted(p - adj[pivot]):
+            stack.append((r | {v}, p & adj[v], x & adj[v]))
             p.remove(v)
             x.add(v)
-
-    order = degeneracy_order(g)
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {u for u in g.adj[v] if pos[u] > pos[v]}
-        earlier = {u for u in g.adj[v] if pos[u] < pos[v]}
-        expand({v}, later, earlier)
     return sorted(found, key=lambda c: tuple(sorted(c)))
 
 

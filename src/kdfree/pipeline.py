@@ -241,9 +241,9 @@ def verify_theorem_initial(
     y; a Monte Carlo run that fills a block vertex spends less."""
     if cs is None:
         cs = clique_structure(g)
+    trace, weighting = initial_colouring(g, y, mode, trials, seed, cs)
     delta = g.max_degree()
     _, mu, _ = mu_values(delta)
-    trace, weighting = initial_colouring(g, y, mode, trials, seed, cs)
     y = trace.y_total
     rho_vec, rho = reed_weight(g, cs, [_ONE - wv for wv in trace.final_w])
     return InitialColouringReport(
@@ -304,7 +304,7 @@ def end_to_end(g: Graph) -> EndToEndReport:
         raise EligibilityError(f"end_to_end needs omega <= Delta - 1, got omega={cs.omega}")
     bounds = main_bound(delta)
     lp = chi_f(g)
-    bound = delta - bounds.epsilon
+    bound = bounds.bound
     if lp.value > bound:
         raise BoundViolation(f"chi_f = {lp.value} exceeds {bound} at Delta={delta}")
 

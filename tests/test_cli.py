@@ -28,13 +28,19 @@ from kdfree.graphs import (
     block_graph,
     clique_structure,
     complete_graph,
+    cycle_power,
     read_edge_list,
     write_edge_list,
 )
 from kdfree.intervals import certificate_from_json
 from kdfree.rationals import RATIONAL_DIGIT_LIMIT, format_rational, parse_rational
 from kdfree.sampling import SamplerCheck
-from kdfree.structure import NEAR_CLIQUE_PATTERNS, find_near_clique, pipeline_eligibility
+from kdfree.structure import (
+    NEAR_CLIQUE_EXHAUSTIVE_LIMIT,
+    NEAR_CLIQUE_PATTERNS,
+    find_near_clique,
+    pipeline_eligibility,
+)
 
 
 @pytest.fixture
@@ -161,6 +167,21 @@ def test_check_patterns_prints_each_search(name, graph_file, capsys):
         hit = find_near_clique(g, g.max_degree(), pattern)
         want.append(f"near-clique {pattern}: {'none' if hit is None else list(hit)}")
     assert printed == want
+
+
+def test_check_patterns_skip_past_the_exhaustive_limit(graph_file, capsys):
+    # C25^3 (n = 25, ineligible) is past the near-clique search's n <= 20
+    # limit: each pattern is reported as skipped, and the check still ends
+    g = cycle_power(25, 3)
+    assert g.n > NEAR_CLIQUE_EXHAUSTIVE_LIMIT
+    assert main(["check", "--graph", graph_file("c25.el", g), "--patterns"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    reason = f"near-clique search is exhaustive only for n <= {NEAR_CLIQUE_EXHAUSTIVE_LIMIT}"
+    assert [line for line in out if line.startswith("near-clique")] == [
+        f"near-clique {pattern}: skipped ({reason})" for pattern in NEAR_CLIQUE_PATTERNS
+    ]
+    assert len(NEAR_CLIQUE_PATTERNS) == 4
+    assert out[-1] == "eligibility: FAIL"
 
 
 def test_chif_certificate_cycle(graph_file, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -227,6 +228,19 @@ def test_cliques_match_networkx(n):
         assert cs.omega == omega
         assert cs.max_cliques == tuple(c for c in want if len(c) == omega)
         assert cs.level == tuple(max(len(c) for c in want if v in c) for v in range(n))
+
+
+def test_clique_listing_needs_no_recursion():
+    # the listing keeps its own stack: under a recursion limit far below the
+    # clique size, K300 still yields its single clique
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        cs = clique_structure(complete_graph(300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cs.omega == 300
+    assert cs.max_cliques == cs.maximal_cliques == (frozenset(range(300)),)
 
 
 def test_level_partitions_vertices():

@@ -27,6 +27,7 @@ from kdfree.graphs import (
     clique_structure,
     complete_graph,
     cycle_graph,
+    cycle_power,
     reed_weight,
     strong_product,
 )
@@ -210,6 +211,13 @@ def test_initial_colouring_validates_input():
         initial_colouring(instance_a(), F(6))
     with pytest.raises(ValueError):
         initial_colouring(instance_a(), F(1), mode="guess")
+
+
+@pytest.mark.parametrize("g", [cycle_power(8, 2), complete_graph(5)])
+def test_theorem_initial_checks_eligibility_before_constants(g):
+    # Delta 4 has no mu(Delta); the eligibility check runs first and names why
+    with pytest.raises(EligibilityError):
+        verify_theorem_initial(g, F(1, 10))
 
 
 def test_end_to_end_block_instance_composes():
