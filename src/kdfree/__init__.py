@@ -39,7 +39,7 @@ from .intervals import (
 )
 from .lp import LpResult, chi_f, chi_f_weighted, max_weight_stable_set
 from .pipeline import end_to_end, initial_colouring, verify_theorem_initial
-from .sampling import StableSetSampler, estimate, exact_marginals
+from .sampling import StableSetSampler, estimate
 from .structure import (
     find_bump,
     find_near_clique,

@@ -90,18 +90,19 @@ def _r(q: int, d: int) -> int:
 def p_value(delta: int, d: int) -> Fraction:
     """Inclusion probability floor p(Delta, d) for an outside vertex, the one
     formula behind p_curve and mu_values; Delta is capped at DELTA_CAP."""
-    _check_delta(delta)
+    _check_delta(delta, "p(Delta, d)")
     if not 0 <= d <= delta:
         raise ValueError(f"needs 0 <= d <= Delta, got d={d}")
     q = delta - 5
     return Fraction(q ** max(d - 3, 0) * _r(q, d), 4 * (delta - 1) ** d * (delta - d + 1))
 
 
-def _check_delta(delta: int) -> None:
+def _check_delta(delta: int, what: str) -> None:
+    """Refuse a Delta below 5 or above DELTA_CAP, naming `what` was asked for."""
     if delta < 5:
         raise ValueError(f"needs Delta >= 5, got {delta}")
     if delta > DELTA_CAP:
-        raise SizeLimit(f"the p-curve is capped at Delta <= {DELTA_CAP}, got {delta}")
+        raise SizeLimit(f"{what} is capped at Delta <= {DELTA_CAP}, got {delta}")
 
 
 def p_curve(delta: int) -> tuple[Fraction, ...]:
@@ -110,7 +111,7 @@ def p_curve(delta: int) -> tuple[Fraction, ...]:
     main_bound never builds this tuple; mu_values reduces only the terms
     down to the first argmin.
     """
-    _check_delta(delta)  # a negative Delta would give an empty range
+    _check_delta(delta, "the p-curve")  # a negative Delta would give an empty range
     return tuple(p_value(delta, d) for d in range(delta + 1))
 
 
@@ -125,7 +126,7 @@ def _falls(delta: int) -> list[bool]:
     and at Delta = 5 (q = 0), where p(5, 4) = p(5, 5) = 0, both sides vanish
     and that step reads as no fall.
     """
-    _check_delta(delta)
+    _check_delta(delta, "the main bound")
     omega, q = delta - 1, delta - 5
     r = [_r(q, d) for d in range(delta + 1)]
     return [

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, SizeLimit
 from .rationals import parse_integer
@@ -24,79 +25,78 @@ def _check_vertex_count(n: int) -> None:
 class Graph:
     """Simple undirected graph on vertex set 0..n-1.
 
-    Adjacency is stored both as per-vertex frozensets and as bitmasks; the
-    graph is immutable after construction and safe to share across threads.
+    masks[v] is v's neighbourhood as a bitmask, read with bits(); the graph
+    is immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("n", "adj", "masks")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
         _check_vertex_count(n)
-        neighbours: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            neighbours[u].add(v)
-            neighbours[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self.adj = tuple(frozenset(s) for s in neighbours)
-        masks = []
-        for s in neighbours:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            masks.append(m)
         self.masks = tuple(masks)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self.adj), default=0)
+        return max((m.bit_count() for m in self.masks), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.masks[u] >> v & 1 == 1
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u, m in enumerate(self.masks) for v in bits(m >> u << u)]  # v > u
 
     def num_edges(self) -> int:
-        return sum(len(s) for s in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def is_stable(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        seen = 0
-        for v in vs:
-            seen |= 1 << v
+        vs = set(vertices)
+        seen = sum(1 << v for v in vs)
         return all(self.masks[v] & seen == 0 for v in vs)
 
     def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        return all(self.has_edge(u, v) for u, v in combinations(vs, 2))
+        return all(self.has_edge(u, v) for u, v in combinations(vertices, 2))
 
     def induced(self, keep: Sequence[int]) -> "Graph":
         """Induced subgraph on `keep`, relabelled 0..len(keep)-1 in given order."""
         index = {v: i for i, v in enumerate(keep)}
+        kept = sum(1 << v for v in index)
         edges = [
             (index[u], index[v])
             for u in keep
-            for v in self.adj[u]
-            if v in index and index[u] < index[v]
+            for v in bits(self.masks[u] & kept)
+            if index[u] < index[v]
         ]
         return Graph(len(keep), edges)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.n == other.n and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self.masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges()})"
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask` (the vertices of a vertex bitmask), least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # ── generators ────────────────────────────────────────────────────────────
@@ -129,15 +129,11 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: (u1,v1)~(u2,v2) iff both coordinates are equal-or-adjacent."""
     _check_vertex_count(g.n * h.n)
     edges = []
-    for u1 in range(g.n):
+    for u1, m in enumerate(g.masks):
         for v1 in range(h.n):
             a = u1 * h.n + v1
-            for u2 in range(g.n):
-                if u2 != u1 and u2 not in g.adj[u1]:
-                    continue
-                for v2 in range(h.n):
-                    if v2 != v1 and v2 not in h.adj[v1]:
-                        continue
+            for u2 in bits(m | 1 << u1):
+                for v2 in bits(h.masks[v1] | 1 << v1):
                     b = u2 * h.n + v2
                     if a < b:
                         edges.append((a, b))
@@ -251,40 +247,39 @@ class CliqueStructure:
 
 def degeneracy_order(g: Graph) -> list[int]:
     """Vertices in degeneracy order (repeatedly remove a minimum-degree vertex)."""
-    remaining = set(range(g.n))
-    deg = {v: g.degree(v) for v in remaining}
+    remaining = (1 << g.n) - 1
+    deg = [m.bit_count() for m in g.masks]
     order = []
     while remaining:
-        v = min(remaining, key=lambda u: (deg[u], u))
+        v = min(bits(remaining), key=deg.__getitem__)  # the first, so the least, of its degree
         order.append(v)
-        remaining.remove(v)
-        for u in g.adj[v]:
-            if u in remaining:
-                deg[u] -= 1
+        remaining ^= 1 << v
+        for u in bits(g.masks[v] & remaining):
+            deg[u] -= 1
     return order
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """All maximal cliques via Tomita-pivot Bron-Kerbosch run once from the
-    root on an explicit (R, P, X) stack: no vertex ordering, no recursion.
+    root on an explicit stack of (R, P, X) bitmasks: no order, no recursion.
 
-    Output is sorted lexicographically (by sorted vertex tuple) so downstream
-    consumers are reproducible run to run.
+    Output is sorted lexicographically (by sorted vertex tuple), each clique
+    built from its ascending vertices, so it is the same run to run.
     """
-    adj = g.adj
-    found: list[frozenset[int]] = []
-    stack = [(frozenset(), set(range(g.n)), set())] if g.n else []
+    masks = g.masks
+    found: list[tuple[int, ...]] = []
+    stack = [(0, (1 << g.n) - 1, 0)] if g.n else []
     while stack:
         r, p, x = stack.pop()
         if not p and not x:
-            found.append(r)
+            found.append(tuple(bits(r)))
             continue
-        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-        for v in sorted(p - adj[pivot]):
-            stack.append((r | {v}, p & adj[v], x & adj[v]))
-            p.remove(v)
-            x.add(v)
-    return sorted(found, key=lambda c: tuple(sorted(c)))
+        pivot = max(bits(p | x), key=lambda u: (masks[u] & p).bit_count())  # the least of the most
+        for v in bits(p & ~masks[pivot]):
+            stack.append((r | 1 << v, p & masks[v], x & masks[v]))
+            p ^= 1 << v
+            x |= 1 << v
+    return [frozenset(c) for c in sorted(found)]
 
 
 def clique_structure(g: Graph) -> CliqueStructure:
@@ -297,10 +292,11 @@ def clique_structure(g: Graph) -> CliqueStructure:
         for v in c:
             if len(c) > level[v]:
                 level[v] = len(c)
-    v_omega = frozenset(v for c in maxc for v in c)
+    inside = sum(1 << v for v in set().union(*maxc))
     delta = g.max_degree()
-    v_prime = frozenset(v for v in v_omega if g.degree(v) == delta)
-    d_omega = tuple(len(g.adj[v] & v_omega) for v in range(g.n))
+    v_omega = frozenset(bits(inside))
+    v_prime = frozenset(v for v in bits(inside) if g.degree(v) == delta)
+    d_omega = tuple((m & inside).bit_count() for m in g.masks)
     return CliqueStructure(
         omega=omega,
         max_cliques=maxc,
@@ -360,7 +356,7 @@ def rainbow_colouring(
             if nodes > COLOURING_NODE_LIMIT:
                 raise SizeLimit(f"colouring search gave up: parts {list(parts)}, edges {g.edges()}")
             colour[v] = c
-            log = [(u, left[u]) for u in g.adj[v] if colour[u] < 0]
+            log = [(u, left[u]) for u in bits(g.masks[v]) if colour[u] < 0]
             for u, m in log:
                 left[u] = m & ~(1 << c)
             stack.append((v, c, log))
@@ -398,7 +394,7 @@ def reed_weight(
                 clique_w[v] = total
     rho = []
     for v in range(g.n):
-        degree_w = w[v] + sum((w[u] for u in g.adj[v]), Fraction(0))
+        degree_w = w[v] + sum((w[u] for u in bits(g.masks[v])), Fraction(0))
         rho.append(Fraction(1, 2) * (degree_w + clique_w[v]))
     return rho, max(rho, default=Fraction(0))
 
@@ -411,6 +407,10 @@ def write_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.num_edges()}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
+
+
+# two decimal integers of at most 600 digits, which int() reads under any limit
+_EDGE_LINE = re.compile(r"([+-]?[0-9]{1,600}) ([+-]?[0-9]{1,600})")
 
 
 def read_edge_list(text: str) -> Graph:
@@ -431,23 +431,25 @@ def read_edge_list(text: str) -> Graph:
     if len(rows) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     seen = set()
-    edges = []
     for row in rows[1:]:
-        parts = row.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {row!r}")
-        try:
-            u, v = parse_integer(parts[0]), parse_integer(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"non-integer edge line {row!r}") from exc
-        if u == v:
-            raise GraphFormatError(f"self-loop {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
-        if u > v:
+        pair = _EDGE_LINE.fullmatch(row)
+        if pair:
+            u, v = int(pair[1]), int(pair[2])
+        else:  # some other spacing, or a token parse_integer reads or names
+            parts = row.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"bad edge line {row!r}")
+            try:
+                u, v = parse_integer(parts[0]), parse_integer(parts[1])
+            except ValueError as exc:
+                raise GraphFormatError(f"non-integer edge line {row!r}") from exc
+        if not 0 <= u < v < n:
+            if u == v:
+                raise GraphFormatError(f"self-loop {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
             raise GraphFormatError(f"edge line {row!r} must be written u < v")
         if (u, v) in seen:
             raise GraphFormatError(f"duplicate edge ({u},{v})")
         seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+    return Graph(n, seen)

@@ -255,7 +255,8 @@ def hall_extend(
         if cursor < lo:
             atoms.append((cursor, lo, frozenset()))
         cursor = hi
-    usable = {v: [i for i, (_, _, s) in enumerate(atoms) if not s & g.adj[v]] for v in X}
+    owners = [sum(1 << u for u in s) for _, _, s in atoms]
+    usable = {v: [i for i, owner in enumerate(owners) if not owner & g.masks[v]] for v in X}
     room = [hi - lo for lo, hi, _ in atoms]
     flow: list[dict[int, Fraction]] = [{} for _ in atoms]  # atom -> {vertex: amount}
 

@@ -215,7 +215,15 @@ def max_weight_stable_set(
     label = [0] * g.n  # vertex -> its bit in the relabelled masks
     for i, v in enumerate(order):
         label[v] = 1 << i
-    near = [sum(map(label.__getitem__, g.adj[v])) for v in order]
+    positive = sum(1 << v for v in order)
+    near = []
+    for v in order:  # the relabelled positive neighbours, read bit by bit
+        rest, row = g.masks[v] & positive, 0
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            row |= label[bit.bit_length() - 1]
+        near.append(row)
     # the candidates order[i] leaves: neither it nor a neighbour
     apart = [~(m | label[v]) for m, v in zip(near, order)]
     best = 0

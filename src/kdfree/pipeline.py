@@ -22,10 +22,10 @@ from typing import Sequence
 
 from .bounds import BoundReport, main_bound, mu_values, p_value
 from .errors import BoundViolation, EligibilityError, LpError
-from .graphs import CliqueStructure, Graph, clique_structure, reed_weight
+from .graphs import CliqueStructure, Graph, bits, clique_structure, reed_weight
 from .intervals import StableSetWeighting, verify_certificate
 from .lp import LpResult, chi_f, chi_f_weighted
-from .sampling import OUTSIDE_ENUMERATION_LIMIT, StableSetSampler, mask_to_set
+from .sampling import OUTSIDE_ENUMERATION_LIMIT, StableSetSampler
 from .structure import pipeline_eligibility
 
 _ZERO = Fraction(0)
@@ -131,7 +131,7 @@ def initial_colouring(
             break  # every later step would overfill it
 
     final_w = tuple(_ONE - capacity[v] for v in range(n))
-    sets = ((mask_to_set(s), m) for s, m in columns.items())
+    sets = ((frozenset(bits(s)), m) for s, m in columns.items())
     weighting = StableSetWeighting(
         tuple(sorted(sets, key=lambda c: tuple(sorted(c[0])))), total=y - leftover
     )
@@ -177,7 +177,7 @@ def check_weight_conditions(
     mu_k, mu, _ = mu_values(delta)
     checks: list[ConditionCheck] = []
 
-    bad = [v for v in cs.v_omega if w[v] != y / omega]
+    bad = [v for v in sorted(cs.v_omega) if w[v] != y / omega]
     checks.append(ConditionCheck("block_weight", not bad, f"violators {bad[:4]}"))
 
     bad = [
@@ -205,7 +205,7 @@ def check_weight_conditions(
     checks.append(ConditionCheck("clique_floor", not small_bad, f"violators {small_bad}"))
     checks.append(ConditionCheck("large_clique_floor", not large_bad, f"violators {large_bad}"))
 
-    bad = [v for v in range(g.n) if w[v] < 1 and sum((w[u] for u in g.adj[v]), w[v]) < y]
+    bad = [v for v in range(g.n) if w[v] < 1 and sum((w[u] for u in bits(g.masks[v])), w[v]) < y]
     checks.append(ConditionCheck("closed_nb_weight", not bad, f"violators {bad[:4]}"))
     return checks
 

@@ -17,7 +17,7 @@ Exact enumeration (tiny instances) runs the same recursion over every joint
 choice and pool column, memoised by insertable set; it validates the Monte
 Carlo estimator.  Both give integer weights over S masks with their total
 (trial counts out of the trials for tally), which StableSetSampler.marginals
-reduces for exact_marginals, estimate and the pipeline.
+reduces for estimate and the pipeline.
 
 StableSetSampler.tally gives every trial its own counter-based stream, the
 bits of blake2b digests of "seed:key:...:trial" salted by block number, so a
@@ -43,7 +43,7 @@ from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 
 from .bounds import mu_values, p_value
 from .errors import EligibilityError, HypothesisViolated, SizeLimit
-from .graphs import CliqueStructure, Graph, clique_structure, rainbow_colouring
+from .graphs import CliqueStructure, Graph, bits, clique_structure, rainbow_colouring
 from .structure import pipeline_eligibility
 
 if TYPE_CHECKING:
@@ -138,7 +138,7 @@ class StableSetSampler:
         s = s_omega_mask
         free = self._outside_mask(active) & ~self._seen(s)
         while free:
-            u = sorted(mask_to_set(free))[rng.randrange(free.bit_count())]
+            u = list(bits(free))[rng.randrange(free.bit_count())]
             s |= 1 << u
             free &= ~self.closed[u]
         return s
@@ -368,11 +368,6 @@ class StableSetSampler:
         )
 
 
-def mask_to_set(mask: int) -> frozenset[int]:
-    """The vertices of a bitmask."""
-    return frozenset(v for v in range(mask.bit_length()) if (mask >> v) & 1)
-
-
 def _processes(trials: int) -> int:
     """How many processes tally `trials` trials: one per TRIALS_PER_PROCESS
     trials, at most one per CPU this process may run on, and one where os.fork
@@ -430,32 +425,6 @@ def _shape_pool(
             f"with edges {tilde.edges()}"
         )
     return classes
-
-
-@dataclass(frozen=True)
-class ExactMarginals:
-    """Full enumeration of the two-stage distribution on a tiny instance."""
-
-    pr_s: tuple[Fraction, ...]
-    pr_s_omega: tuple[Fraction, ...]
-    block_nb_empty: Mapping[int, Fraction]
-    expected_closed: tuple[Fraction, ...]
-    distribution: tuple[tuple[frozenset[int], Fraction], ...]
-
-
-# ── module-level operations ───────────────────────────────────────────────
-
-
-def exact_marginals(g: Graph) -> ExactMarginals:
-    """Exact per-vertex Pr(v in S) (and companions) by full enumeration."""
-    sampler = StableSetSampler(g)
-    weights, total = sampler.enumerate_exact()
-    return ExactMarginals(
-        *sampler.marginals(weights.items(), total, sampler.outside),
-        distribution=tuple(
-            (mask_to_set(s), Fraction(w, total)) for s, w in sorted(weights.items())
-        ),
-    )
 
 
 # ── Monte Carlo estimation ────────────────────────────────────────────────

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import SizeLimit
-from .graphs import CliqueStructure, Graph, clique_structure
+from .graphs import CliqueStructure, Graph, bits, clique_structure
 
 NEAR_CLIQUE_EXHAUSTIVE_LIMIT = 20
 
@@ -38,17 +38,16 @@ class Bump:
     v2: int
 
     def validate(self, g: Graph) -> bool:
-        y = {self.y1, self.y2, self.y3}
+        y = (self.y1, self.y2, self.y3)
         return (
             g.is_clique(self.clique)
-            and y <= self.clique
-            and len(y) == 3
+            and len(self.clique.intersection(y)) == 3  # three distinct members of C
             and self.v1 not in self.clique
             and self.v2 not in self.clique
             and self.v1 != self.v2
             and g.has_edge(self.v1, self.v2)
-            and g.adj[self.v1] & y == {self.y1, self.y2}
-            and g.adj[self.v2] & y == {self.y2, self.y3}
+            and [g.has_edge(self.v1, u) for u in y] == [True, True, False]
+            and [g.has_edge(self.v2, u) for u in y] == [False, True, True]
         )
 
 
@@ -60,21 +59,22 @@ def find_bump(g: Graph, cs: CliqueStructure) -> Bump | None:
     With n1, n2 the neighbours of v1, v2 in C, the valid (y1, y2, y3) are
     exactly the members of n1 - n2, n1 & n2 and n2 - n1, so each pair's least
     bump takes their three minima, and the first clique with a bump holds the
-    least one."""
+    least one.  v1 and v2 each see two of Y, so only outside vertices with two
+    neighbours in C are scanned.  C is built from its ascending vertices, as
+    a set prints in insertion order where hashes collide."""
     for c in cs.max_cliques:
-        keys = []
-        for v1 in range(g.n):
-            if v1 in c:
-                continue
-            n1 = g.adj[v1] & c
-            for v2 in g.adj[v1] - c:
-                n2 = g.adj[v2] & c
-                if n1 - n2 and n1 & n2 and n2 - n1:
-                    keys.append((min(n1 - n2), min(n1 & n2), min(n2 - n1), v1, v2))
+        inside = sum(1 << v for v in c)
+        seen = {v: m & inside for v, m in enumerate(g.masks) if not inside >> v & 1}
+        seen = {v: n1 for v, n1 in seen.items() if n1.bit_count() > 1}
+        scanned = sum(1 << v for v in seen)
+        keys = [
+            (next(bits(n1 & ~n2)), next(bits(n1 & n2)), next(bits(n2 & ~n1)), v1, v2)
+            for v1, n1 in seen.items()
+            for v2 in bits(g.masks[v1] & scanned)
+            if n1 & ~(n2 := seen[v2]) and n1 & n2 and n2 & ~n1
+        ]
         if keys:
-            # from the sorted vertices: a set's printed order follows insertion
-            # order where hashes collide, and `kdfree check` prints the bump
-            return Bump(frozenset(sorted(c)), *min(keys))
+            return Bump(frozenset(bits(inside)), *min(keys))
     return None
 
 
@@ -121,10 +121,10 @@ def find_near_clique(
             if fs in seen_seeds:
                 continue
             seen_seeds.add(fs)
-            misses = {x: [(x, y) for y in seed if y not in g.adj[x]] for x in range(g.n) if x not in fs}
+            misses = {x: [(x, y) for y in seed if not m >> y & 1] for x, m in enumerate(g.masks) if x not in fs}
             for u, v in combinations(misses, 2):
                 missing = misses[u] + misses[v]
-                if v not in g.adj[u]:
+                if not g.masks[u] >> v & 1:
                     missing.append((u, v))
                 if len(missing) == len(want) and _signature(missing) == want:
                     candidate = tuple(sorted(seed + (u, v)))
@@ -190,12 +190,13 @@ def pipeline_eligibility(g: Graph, cs: CliqueStructure | None = None) -> Eligibi
     if cs is None:
         cs = clique_structure(g)
     disjoint = next(((c1, c2) for c1, c2 in combinations(cs.max_cliques, 2) if c1 & c2), None)
+    inside = [(c, sum(1 << v for v in c)) for c in cs.max_cliques]
     external = next(
         (
-            (v, c, g.adj[v] & c)
-            for v in range(g.n)
-            for c in cs.max_cliques
-            if v not in c and len(g.adj[v] & c) > 1
+            (v, c, frozenset(bits(m & cm)))
+            for v, m in enumerate(g.masks)
+            for c, cm in inside
+            if not cm >> v & 1 and (m & cm).bit_count() > 1
         ),
         None,
     )

@@ -4,15 +4,30 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
+from typing import Mapping
 
 from hypothesis import strategies as st
 
-from kdfree.errors import LpError
-from kdfree.graphs import Graph, block_graph, rainbow_colouring
+from kdfree.errors import GraphFormatError, LpError
+from kdfree.graphs import (
+    Graph,
+    _check_vertex_count,
+    bits,
+    block_graph,
+    complete_graph,
+    cycle_graph,
+    cycle_power,
+    rainbow_colouring,
+    strong_product,
+)
+from kdfree.rationals import parse_integer
 from kdfree.sampling import StableSetSampler
+from kdfree.structure import Bump
 
 
 # ── eligible block instances (max degree 6, omega 5) ──────────────────────
@@ -207,6 +222,152 @@ def quarter_tail_sum(d: int, omega: int) -> Fraction:
     return sum((sum(pmf[: i + 1], Fraction(0)) for i in range(4)), Fraction(0)) / 4
 
 
+# graphs at the vertex cap: the worst case for clique listing, a long run of
+# overlapping windows, a sparse random graph and 100-fold blown-up cycle
+CAP_GRAPHS = {
+    "K1000": lambda: complete_graph(1000),
+    "C1000^3": lambda: cycle_power(1000, 3),
+    "C1000^20": lambda: cycle_power(1000, 20),
+    "G(1000,0.01)": lambda: random_graph(1000, 0.01, random.Random("cap:G(1000,0.01)")),
+    "C5xK100": lambda: strong_product(cycle_graph(5), complete_graph(100)),
+}
+
+
+@cache
+def cap_graph(name: str) -> Graph:
+    return CAP_GRAPHS[name]()
+
+
+def neighbours(g: Graph, v: int) -> frozenset[int]:
+    """v's neighbours as a set, read off its bitmask."""
+    return frozenset(bits(g.masks[v]))
+
+
+# ── set-based oracles: the package's algorithms before adjacency was masks ─
+
+
+def set_degeneracy_order(g: Graph) -> list[int]:
+    """Vertices in degeneracy order (repeatedly remove a minimum-degree vertex)."""
+    adj = [neighbours(g, v) for v in range(g.n)]
+    remaining = set(range(g.n))
+    deg = {v: len(adj[v]) for v in remaining}
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (deg[u], u))
+        order.append(v)
+        remaining.remove(v)
+        for u in adj[v]:
+            if u in remaining:
+                deg[u] -= 1
+    return order
+
+
+def set_maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    """Tomita-pivot Bron-Kerbosch on Python sets, from the root on an
+    explicit (R, P, X) stack; sorted by sorted vertex tuple."""
+    adj = [neighbours(g, v) for v in range(g.n)]
+    found: list[frozenset[int]] = []
+    stack = [(frozenset(), set(range(g.n)), set())] if g.n else []
+    while stack:
+        r, p, x = stack.pop()
+        if not p and not x:
+            found.append(r)
+            continue
+        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
+        for v in sorted(p - adj[pivot]):
+            stack.append((r | {v}, p & adj[v], x & adj[v]))
+            p.remove(v)
+            x.add(v)
+    return sorted(found, key=lambda c: tuple(sorted(c)))
+
+
+def set_find_bump(g: Graph, max_cliques) -> Bump | None:
+    """The least bump by (sorted C, y1, y2, y3, v1, v2), scanning every
+    outside pair of every maximum clique on Python sets."""
+    adj = [neighbours(g, v) for v in range(g.n)]
+    for c in max_cliques:
+        keys = []
+        for v1 in range(g.n):
+            if v1 in c:
+                continue
+            n1 = adj[v1] & c
+            for v2 in adj[v1] - c:
+                n2 = adj[v2] & c
+                if n1 - n2 and n1 & n2 and n2 - n1:
+                    keys.append((min(n1 - n2), min(n1 & n2), min(n2 - n1), v1, v2))
+        if keys:
+            return Bump(frozenset(sorted(c)), *min(keys))
+    return None
+
+
+def split_read_edge_list(text: str) -> Graph:
+    """The edge-list reader that splits every line and reads each token with
+    parse_integer, with the same checks and messages."""
+    if not text.isascii() or "_" in text:
+        raise GraphFormatError("edge lists hold ASCII digits and whitespace only, no '_'")
+    rows = [line for line in (ln.strip() for ln in text.splitlines()) if line]
+    if not rows:
+        raise GraphFormatError("empty edge-list input")
+    head = rows[0].split()
+    if len(head) != 2:
+        raise GraphFormatError(f"header must be 'n m', got {rows[0]!r}")
+    try:
+        n, m = parse_integer(head[0]), parse_integer(head[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"non-integer header {rows[0]!r}") from exc
+    _check_vertex_count(n)
+    if len(rows) - 1 != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
+    seen = set()
+    edges = []
+    for row in rows[1:]:
+        parts = row.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"bad edge line {row!r}")
+        try:
+            u, v = parse_integer(parts[0]), parse_integer(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"non-integer edge line {row!r}") from exc
+        if u == v:
+            raise GraphFormatError(f"self-loop {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+        if u > v:
+            raise GraphFormatError(f"edge line {row!r} must be written u < v")
+        if (u, v) in seen:
+            raise GraphFormatError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        edges.append((u, v))
+    return Graph(n, edges)
+
+
+@dataclass(frozen=True)
+class ExactMarginals:
+    """Full enumeration of the two-stage distribution on a tiny instance."""
+
+    pr_s: tuple[Fraction, ...]
+    pr_s_omega: tuple[Fraction, ...]
+    block_nb_empty: Mapping[int, Fraction]
+    expected_closed: tuple[Fraction, ...]
+    distribution: tuple[tuple[frozenset[int], Fraction], ...]
+
+
+def exact_marginals(g: Graph) -> ExactMarginals:
+    """Exact per-vertex Pr(v in S) (and companions) by full enumeration:
+    StableSetSampler.enumerate_exact's weights, reduced by its marginals."""
+    sampler = StableSetSampler(g)
+    weights, total = sampler.enumerate_exact()
+    return ExactMarginals(
+        *sampler.marginals(weights.items(), total, sampler.outside),
+        distribution=tuple(
+            (frozenset(bits(s)), Fraction(w, total)) for s, w in sorted(weights.items())
+        ),
+    )
+
+
+# ── brute force ───────────────────────────────────────────────────────────
+
+
 def brute_stable_sets(g: Graph) -> list[frozenset[int]]:
     out = []
     for mask in range(1 << g.n):
@@ -261,7 +422,7 @@ def brute_bumps(g: Graph) -> list[tuple]:
                 for y1, y2, y3 in combinations(sorted(c), 3):
                     for a, b, cc in ((y1, y2, y3), (y2, y1, y3), (y1, y3, y2)):
                         ys = {a, b, cc}
-                        if g.adj[v1] & ys == {a, b} and g.adj[v2] & ys == {b, cc}:
+                        if neighbours(g, v1) & ys == {a, b} and neighbours(g, v2) & ys == {b, cc}:
                             hits.append((tuple(sorted(c)), a, b, cc, v1, v2))
     return hits
 
@@ -474,12 +635,12 @@ class TrialLoopSampler:
         s_omega = self.pool(joint)[column]
         chosen = {v for v in range(self.g.n) if (s_omega >> v) & 1}
         outside = self.sampler.outside if active is None else active
-        insertable = sorted(u for u in set(outside) if not self.g.adj[u] & chosen)
+        insertable = sorted(u for u in set(outside) if not neighbours(self.g, u) & chosen)
         s = s_omega
         while insertable:
             u = insertable[rng.randrange(len(insertable))]
             s |= 1 << u
-            insertable = [v for v in insertable if v != u and v not in self.g.adj[u]]
+            insertable = [v for v in insertable if v != u and not self.g.has_edge(u, v)]
         return s_omega, s
 
 

@@ -15,6 +15,7 @@ from conftest import (
     brute_bumps,
     brute_near_cliques,
     brute_stable_sets,
+    exact_marginals,
     instance_a,
     instance_b,
     instance_c,
@@ -36,7 +37,7 @@ from kdfree.graphs import (
 from kdfree.intervals import verify_certificate
 from kdfree.lp import chi_f, chi_f_weighted
 from kdfree.pipeline import end_to_end, verify_theorem_initial
-from kdfree.sampling import estimate, exact_marginals
+from kdfree.sampling import estimate
 from kdfree.structure import (
     NEAR_CLIQUE_PATTERNS,
     find_bump,

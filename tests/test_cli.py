@@ -132,6 +132,16 @@ def test_bounds_delta_above_cap_is_input_error(capsys):
     assert "capped at Delta <= 2000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--p-curve"]], ids=["table", "p-curve"])
+def test_bounds_refusal_names_the_limit_it_hit(extra, capsys):
+    # the constants table and the p-curve share one Delta cap; the message
+    # names the p-curve only when one was asked for
+    assert main(["bounds", "--delta", "2001", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "is capped at Delta <= 2000, got 2001" in err
+    assert ("p-curve" in err) == bool(extra)
+
+
 def test_bounds_rejects_small_delta():
     assert main(["bounds", "--delta", "5"]) == 2
 

@@ -13,11 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CAP_GRAPHS,
     brute_independence_number,
     brute_maximal_cliques,
     brute_omega,
+    cap_graph,
     instance_a,
     random_graph,
+    set_degeneracy_order,
+    set_maximal_cliques,
+    split_read_edge_list,
 )
 from kdfree import graphs
 from kdfree.errors import GraphFormatError, SizeLimit
@@ -25,12 +30,14 @@ from kdfree.graphs import (
     C5XK3_DELETIONS,
     VERTEX_CAP,
     Graph,
+    bits,
     block_graph,
     c5xk3_minus,
     clique_structure,
     complete_graph,
     cycle_graph,
     cycle_power,
+    degeneracy_order,
     delete_vertices,
     generalized_petersen,
     maximal_cliques,
@@ -84,7 +91,7 @@ def test_strong_product_c5_k2():
 def test_strong_product_identity_factor():
     g = cycle_power(7, 2)
     prod = strong_product(g, complete_graph(1))
-    assert prod.n == g.n and prod.adj == g.adj
+    assert prod.n == g.n and prod.masks == g.masks
 
 
 def test_strong_product_c5_k3():
@@ -120,7 +127,7 @@ def girth(g: Graph) -> int:
         queue = [src]
         while queue:
             u = queue.pop(0)
-            for w in sorted(g.adj[u]):
+            for w in bits(g.masks[u]):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -230,6 +237,37 @@ def test_cliques_match_networkx(n):
         assert cs.level == tuple(max(len(c) for c in want if v in c) for v in range(n))
 
 
+def test_bits_reads_a_mask_least_first():
+    assert list(bits(0)) == []
+    assert list(bits(0b101001)) == [0, 3, 5]
+    assert list(bits(1 << 999 | 1)) == [0, 999]
+    g = cycle_power(9, 2)
+    assert not hasattr(g, "adj")
+    assert [list(bits(m)) for m in g.masks[:2]] == [[1, 2, 7, 8], [0, 2, 3, 8]]
+
+
+@pytest.mark.parametrize("name", CAP_GRAPHS)
+def test_mask_listing_matches_the_set_oracle_and_networkx_at_the_cap(name):
+    # the bitmask Bron-Kerbosch against the same search on Python sets and
+    # against networkx, and the bitmask degeneracy order against the set one
+    nx = pytest.importorskip("networkx")
+    g = cap_graph(name)
+    assert degeneracy_order(g) == set_degeneracy_order(g)
+    got = maximal_cliques(g)
+    if name == "K1000":  # each oracle takes seconds here, and the answer is known
+        assert got == [frozenset(range(1000))]
+        g = complete_graph(200)
+        got = maximal_cliques(g)
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(g.edges())
+    want = sorted(map(frozenset, nx.find_cliques(reference)), key=sorted)
+    assert got == want == set_maximal_cliques(g)
+    # each clique is built from its ascending vertices, so it iterates (and
+    # prints) as the same set built from sorted vertices does
+    assert [list(c) for c in got] == [list(frozenset(sorted(c))) for c in got]
+
+
 def test_clique_listing_needs_no_recursion():
     # the listing keeps its own stack: under a recursion limit far below the
     # clique size, K300 still yields its single clique
@@ -319,8 +357,43 @@ def test_edge_list_round_trip_property(case):
     g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
     text = write_edge_list(g)
     h = read_edge_list(text)
-    assert h == g and (h.adj, h.masks) == (g.adj, g.masks)
+    assert h == g and h.masks == g.masks
     assert write_edge_list(h) == text
+
+
+_ODD_TOKENS = ["+3", "-0", "007", "0" * 650 + "4", "9" * 700, "x", "1.5", "--1", "+-1", "-1", "12"]
+_SEPARATORS = [" "] * 20 + ["  ", "\t", " \x0b ", "\x1c"]  # splitlines() ends a line at \x0b and \x1c
+
+
+@st.composite
+def edge_list_texts(draw) -> str:
+    """Edge-list texts: mostly lines "u v" with u <= v < n, some with odd
+    spacing, a sign, leading zeros, a long or non-integer token, a token too
+    many or too few, or reversed; some headers or counts are wrong."""
+    n = draw(st.integers(1, 12))
+    lines = []
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=10)):
+        row = [str(min(u, v)), str(max(u, v)), draw(st.sampled_from(_ODD_TOKENS))]
+        keep = draw(st.sampled_from([(0, 1)] * 30 + [(0, 2), (2, 1), (0,), (0, 1, 2), (1, 0)]))
+        lines.append(draw(st.sampled_from(_SEPARATORS)).join(row[i] for i in keep))
+    m = len(lines) + draw(st.sampled_from([0] * 10 + [1, -1]))
+    head = draw(st.sampled_from([f"{n} {m}"] * 10 + [f" {n}\t{m} ", f"{n}", "x 0", f"{n} {m}_"]))
+    return "\n".join([head, *lines]) + draw(st.sampled_from(["", "\n"] * 5 + ["\n \n", "\u0663"]))
+
+
+@given(edge_list_texts())
+@settings(max_examples=300, deadline=None)
+def test_edge_list_reader_matches_the_split_reader(text):
+    # the reader that matches one pattern per line before int() accepts and
+    # rejects exactly the texts the reader that splits every line does, with
+    # the same graph or the same message
+    def outcome(read):
+        try:
+            return read(text)
+        except (GraphFormatError, SizeLimit) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(read_edge_list) == outcome(split_read_edge_list)
 
 
 @pytest.mark.parametrize(

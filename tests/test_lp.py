@@ -19,6 +19,7 @@ from conftest import (
     brute_max_weight_stable,
     brute_stable_sets,
     random_graph,
+    neighbours,
     random_partitioned_instance,
     random_weights,
 )
@@ -27,6 +28,7 @@ from kdfree.errors import LpError
 from kdfree.graphs import (
     NAMED_GRAPHS,
     Graph,
+    bits,
     block_graph,
     clique_structure,
     complete_graph,
@@ -250,7 +252,7 @@ def test_check_optimal_names_each_failure(case):
     _, _, value, primal, scaled, d, _ = args
     lp._check_optimal(*args)
     (s, x), *rest = primal.columns
-    s = s | {min(g.adj[min(s)])}  # a column that meets an edge; the sums stay
+    s = s | {next(bits(g.masks[min(s)]))}  # a column that meets an edge; the sums stay
     negated = list(scaled)
     negated[scaled.index(max(scaled))] *= -1
     index, spoiled, message = {
@@ -423,7 +425,7 @@ def reference_seed_columns(g):
     for v in order:
         s = {v}
         for u in order:
-            if u not in s and not (g.adj[u] & s):
+            if u not in s and not (neighbours(g, u) & s):
                 s.add(u)
         seeds.append(frozenset(s))
     return list(dict.fromkeys(seeds))

@@ -17,13 +17,16 @@ from itertools import combinations, islice, permutations
 import pytest
 
 from conftest import (
+    ExactMarginals,
     TrialLoopSampler,
+    exact_marginals,
     four_k9,
     joint_index,
     instance_a,
     instance_b,
     instance_c,
     medium_instance,
+    neighbours,
     quarter_tail_sum,
     shuffle,
     three_k7,
@@ -37,12 +40,7 @@ from kdfree.graphs import Graph, block_graph, clique_structure, complete_graph
 from kdfree.intervals import StableSetWeighting, verify_certificate
 from kdfree.lp import chi_f_weighted
 from kdfree.pipeline import initial_colouring
-from kdfree.sampling import (
-    ExactMarginals,
-    StableSetSampler,
-    estimate,
-    exact_marginals,
-)
+from kdfree.sampling import StableSetSampler, estimate
 
 F = Fraction
 
@@ -54,7 +52,7 @@ def mask_set(mask: int, n: int) -> frozenset[int]:
 def is_maximal_stable(g: Graph, s: frozenset[int]) -> bool:
     if not g.is_stable(s):
         return False
-    return all(v in s or g.adj[v] & s for v in range(g.n))
+    return all(v in s or neighbours(g, v) & s for v in range(g.n))
 
 
 def test_exact_block_marginals_tiny_instances():

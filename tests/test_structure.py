@@ -13,16 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CAP_GRAPHS,
     PATTERN_SHAPES,
     _component_shapes,
     brute_bumps,
     brute_maximal_cliques,
     brute_near_cliques,
+    cap_graph,
     eligible_block_graphs,
     instance_a,
     instance_b,
     instance_c,
+    neighbours,
     random_graph,
+    set_find_bump,
+    set_maximal_cliques,
 )
 from kdfree.cli import main
 from kdfree.errors import EligibilityError
@@ -104,10 +109,10 @@ def test_external_neighbours_least_witness_matches_brute_force():
         witness = pipeline_eligibility(g).external_witness
         cliques = brute_max_cliques(g)
         hits = [
-            (v, c, tuple(sorted(g.adj[v] & set(c))))
+            (v, c, tuple(sorted(neighbours(g, v) & set(c))))
             for v in range(g.n)
             for c in cliques
-            if v not in c and len(g.adj[v] & set(c)) > 1
+            if v not in c and len(neighbours(g, v) & set(c)) > 1
         ]
         if witness is None:
             assert not hits
@@ -166,6 +171,59 @@ def test_find_bump_matches_brute_force():
             assert found.validate(g)
             key = (tuple(sorted(found.clique)), found.y1, found.y2, found.y3, found.v1, found.v2)
             assert key == min(hits)
+
+
+@pytest.mark.parametrize("name", CAP_GRAPHS)
+def test_mask_bump_search_matches_the_set_oracle_at_the_cap(name):
+    g = cap_graph(name)
+    cs = clique_structure(g)
+    found = find_bump(g, cs)
+    if name == "C1000^20":
+        # the set oracle takes over 10 s here.  An adjacent outside pair of a
+        # window C = {i, ..., i+20} lies on one side of it, where their
+        # neighbourhoods in C are nested, so there is no bump; the oracle
+        # checks the same family at n = 200
+        assert found is None
+        g = cycle_power(200, 20)
+        cs = clique_structure(g)
+        found = find_bump(g, cs)
+    assert found == set_find_bump(g, cs.max_cliques)
+
+
+def bumpy_graph(rng: random.Random, n: int) -> Graph:
+    """K_k (4 <= k <= 7) on 0..k-1 plus n - k outside vertices, each seeing
+    one vertex of it (about a third of them) or 2..k-1, with G(n - k, p)
+    among the outside vertices."""
+    k = rng.randint(4, 7)
+    edges = list(combinations(range(k), 2))
+    for x in range(k, n):
+        seen = 1 if rng.random() < 1 / 3 else rng.randint(2, k - 1)
+        edges += [(y, x) for y in rng.sample(range(k), seen)]
+    p = rng.uniform(0.05, 0.3)
+    edges += [e for e in combinations(range(k, n), 2) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def test_mask_bump_search_matches_the_set_oracle_on_seeded_graphs():
+    # seeded graphs of 20-60 vertices, most holding bumps; the scan skips
+    # outside vertices with one neighbour in C, and some of them are
+    # adjacent to a vertex the scan keeps
+    rng = random.Random("bumps:20-60")
+    bumps = skipped = 0
+    for _ in range(40):
+        g = bumpy_graph(rng, rng.randint(20, 60))
+        cs = clique_structure(g)
+        assert list(cs.maximal_cliques) == set_maximal_cliques(g)
+        found = find_bump(g, cs)
+        assert found == set_find_bump(g, cs.max_cliques)
+        if found is not None:
+            assert found.validate(g)
+            assert list(found.clique) == list(frozenset(sorted(found.clique)))
+            bumps += 1
+        c = cs.max_cliques[0]
+        seen = {v: len(neighbours(g, v) & c) for v in range(g.n) if v not in c}
+        skipped += sum(seen[u] == 1 and seen[v] > 1 for u, v in g.edges() if u in seen and v in seen)
+    assert bumps >= 30 and skipped >= 100
 
 
 def near_clique_host(missing: list[tuple[int, int]], size: int) -> Graph:
@@ -289,7 +347,7 @@ def _break(g: Graph, share: bool, pick: int) -> Graph:
     edges = set(g.edges())
     if share and len(blocks) > 1:
         a = blocks[0][0]
-        dropped = min(v for v in blocks[1] if v not in g.adj[a])
+        dropped = min(v for v in blocks[1] if not g.has_edge(a, v))
         return Graph(g.n, edges | {(a, v) for v in blocks[1] if v != dropped})
     outside = sorted(set(range(g.n)) - set(cs.v_omega))
     if not outside:  # a new vertex seeing two vertices of one block
@@ -297,8 +355,8 @@ def _break(g: Graph, share: bool, pick: int) -> Graph:
         return Graph(g.n + 1, edges | {(block[0], g.n), (block[1], g.n)})
     x = outside[pick % len(outside)]
     # a second neighbour in a block x sees, or two in one it does not
-    block = next((b for b in blocks if g.adj[x] & set(b)), blocks[pick % len(blocks)])
-    new = [v for v in block if v not in g.adj[x]][: 1 if g.adj[x] & set(block) else 2]
+    block = next((b for b in blocks if neighbours(g, x) & set(b)), blocks[pick % len(blocks)])
+    new = [v for v in block if not g.has_edge(x, v)][: 1 if neighbours(g, x) & set(block) else 2]
     return Graph(g.n, edges | {(v, x) for v in new})
 
 
