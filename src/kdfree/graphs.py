@@ -15,9 +15,11 @@ VERTEX_CAP = 1000
 
 
 def _check_vertex_count(n: int) -> None:
-    """Reject a graph of more than VERTEX_CAP vertices before anything of
-    size n is allocated: Graph, the edge-list header and the generators
-    check it first."""
+    """Reject a negative vertex count, or more than VERTEX_CAP vertices,
+    before anything of size n is allocated: Graph, the edge-list header and
+    the generators check it first."""
+    if n < 0:
+        raise GraphFormatError("vertex count must be nonnegative")
     if n > VERTEX_CAP:
         raise SizeLimit(f"graphs are capped at n <= {VERTEX_CAP}, got n={n}")
 
@@ -32,8 +34,6 @@ class Graph:
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise GraphFormatError("vertex count must be nonnegative")
         _check_vertex_count(n)
         masks = [0] * n
         for u, v in edges:
@@ -43,8 +43,14 @@ class Graph:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.n = n
-        self.masks = tuple(masks)
+        self.n, self.masks = n, tuple(masks)
+
+    @classmethod
+    def _of(cls, masks: list[int]) -> "Graph":
+        """The graph on `masks`, taken as checked: symmetric, loop-free, in range."""
+        g = cls.__new__(cls)
+        g.n, g.masks = len(masks), tuple(masks)
+        return g
 
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
@@ -71,15 +77,23 @@ class Graph:
 
     def induced(self, keep: Sequence[int]) -> "Graph":
         """Induced subgraph on `keep`, relabelled 0..len(keep)-1 in given order."""
-        index = {v: i for i, v in enumerate(keep)}
-        kept = sum(1 << v for v in index)
-        edges = [
-            (index[u], index[v])
-            for u in keep
-            for v in bits(self.masks[u] & kept)
-            if index[u] < index[v]
-        ]
-        return Graph(len(keep), edges)
+        label = [0] * self.n  # vertex -> its bit in the relabelled masks
+        for i, v in enumerate(keep):
+            if not 0 <= v < self.n:
+                raise GraphFormatError(f"vertex {v} out of range for n={self.n}")
+            if label[v]:
+                raise GraphFormatError(f"vertex {v} is kept twice")
+            label[v] = 1 << i
+        kept = sum(1 << v for v in keep)
+        masks = []
+        for v in keep:  # the relabelled kept neighbours, read bit by bit
+            rest, row = self.masks[v] & kept, 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                row |= label[bit.bit_length() - 1]
+            masks.append(row)
+        return Graph._of(masks)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.masks == other.masks
@@ -103,8 +117,9 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def complete_graph(n: int) -> Graph:
-    _check_vertex_count(n)  # combinations() copies range(n) before Graph checks
-    return Graph(n, combinations(range(n), 2))
+    _check_vertex_count(n)
+    full = (1 << n) - 1
+    return Graph._of([full ^ 1 << v for v in range(n)])
 
 
 def cycle_power(n: int, k: int) -> Graph:
@@ -114,11 +129,7 @@ def cycle_power(n: int, k: int) -> Graph:
     if 2 * k >= n:
         raise GraphFormatError(f"cycle_power needs k < n/2, got n={n}, k={k}")
     _check_vertex_count(n)
-    edges = []
-    for i in range(n):
-        for d in range(1, k + 1):
-            edges.append((i, (i + d) % n))
-    return Graph(n, ((min(u, v), max(u, v)) for u, v in edges))
+    return Graph(n, ((i, (i + d) % n) for i in range(n) for d in range(1, k + 1)))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -128,16 +139,13 @@ def cycle_graph(n: int) -> Graph:
 def strong_product(g: Graph, h: Graph) -> Graph:
     """Strong product: (u1,v1)~(u2,v2) iff both coordinates are equal-or-adjacent."""
     _check_vertex_count(g.n * h.n)
-    edges = []
+    closed = [m | 1 << v for v, m in enumerate(h.masks)]
+    masks = []
     for u1, m in enumerate(g.masks):
-        for v1 in range(h.n):
-            a = u1 * h.n + v1
-            for u2 in bits(m | 1 << u1):
-                for v2 in bits(h.masks[v1] | 1 << v1):
-                    b = u2 * h.n + v2
-                    if a < b:
-                        edges.append((a, b))
-    return Graph(g.n * h.n, edges)
+        shifts = [u2 * h.n for u2 in bits(m | 1 << u1)]  # the h-copies that (u1, .) sees
+        # the shifted copies of a closed neighbourhood are disjoint, so their sum is their OR
+        masks.extend(sum(c << s for s in shifts) ^ 1 << u1 * h.n + v1 for v1, c in enumerate(closed))
+    return Graph._of(masks)
 
 
 def generalized_petersen(n: int, k: int) -> Graph:
@@ -150,7 +158,7 @@ def generalized_petersen(n: int, k: int) -> Graph:
         edges.append((i, (i + 1) % n))          # outer cycle
         edges.append((n + i, n + (i + k) % n))  # inner star polygon
         edges.append((i, n + i))                # spoke
-    return Graph(2 * n, ((min(u, v), max(u, v)) for u, v in edges))
+    return Graph(2 * n, edges)
 
 
 def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -190,7 +198,7 @@ def block_graph(
     for j, nbrs in enumerate(outside):
         edges.extend((base + j, u) for u in nbrs)
     edges.extend((base + a, base + b) for a, b in outside_edges)
-    return Graph(n, ((min(u, v), max(u, v)) for u, v in edges))
+    return Graph(n, edges)
 
 
 # c5xk3_minus's deletion set for each vertex count
@@ -430,7 +438,7 @@ def read_edge_list(text: str) -> Graph:
     _check_vertex_count(n)
     if len(rows) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
-    seen = set()
+    masks = [0] * n
     for row in rows[1:]:
         pair = _EDGE_LINE.fullmatch(row)
         if pair:
@@ -449,7 +457,8 @@ def read_edge_list(text: str) -> Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
             raise GraphFormatError(f"edge line {row!r} must be written u < v")
-        if (u, v) in seen:
+        if masks[u] >> v & 1:
             raise GraphFormatError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-    return Graph(n, seen)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph._of(masks)

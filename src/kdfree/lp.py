@@ -212,20 +212,9 @@ def max_weight_stable_set(
     # a stable sort keeps ties in vertex order
     order = sorted(compress(range(g.n), weights), key=weights.__getitem__, reverse=True)
     weight = [weights[v] for v in order]
-    label = [0] * g.n  # vertex -> its bit in the relabelled masks
-    for i, v in enumerate(order):
-        label[v] = 1 << i
-    positive = sum(1 << v for v in order)
-    near = []
-    for v in order:  # the relabelled positive neighbours, read bit by bit
-        rest, row = g.masks[v] & positive, 0
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            row |= label[bit.bit_length() - 1]
-        near.append(row)
+    near = g.induced(order).masks
     # the candidates order[i] leaves: neither it nor a neighbour
-    apart = [~(m | label[v]) for m, v in zip(near, order)]
+    apart = [~(m | 1 << i) for i, m in enumerate(near)]
     best = 0
     best_set = 0
 

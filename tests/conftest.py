@@ -300,6 +300,35 @@ def set_find_bump(g: Graph, max_cliques) -> Bump | None:
     return None
 
 
+def edge_list_induced(g: Graph, keep) -> Graph:
+    """Induced subgraph on `keep`, relabelled in the given order, through an
+    edge list and Graph's validating constructor."""
+    index = {v: i for i, v in enumerate(keep)}
+    kept = sum(1 << v for v in index)
+    edges = [
+        (index[u], index[v])
+        for u in keep
+        for v in bits(g.masks[u] & kept)
+        if index[u] < index[v]
+    ]
+    return Graph(len(keep), edges)
+
+
+def edge_list_strong_product(g: Graph, h: Graph) -> Graph:
+    """Strong product, vertex (u, v) numbered u * h.n + v, through an edge
+    list of every pair equal-or-adjacent in both coordinates."""
+    edges = []
+    for u1, m in enumerate(g.masks):
+        for v1 in range(h.n):
+            a = u1 * h.n + v1
+            for u2 in bits(m | 1 << u1):
+                for v2 in bits(h.masks[v1] | 1 << v1):
+                    b = u2 * h.n + v2
+                    if a < b:
+                        edges.append((a, b))
+    return Graph(g.n * h.n, edges)
+
+
 def split_read_edge_list(text: str) -> Graph:
     """The edge-list reader that splits every line and reads each token with
     parse_integer, with the same checks and messages."""

@@ -18,6 +18,8 @@ from conftest import (
     brute_maximal_cliques,
     brute_omega,
     cap_graph,
+    edge_list_induced,
+    edge_list_strong_product,
     instance_a,
     random_graph,
     set_degeneracy_order,
@@ -112,6 +114,36 @@ def test_strong_product_degree_law():
                 assert prod.degree(u * h.n + v) == (g.degree(u) + 1) * (h.degree(v) + 1) - 1
 
 
+def test_strong_product_matches_the_edge_list_oracle_and_networkx():
+    # the mask product against the edge-list product it replaced, and against
+    # networkx with (u1, v1) renumbered u1 * h.n + v1
+    nx = pytest.importorskip("networkx")
+    rng = random.Random("strong-product")
+    factors = [Graph(0), Graph(1), complete_graph(3), cycle_graph(5)]
+    factors += [random_graph(rng.randint(0, 7), rng.random(), rng) for _ in range(12)]
+
+    def as_nx(g: Graph):
+        out = nx.empty_graph(g.n)
+        out.add_edges_from(g.edges())
+        return out
+
+    for g in factors:
+        for h in factors:
+            got = strong_product(g, h)
+            assert got.masks == edge_list_strong_product(g, h).masks
+            reference = nx.strong_product(as_nx(g), as_nx(h))
+            assert reference.number_of_nodes() == got.n
+            pairs = reference.edges()
+            assert got == Graph(got.n, ((u1 * h.n + v1, u2 * h.n + v2) for (u1, v1), (u2, v2) in pairs))
+    big = strong_product(cycle_graph(5), complete_graph(100))
+    assert big == edge_list_strong_product(cycle_graph(5), complete_graph(100))
+
+
+@pytest.mark.parametrize("n", [*range(13), 1000])
+def test_complete_graph_is_every_pair(n):
+    assert complete_graph(n) == Graph(n, combinations(range(n), 2))
+
+
 def test_generalized_petersen_7_2():
     g = generalized_petersen(7, 2)
     assert g.n == 14
@@ -155,6 +187,31 @@ def test_delete_vertices_k4_minus_one():
 def test_delete_vertices_rejects_out_of_range():
     with pytest.raises(GraphFormatError):
         delete_vertices(complete_graph(3), [5])
+
+
+def test_induced_matches_the_edge_list_oracle():
+    # seeded graphs kept not at all, whole in reverse, and in part, the part
+    # in a random order and sorted: the mask relabel gives the edge-list
+    # relabel's masks
+    rng = random.Random("induced")
+    for _ in range(320):
+        g = random_graph(rng.randint(0, 14), rng.random(), rng)
+        part = rng.sample(range(g.n), rng.randint(0, g.n))
+        for keep in ([], list(range(g.n))[::-1], part, sorted(part)):
+            assert g.induced(keep).masks == edge_list_induced(g, keep).masks
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        ([0, 0], "vertex 0 is kept twice"),
+        ([0, 99], "vertex 99 out of range for n=5"),
+        ([-1], "vertex -1 out of range for n=5"),
+    ],
+)
+def test_induced_rejects_a_repeated_or_out_of_range_vertex(keep, message):
+    with pytest.raises(GraphFormatError, match=message):
+        cycle_graph(5).induced(keep)
 
 
 def test_c5xk3_deletions_hit_published_targets():
