@@ -23,7 +23,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import LpError, SizeLimit
-from .graphs import Graph, degeneracy_order
+from .graphs import Graph, bits, degeneracy_order
 from .intervals import StableSetWeighting, verify_certificate
 from .rationals import format_rational
 
@@ -267,19 +267,15 @@ class LpResult:
 
 
 def _seed_columns(g: Graph) -> list[frozenset[int]]:
-    # the mask answers the stability test; the set is still built vertex by
-    # vertex, since a frozenset's iteration order (the order the LP reads a
-    # row's members) depends on how it was built
     order = degeneracy_order(g)
     masks = g.masks
     seeds = []
     for v in order:
-        s, mask = {v}, 1 << v
+        s = 1 << v
         for u in order:
-            if not (mask >> u) & 1 and not masks[u] & mask:
-                s.add(u)
-                mask |= 1 << u
-        seeds.append(frozenset(s))
+            if not masks[u] & s:
+                s |= 1 << u
+        seeds.append(frozenset(bits(s)))
     return list(dict.fromkeys(seeds))
 
 

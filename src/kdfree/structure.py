@@ -8,7 +8,6 @@ are reproducible.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,15 +16,15 @@ from .graphs import CliqueStructure, Graph, bits, clique_structure
 
 NEAR_CLIQUE_EXHAUSTIVE_LIMIT = 20
 
-# pattern id -> signature of its complement edge shape on a Delta-vertex set:
-# the sorted (deg a, deg b) pairs over its edges, degrees within the pattern
-_SIGNATURES = {
-    "matching2": ((1, 1), (1, 1)),
-    "P2+P3": ((1, 1), (1, 2), (1, 2)),
-    "2xP3": ((1, 2), (1, 2), (1, 2), (1, 2)),
-    "P4": ((1, 2), (1, 2), (2, 2)),
+# (uv absent, min(|A|, |B|), max(|A|, |B|), |A & B|) -> pattern: see find_near_clique
+_COUNTS = {
+    (0, 1, 1, 0): "matching2",
+    (0, 1, 2, 0): "P2+P3",
+    (0, 2, 2, 0): "2xP3",
+    (0, 1, 2, 1): "P4",
+    (1, 1, 1, 0): "P4",
 }
-NEAR_CLIQUE_PATTERNS = tuple(_SIGNATURES)
+NEAR_CLIQUE_PATTERNS = tuple(dict.fromkeys(_COUNTS.values()))
 
 
 @dataclass(frozen=True)
@@ -81,52 +80,50 @@ def find_bump(g: Graph, cs: CliqueStructure) -> Bump | None:
 # ── near-cliques: K_Delta minus a small edge pattern ──────────────────────
 
 
-def _signature(edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The sorted (deg a, deg b) pairs over `edges`, degrees within them.  On
-    2-4 edges it equals a pattern's entry in `_SIGNATURES` exactly when the
-    edges form that pattern."""
-    deg = Counter(v for edge in edges for v in edge)
-    return tuple(sorted(tuple(sorted((deg[a], deg[b]))) for a, b in edges))
-
-
 def find_near_clique(
     g: Graph, delta: int, pattern: str, cs: CliqueStructure | None = None
 ) -> tuple[int, ...] | None:
     """The least `delta`-vertex set whose induced complement is exactly the
     pattern; `cs`, if given, is g's clique structure.
 
-    Exhaustive for n <= 20: each pattern has a vertex cover of two vertices,
-    and deleting it from a witness leaves a (delta-2)-clique, so seeding from
-    the (delta-2)-subsets of maximal cliques and completing with an outside
-    pair {u, v} covers all candidates.  Every missing edge of such a candidate
-    meets u or v.
+    Exhaustive for n <= 20.  Each pattern has a vertex cover {u, v} whose
+    removal leaves a (delta-2)-clique K and whose vertices each miss one or
+    two vertices of K, so the search completes each (delta-2)-subset K of a
+    maximal clique with each pair of outside vertices that do.  The missing
+    edges of K + {u, v} are u's misses A in K, v's misses B in K and uv if
+    that edge is absent, so the shape is fixed by the counts (uv absent,
+    min(|A|, |B|), max(|A|, |B|), |A & B|).  With uv present, disjoint A and
+    B of sizes 1 and 1, 1 and 2 or 2 and 2 form two edges, an edge and a P3,
+    or two P3s, and sizes 1 and 2 sharing a vertex form a P4; with uv
+    absent, disjoint single misses a and b form the P4 a-u-v-b.  Every other
+    count is a P3, a P5, a triangle, a 4-cycle or has a vertex of degree 3,
+    so `_COUNTS` holds these five.
     """
-    if pattern not in _SIGNATURES:
+    if pattern not in NEAR_CLIQUE_PATTERNS:
         raise ValueError(f"unsupported pattern {pattern!r}")
     if g.n > NEAR_CLIQUE_EXHAUSTIVE_LIMIT:
         raise SizeLimit(f"near-clique search is exhaustive only for n <= {NEAR_CLIQUE_EXHAUSTIVE_LIMIT}")
     core = delta - 2
     if core < 2 or delta > g.n:
         return None
-    want = _SIGNATURES[pattern]
+    masks = g.masks
     best: tuple[int, ...] | None = None
-    seen_seeds: set[frozenset[int]] = set()
+    seen_seeds: set[int] = set()
     if cs is None:
         cs = clique_structure(g)
     for clique in cs.maximal_cliques:
         if len(clique) < core:
             continue
         for seed in combinations(sorted(clique), core):
-            fs = frozenset(seed)
-            if fs in seen_seeds:
+            inside = sum(1 << v for v in seed)
+            if inside in seen_seeds:
                 continue
-            seen_seeds.add(fs)
-            misses = {x: [(x, y) for y in seed if not m >> y & 1] for x, m in enumerate(g.masks) if x not in fs}
-            for u, v in combinations(misses, 2):
-                missing = misses[u] + misses[v]
-                if not g.masks[u] >> v & 1:
-                    missing.append((u, v))
-                if len(missing) == len(want) and _signature(missing) == want:
+            seen_seeds.add(inside)
+            misses = ((inside & ~m, x) for x, m in enumerate(masks) if not inside >> x & 1)
+            # fewer misses first, so each pair's counts come in key order
+            kept = sorted((a.bit_count(), u, a) for a, u in misses if 0 < a.bit_count() < 3)
+            for (i, u, a), (j, v, b) in combinations(kept, 2):
+                if _COUNTS.get((masks[u] >> v & 1 ^ 1, i, j, (a & b).bit_count())) == pattern:
                     candidate = tuple(sorted(seed + (u, v)))
                     if best is None or candidate < best:
                         best = candidate

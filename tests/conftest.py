@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
@@ -19,6 +20,7 @@ from kdfree.graphs import (
     _check_vertex_count,
     bits,
     block_graph,
+    clique_structure,
     complete_graph,
     cycle_graph,
     cycle_power,
@@ -298,6 +300,55 @@ def set_find_bump(g: Graph, max_cliques) -> Bump | None:
         if keys:
             return Bump(frozenset(sorted(c)), *min(keys))
     return None
+
+
+# pattern id -> signature of its complement edge shape on a Delta-vertex set:
+# the sorted (deg a, deg b) pairs over its edges, degrees within the pattern
+_SIGNATURES = {
+    "matching2": ((1, 1), (1, 1)),
+    "P2+P3": ((1, 1), (1, 2), (1, 2)),
+    "2xP3": ((1, 2), (1, 2), (1, 2), (1, 2)),
+    "P4": ((1, 2), (1, 2), (2, 2)),
+}
+
+
+def _signature(edges: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The sorted (deg a, deg b) pairs over `edges`, degrees within them.  On
+    2-4 edges it equals a pattern's entry in `_SIGNATURES` exactly when the
+    edges form that pattern."""
+    deg = Counter(v for edge in edges for v in edge)
+    return tuple(sorted(tuple(sorted((deg[a], deg[b]))) for a, b in edges))
+
+
+def signature_find_near_clique(g: Graph, delta: int, pattern: str) -> tuple[int, ...] | None:
+    """The least `delta`-vertex set whose induced complement is exactly the
+    pattern: every (delta-2)-subset of a maximal clique plus every outside
+    pair, whose missing edges, as a list, are matched by their degree
+    signature."""
+    core = delta - 2
+    if core < 2 or delta > g.n:
+        return None
+    want = _SIGNATURES[pattern]
+    best: tuple[int, ...] | None = None
+    seen_seeds: set[frozenset[int]] = set()
+    for clique in clique_structure(g).maximal_cliques:
+        if len(clique) < core:
+            continue
+        for seed in combinations(sorted(clique), core):
+            fs = frozenset(seed)
+            if fs in seen_seeds:
+                continue
+            seen_seeds.add(fs)
+            misses = {x: [(x, y) for y in seed if not m >> y & 1] for x, m in enumerate(g.masks) if x not in fs}
+            for u, v in combinations(misses, 2):
+                missing = misses[u] + misses[v]
+                if not g.masks[u] >> v & 1:
+                    missing.append((u, v))
+                if len(missing) == len(want) and _signature(missing) == want:
+                    candidate = tuple(sorted(seed + (u, v)))
+                    if best is None or candidate < best:
+                        best = candidate
+    return best
 
 
 def edge_list_induced(g: Graph, keep) -> Graph:

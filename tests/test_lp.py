@@ -449,14 +449,18 @@ def weighted_batch(seed: int, count: int):
 
 def assert_same_as_reference(monkeypatch, g, w):
     """chi_f_weighted gives the same result, down to its repr, under the
-    stored-row tableau; the seed columns are those of the set-built greedy."""
-    assert [tuple(s) for s in lp._seed_columns(g)] == [
-        tuple(s) for s in reference_seed_columns(g)
-    ]
-    result = repr(chi_f_weighted(g, w))
+    stored-row tableau; the seed columns are those of the set-built greedy,
+    in its order, and the LP reads the same from them however each set's
+    members iterate (the set-built ones iterate in insertion order where
+    their hashes collide, the mask-built ones ascending)."""
+    assert lp._seed_columns(g) == reference_seed_columns(g)
+    result = chi_f_weighted(g, w)
     with monkeypatch.context() as m:
         m.setattr(lp, "_DualTableau", ReferenceTableau)
-        assert repr(chi_f_weighted(g, w)) == result
+        assert repr(chi_f_weighted(g, w)) == repr(result)
+    with monkeypatch.context() as m:
+        m.setattr(lp, "_seed_columns", reference_seed_columns)
+        assert chi_f_weighted(g, w) == result
 
 
 ORACLE_GRAPHS = {

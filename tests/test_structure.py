@@ -16,6 +16,8 @@ from conftest import (
     CAP_GRAPHS,
     PATTERN_SHAPES,
     _component_shapes,
+    _signature,
+    _SIGNATURES,
     brute_bumps,
     brute_maximal_cliques,
     brute_near_cliques,
@@ -28,6 +30,7 @@ from conftest import (
     random_graph,
     set_find_bump,
     set_maximal_cliques,
+    signature_find_near_clique,
 )
 from kdfree.cli import main
 from kdfree.errors import EligibilityError
@@ -47,8 +50,7 @@ from kdfree.pipeline import end_to_end, initial_colouring
 from kdfree.sampling import StableSetSampler
 from kdfree.structure import (
     NEAR_CLIQUE_PATTERNS,
-    _signature,
-    _SIGNATURES,
+    _COUNTS,
     find_bump,
     find_near_clique,
     pipeline_eligibility,
@@ -300,6 +302,53 @@ def test_signature_table_by_exhaustion():
             sets += 1
     assert sets == 24129
     assert all(matched.values())
+
+
+def test_count_table_by_exhaustion():
+    # every outside pair u, v over a core of 8 labels (enough for 4 edges):
+    # misses A, B in the core and uv if absent, 2-4 edges in all, classified
+    # by their component shapes; the table names a pattern exactly when the
+    # edges form it
+    u, v = 8, 9
+    subsets = [s for size in range(5) for s in combinations(range(8), size)]
+    cases = 0
+    matched = dict.fromkeys(NEAR_CLIQUE_PATTERNS, 0)
+    for uv in (0, 1):
+        for a in subsets:
+            for b in subsets:
+                if not 2 <= len(a) + len(b) + uv <= 4:
+                    continue
+                edges = [(x, u) for x in a] + [(x, v) for x in b] + [(u, v)] * uv
+                touched = sorted({x for e in edges for x in e})
+                shapes = sorted(_component_shapes(touched, edges))
+                shape = next((p for p in NEAR_CLIQUE_PATTERNS if shapes == sorted(PATTERN_SHAPES[p])), None)
+                i, j = sorted((len(a), len(b)))
+                assert _COUNTS.get((uv, i, j, len(set(a) & set(b)))) == shape, (uv, a, b)
+                if shape:
+                    matched[shape] += 1
+                cases += 1
+    assert cases == 3196  # C(16, s) pairs (A, B) with |A| + |B| = s
+    assert all(matched.values())
+
+
+def test_count_search_matches_the_signature_oracle_on_near_clique_hosts():
+    # K_n less 1-3n random edges, n = 4-20, at Delta = max degree, n, n - 1
+    # and a random 4..n: the least witness or None, as the search over edge
+    # lists and degree signatures finds it
+    rng = random.Random("near-cliques:4-20")
+    hits = dict.fromkeys(NEAR_CLIQUE_PATTERNS, 0)
+    for _ in range(100):
+        n = rng.randint(4, 20)
+        pairs = list(combinations(range(n), 2))
+        gone = set(rng.sample(pairs, min(len(pairs), rng.randint(1, 3 * n))))
+        g = Graph(n, [e for e in pairs if e not in gone])
+        cs = clique_structure(g)
+        for delta in sorted({g.max_degree(), n, n - 1, rng.randint(4, n)}):
+            for pattern in NEAR_CLIQUE_PATTERNS:
+                want = signature_find_near_clique(g, delta, pattern)
+                assert find_near_clique(g, delta, pattern, cs) == want, (g.masks, delta, pattern)
+                hits[pattern] += want is not None
+    assert min(hits.values()) >= 10, hits
 
 
 def test_near_clique_rejects_unknown_pattern():
