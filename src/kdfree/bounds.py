@@ -100,9 +100,9 @@ def p_value(delta: int, d: int) -> Fraction:
 def _check_delta(delta: int, what: str) -> None:
     """Refuse a Delta below 5 or above DELTA_CAP, naming `what` was asked for."""
     if delta < 5:
-        raise ValueError(f"needs Delta >= 5, got {delta}")
+        raise ValueError(f"needs Delta >= 5, got {format_rational(delta)}")
     if delta > DELTA_CAP:
-        raise SizeLimit(f"{what} is capped at Delta <= {DELTA_CAP}, got {delta}")
+        raise SizeLimit(f"{what} is capped at Delta <= {DELTA_CAP}, got {format_rational(delta)}")
 
 
 def p_curve(delta: int) -> tuple[Fraction, ...]:
@@ -236,7 +236,7 @@ class BoundReport:
 def main_bound(delta: int) -> BoundReport:
     """Assemble the full report; also checks ytilde*mu < 1/5 for this Delta."""
     if delta < 6:
-        raise ValueError(f"needs Delta >= 6, got {delta}")
+        raise ValueError(f"needs Delta >= 6, got {format_rational(delta)}")
     mu_k, mu, argmin = mu_values(delta)
     ytilde = _ytilde(delta, mu_k, mu)
     product = ytilde * mu

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GraphFormatError, SizeLimit
-from .rationals import parse_integer
+from .rationals import format_rational, parse_integer
 
 VERTEX_CAP = 1000
 
@@ -21,7 +21,7 @@ def _check_vertex_count(n: int) -> None:
     if n < 0:
         raise GraphFormatError("vertex count must be nonnegative")
     if n > VERTEX_CAP:
-        raise SizeLimit(f"graphs are capped at n <= {VERTEX_CAP}, got n={n}")
+        raise SizeLimit(f"graphs are capped at n <= {VERTEX_CAP}, got n={format_rational(n)}")
 
 
 class Graph:
@@ -38,9 +38,9 @@ class Graph:
         masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+                raise GraphFormatError(f"edge ({format_rational(u)},{format_rational(v)}) out of range for n={n}")
             if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
+                raise GraphFormatError(f"self-loop at vertex {format_rational(u)}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.n, self.masks = n, tuple(masks)
@@ -80,9 +80,9 @@ class Graph:
         label = [0] * self.n  # vertex -> its bit in the relabelled masks
         for i, v in enumerate(keep):
             if not 0 <= v < self.n:
-                raise GraphFormatError(f"vertex {v} out of range for n={self.n}")
+                raise GraphFormatError(f"vertex {format_rational(v)} out of range for n={self.n}")
             if label[v]:
-                raise GraphFormatError(f"vertex {v} is kept twice")
+                raise GraphFormatError(f"vertex {format_rational(v)} is kept twice")
             label[v] = 1 << i
         kept = sum(1 << v for v in keep)
         masks = []
@@ -127,7 +127,7 @@ def cycle_power(n: int, k: int) -> Graph:
     if n < 3 or k < 1:
         raise GraphFormatError("cycle_power needs n >= 3 and k >= 1")
     if 2 * k >= n:
-        raise GraphFormatError(f"cycle_power needs k < n/2, got n={n}, k={k}")
+        raise GraphFormatError(f"cycle_power needs k < n/2, got n={format_rational(n)}, k={format_rational(k)}")
     _check_vertex_count(n)
     return Graph(n, ((i, (i + d) % n) for i in range(n) for d in range(1, k + 1)))
 
@@ -151,7 +151,7 @@ def strong_product(g: Graph, h: Graph) -> Graph:
 def generalized_petersen(n: int, k: int) -> Graph:
     """P(n,k): outer n-cycle, inner {n,k}-star polygon, spokes between them."""
     if n < 3 or k < 1 or 2 * k >= n:
-        raise GraphFormatError(f"generalized_petersen needs n >= 3, 1 <= k < n/2, got ({n},{k})")
+        raise GraphFormatError(f"generalized_petersen needs n >= 3, 1 <= k < n/2, got ({format_rational(n)},{format_rational(k)})")
     _check_vertex_count(2 * n)
     edges = []
     for i in range(n):
@@ -169,7 +169,7 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> tuple[Graph, dict[int, int]]
     drop = set(vs)
     for v in drop:
         if not 0 <= v < g.n:
-            raise GraphFormatError(f"vertex {v} out of range")
+            raise GraphFormatError(f"vertex {format_rational(v)} out of range")
     keep = [v for v in range(g.n) if v not in drop]
     mapping = {v: i for i, v in enumerate(keep)}
     return g.induced(keep), mapping
@@ -437,7 +437,7 @@ def read_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"non-integer header {rows[0]!r}") from exc
     _check_vertex_count(n)
     if len(rows) - 1 != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
+        raise GraphFormatError(f"expected {format_rational(m)} edge lines, found {len(rows) - 1}")
     masks = [0] * n
     for row in rows[1:]:
         pair = _EDGE_LINE.fullmatch(row)
@@ -453,9 +453,9 @@ def read_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"non-integer edge line {row!r}") from exc
         if not 0 <= u < v < n:
             if u == v:
-                raise GraphFormatError(f"self-loop {u}")
+                raise GraphFormatError(f"self-loop {format_rational(u)}")
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
+                raise GraphFormatError(f"edge ({format_rational(u)},{format_rational(v)}) out of range for n={n}")
             raise GraphFormatError(f"edge line {row!r} must be written u < v")
         if masks[u] >> v & 1:
             raise GraphFormatError(f"duplicate edge ({u},{v})")

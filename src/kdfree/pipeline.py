@@ -25,6 +25,7 @@ from .errors import BoundViolation, EligibilityError, LpError
 from .graphs import CliqueStructure, Graph, bits, clique_structure, reed_weight
 from .intervals import StableSetWeighting, verify_certificate
 from .lp import LpResult, chi_f, chi_f_weighted
+from .rationals import format_rational
 from .sampling import OUTSIDE_ENUMERATION_LIMIT, StableSetSampler
 from .structure import pipeline_eligibility
 
@@ -74,7 +75,7 @@ def initial_colouring(
         header = f"max degree = {report.delta}, omega = {omega}"
         raise EligibilityError("; ".join([header, *report.failures()]))
     if not 0 <= y <= omega:
-        raise ValueError(f"y must lie in [0, omega]={omega}, got {y}")
+        raise ValueError(f"y must lie in [0, omega]={omega}, got {format_rational(y)}")
 
     n = g.n
     capacity = [_ONE] * n

@@ -44,6 +44,7 @@ from _blake2 import blake2b  # hashlib would load OpenSSL for this one hash
 from .bounds import mu_values, p_value
 from .errors import EligibilityError, HypothesisViolated, SizeLimit
 from .graphs import CliqueStructure, Graph, bits, clique_structure, rainbow_colouring
+from .rationals import format_rational
 from .structure import pipeline_eligibility
 
 if TYPE_CHECKING:
@@ -188,7 +189,7 @@ class StableSetSampler:
         os.fork or os.sched_getaffinity, with a second thread running, on one
         CPU, or below 2 * TRIALS_PER_PROCESS trials.
         """
-        prefix = ":".join(map(str, (seed, *key, ""))).encode()
+        prefix = "".join(f"{format_rational(x)}:" for x in (seed, *key)).encode()
         active_mask = self._outside_mask(active)  # checked before any child starts
         parts = _processes(trials)
         ranges = [range(trials * i // parts, trials * (i + 1) // parts) for i in range(parts)]

@@ -11,20 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SizeLimit
 from .graphs import CliqueStructure, Graph, bits, clique_structure
 
-NEAR_CLIQUE_EXHAUSTIVE_LIMIT = 20
-
-# (uv absent, min(|A|, |B|), max(|A|, |B|), |A & B|) -> pattern: see find_near_clique
-_COUNTS = {
-    (0, 1, 1, 0): "matching2",
-    (0, 1, 2, 0): "P2+P3",
-    (0, 2, 2, 0): "2xP3",
-    (0, 1, 2, 1): "P4",
-    (1, 1, 1, 0): "P4",
+# pattern -> (i, j, s): the misses of an adjacent cover pair; see find_near_clique
+_COVERS = {
+    "matching2": (1, 1, 0),
+    "P2+P3": (1, 2, 0),
+    "2xP3": (2, 2, 0),
+    "P4": (1, 2, 1),
 }
-NEAR_CLIQUE_PATTERNS = tuple(dict.fromkeys(_COUNTS.values()))
+NEAR_CLIQUE_PATTERNS = tuple(_COVERS)
 
 
 @dataclass(frozen=True)
@@ -86,48 +82,55 @@ def find_near_clique(
     """The least `delta`-vertex set whose induced complement is exactly the
     pattern; `cs`, if given, is g's clique structure.
 
-    Exhaustive for n <= 20.  Each pattern has a vertex cover {u, v} whose
-    removal leaves a (delta-2)-clique K and whose vertices each miss one or
-    two vertices of K, so the search completes each (delta-2)-subset K of a
-    maximal clique with each pair of outside vertices that do.  The missing
-    edges of K + {u, v} are u's misses A in K, v's misses B in K and uv if
-    that edge is absent, so the shape is fixed by the counts (uv absent,
-    min(|A|, |B|), max(|A|, |B|), |A & B|).  With uv present, disjoint A and
-    B of sizes 1 and 1, 1 and 2 or 2 and 2 form two edges, an edge and a P3,
-    or two P3s, and sizes 1 and 2 sharing a vertex form a P4; with uv
-    absent, disjoint single misses a and b form the P4 a-u-v-b.  Every other
-    count is a P3, a P5, a triangle, a 4-cycle or has a vertex of degree 3,
-    so `_COUNTS` holds these five.
+    Each pattern is a (delta-2)-clique K plus an adjacent pair u, v covering
+    its missing edges ({a, c} of the matching ab + cd, {a, d} of ab + the P3
+    cde, {b, e} of the P3s abc + def, {a, c} of the P4 abcd): u misses i
+    vertices of K and v misses j >= i, s of them shared, as `_COVERS` lists;
+    other counts form no pattern.  u sees delta-2-i >= 1 vertices of K, so
+    for a maximal clique C holding K, u is a neighbour of C and v of u, both
+    outside C.  K takes the least vertices of C of each kind (missed by both,
+    by u only, by v only, seen by both), as a smaller vertex of a kind gives
+    a lesser set.  A witness's least vertex is in C or a neighbour of C for
+    one of its cover pairs (only the P4 at delta = 4 has a v missing all of
+    K, and its other pair holds it), so a C whose neighbourhood starts past
+    the least witness found is skipped.
     """
     if pattern not in NEAR_CLIQUE_PATTERNS:
         raise ValueError(f"unsupported pattern {pattern!r}")
-    if g.n > NEAR_CLIQUE_EXHAUSTIVE_LIMIT:
-        raise SizeLimit(f"near-clique search is exhaustive only for n <= {NEAR_CLIQUE_EXHAUSTIVE_LIMIT}")
-    core = delta - 2
-    if core < 2 or delta > g.n:
+    i, j, s = _COVERS[pattern]
+    core, spare = delta - 2, delta - 2 - i - j + s  # spare: the vertices of K both u and v see
+    if spare < 0 or delta > g.n:
         return None
     masks = g.masks
-    best: tuple[int, ...] | None = None
-    seen_seeds: set[int] = set()
+    best = 0  # the least witness as a vertex mask
     if cs is None:
         cs = clique_structure(g)
     for clique in cs.maximal_cliques:
         if len(clique) < core:
             continue
-        for seed in combinations(sorted(clique), core):
-            inside = sum(1 << v for v in seed)
-            if inside in seen_seeds:
+        inside = reach = sum(1 << x for x in clique)
+        for x in clique:
+            reach |= masks[x]
+        if best and best & -best < reach & -reach:
+            continue
+        for u in bits(reach & ~inside):
+            seen = inside & masks[u]
+            if seen.bit_count() < core - i:
                 continue
-            seen_seeds.add(inside)
-            misses = ((inside & ~m, x) for x, m in enumerate(masks) if not inside >> x & 1)
-            # fewer misses first, so each pair's counts come in key order
-            kept = sorted((a.bit_count(), u, a) for a, u in misses if 0 < a.bit_count() < 3)
-            for (i, u, a), (j, v, b) in combinations(kept, 2):
-                if _COUNTS.get((masks[u] >> v & 1 ^ 1, i, j, (a & b).bit_count())) == pattern:
-                    candidate = tuple(sorted(seed + (u, v)))
-                    if best is None or candidate < best:
-                        best = candidate
-    return best
+            a = inside & ~seen
+            for v in bits(masks[u] & ~inside):
+                b = inside & ~masks[v]
+                w = 1 << u | 1 << v
+                for kind, count in ((a & b, s), (a & ~b, i - s), (b & ~a, j - s), (seen & masks[v], spare)):
+                    rest = kind
+                    for _ in range(count):
+                        rest &= rest - 1
+                    w |= kind ^ rest  # its `count` least vertices, or all if it has fewer
+                # short of delta, a kind had too few; for sets of one size, the
+                # least sorted tuple holds the least vertex they differ in
+                if w.bit_count() == delta and (not best or w & (d := w ^ best) & -d):
+                    best = w
+    return tuple(bits(best)) if best else None
 
 
 # ── aggregated eligibility ────────────────────────────────────────────────

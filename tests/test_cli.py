@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_a, k5_chain, medium_instance, two_k75
+from conftest import instance_a, k5_chain, medium_instance, signature_find_near_clique, two_k75
 import kdfree.cli
 from kdfree.bounds import mu_values, p_curve
 from kdfree.cli import main
@@ -36,7 +36,6 @@ from kdfree.intervals import certificate_from_json
 from kdfree.rationals import RATIONAL_DIGIT_LIMIT, format_rational, parse_rational
 from kdfree.sampling import SamplerCheck
 from kdfree.structure import (
-    NEAR_CLIQUE_EXHAUSTIVE_LIMIT,
     NEAR_CLIQUE_PATTERNS,
     find_near_clique,
     pipeline_eligibility,
@@ -179,18 +178,18 @@ def test_check_patterns_prints_each_search(name, graph_file, capsys):
     assert printed == want
 
 
-def test_check_patterns_skip_past_the_exhaustive_limit(graph_file, capsys):
-    # C25^3 (n = 25, ineligible) is past the near-clique search's n <= 20
-    # limit: each pattern is reported as skipped, and the check still ends
+def test_check_patterns_answer_past_twenty_vertices(graph_file, capsys):
+    # C25^3 (n = 25, ineligible): each pattern's least witness, as the
+    # search over every (Delta-2)-subset of a maximal clique finds it
     g = cycle_power(25, 3)
-    assert g.n > NEAR_CLIQUE_EXHAUSTIVE_LIMIT
     assert main(["check", "--graph", graph_file("c25.el", g), "--patterns"]) == 1
     out = capsys.readouterr().out.splitlines()
-    reason = f"near-clique search is exhaustive only for n <= {NEAR_CLIQUE_EXHAUSTIVE_LIMIT}"
+    want = [signature_find_near_clique(g, 6, pattern) for pattern in NEAR_CLIQUE_PATTERNS]
     assert [line for line in out if line.startswith("near-clique")] == [
-        f"near-clique {pattern}: skipped ({reason})" for pattern in NEAR_CLIQUE_PATTERNS
+        f"near-clique {pattern}: {'none' if hit is None else list(hit)}"
+        for pattern, hit in zip(NEAR_CLIQUE_PATTERNS, want)
     ]
-    assert len(NEAR_CLIQUE_PATTERNS) == 4
+    assert want[-1] == (0, 1, 2, 3, 4, 5) and len(NEAR_CLIQUE_PATTERNS) == 4
     assert out[-1] == "eligibility: FAIL"
 
 
@@ -508,6 +507,40 @@ def test_readers_take_only_ascii_numbers_without_separators(
     assert "ASCII" in err
     if reader not in ("edge-list", "weights", "certificate"):
         assert f"--{reader}" in err and repr(token) in err
+
+
+@pytest.mark.parametrize("digits", [600, 5000])
+@pytest.mark.parametrize(
+    "reader",
+    ["header-n", "header-m", "endpoint", "delta", "params-n", "params-k", "y", "seed"],
+)
+def test_long_integers_are_echoed_in_full(graph_file, tmp_path, capsys, reader, digits):
+    # str() refuses an int of more than 4,300 digits (640 under the least
+    # conversion limit): each message names the limit or range with the
+    # integer spelled out, as str() spells one of 600 digits
+    big = "9" * digits
+    edge_lists = {"header-n": f"{big} 0\n", "header-m": f"3 {big}\n", "endpoint": f"3 1\n0 {big}\n"}
+    a = graph_file("a.el", instance_a())
+    argv, reason = {
+        "delta": (["bounds", "--delta", big], f"capped at Delta <= 2000, got {big}"),
+        "params-n": (["gen", "--family", "complete", "--params", f"n={big}"], f"got n={big}"),
+        "params-k": (["gen", "--family", "petersen", "--params", f"n=5,k={big}"], f"got (5,{big})"),
+        "y": (["pipeline", "--graph", a, "--y", big], f"y must lie in [0, omega]=5, got {big}"),
+        "seed": (["sample", "--graph", a, "--trials", "10", "--seed", big], None),
+        "header-n": (["check"], f"graphs are capped at n <= 1000, got n={big}"),
+        "header-m": (["check"], f"expected {big} edge lines, found 0"),
+        "endpoint": (["check"], f"edge (0,{big}) out of range for n=3"),
+    }[reader]
+    if reader in edge_lists:
+        bad = tmp_path / "bad.el"
+        bad.write_text(edge_lists[reader])
+        argv = argv + ["--graph", str(bad)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if reason is None:  # the seed only keys the trials' streams
+        assert code == 0 and out.startswith("vertex,class,") and err == ""
+    else:
+        assert code == 2 and err.startswith("error: ") and err.endswith(f"{reason}\n")
 
 
 @pytest.mark.parametrize(

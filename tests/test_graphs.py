@@ -471,6 +471,17 @@ def test_edge_list_rejects_malformed(text):
 
 
 @pytest.mark.parametrize(
+    "text", ["{big} 0", "3 {big}", "3 1\n0 {big}", "3 1\n-{big} 1", "3 1\n{big} {big}"]
+)
+def test_edge_list_spells_out_integers_past_the_conversion_limit(text):
+    # str() refuses the 5,000-digit integer; the reader's own error names it
+    big = "9" * 5000
+    with pytest.raises((GraphFormatError, SizeLimit)) as info:
+        read_edge_list(text.format(big=big))
+    assert big in str(info.value)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda n: Graph(n),

@@ -593,6 +593,20 @@ def tally_by_trials(oracle: TrialLoopSampler, seed: int, key: tuple, trials: int
     )
 
 
+@pytest.mark.parametrize("digits", [600, 5000])
+def test_tally_keys_spell_out_long_seeds(digits):
+    # str() refuses the 5,000-digit seed under the default conversion limit,
+    # so the reference streams' keys are built with the limit lifted
+    seed = 7 * (10**digits - 1) // 9
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = tally_by_trials(TrialLoopSampler(instance_b()), seed, (2,), 30)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert StableSetSampler(instance_b()).tally(seed, (2,), 30) == want
+
+
 @pytest.mark.parametrize(
     "build, trials",
     [

@@ -26,6 +26,7 @@ from conftest import (
     instance_a,
     instance_b,
     instance_c,
+    k5_chain,
     neighbours,
     random_graph,
     set_find_bump,
@@ -50,7 +51,7 @@ from kdfree.pipeline import end_to_end, initial_colouring
 from kdfree.sampling import StableSetSampler
 from kdfree.structure import (
     NEAR_CLIQUE_PATTERNS,
-    _COUNTS,
+    _COVERS,
     find_bump,
     find_near_clique,
     pipeline_eligibility,
@@ -305,30 +306,44 @@ def test_signature_table_by_exhaustion():
 
 
 def test_count_table_by_exhaustion():
-    # every outside pair u, v over a core of 8 labels (enough for 4 edges):
-    # misses A, B in the core and uv if absent, 2-4 edges in all, classified
-    # by their component shapes; the table names a pattern exactly when the
-    # edges form it
+    # both directions over 8 labels, enough for 4 edges, with the component
+    # shapes as the reference: an adjacent pair u, v missing A and B in a
+    # core forms a pattern exactly when (min, max, shared) of |A|, |B| is its
+    # entry; and every 2-4-edge set forming a pattern has an adjacent cover
+    # pair whose misses count as that entry
+    def shape(edges):
+        shapes = sorted(_component_shapes(sorted({x for e in edges for x in e}), edges))
+        return next((p for p in NEAR_CLIQUE_PATTERNS if shapes == sorted(PATTERN_SHAPES[p])), None)
+
+    assert tuple(_COVERS) == NEAR_CLIQUE_PATTERNS == tuple(PATTERN_SHAPES)
+    entry = {counts: pattern for pattern, counts in _COVERS.items()}
     u, v = 8, 9
     subsets = [s for size in range(5) for s in combinations(range(8), size)]
-    cases = 0
-    matched = dict.fromkeys(NEAR_CLIQUE_PATTERNS, 0)
-    for uv in (0, 1):
-        for a in subsets:
-            for b in subsets:
-                if not 2 <= len(a) + len(b) + uv <= 4:
-                    continue
-                edges = [(x, u) for x in a] + [(x, v) for x in b] + [(u, v)] * uv
-                touched = sorted({x for e in edges for x in e})
-                shapes = sorted(_component_shapes(touched, edges))
-                shape = next((p for p in NEAR_CLIQUE_PATTERNS if shapes == sorted(PATTERN_SHAPES[p])), None)
+    pairs = 0
+    for a in subsets:
+        for b in subsets:
+            if 2 <= len(a) + len(b) <= 4:
                 i, j = sorted((len(a), len(b)))
-                assert _COUNTS.get((uv, i, j, len(set(a) & set(b)))) == shape, (uv, a, b)
-                if shape:
-                    matched[shape] += 1
-                cases += 1
-    assert cases == 3196  # C(16, s) pairs (A, B) with |A| + |B| = s
-    assert all(matched.values())
+                edges = [(x, u) for x in a] + [(x, v) for x in b]
+                assert entry.get((i, j, len(set(a) & set(b)))) == shape(edges), (a, b)
+                pairs += 1
+    assert pairs == 2500  # C(16, s) pairs (A, B) with |A| + |B| = s, s = 2-4
+    labels = list(combinations(range(8), 2))
+    matched = dict.fromkeys(NEAR_CLIQUE_PATTERNS, 0)
+    for size in (2, 3, 4):
+        for edges in combinations(labels, size):
+            pattern = shape(list(edges))
+            if pattern is None:
+                continue
+            covers = set()
+            for x, y in labels:
+                if (x, y) not in edges and all(x in e or y in e for e in edges):
+                    a = {w for e in edges if x in e for w in e} - {x}
+                    b = {w for e in edges if y in e for w in e} - {y}
+                    covers.add((*sorted((len(a), len(b))), len(a & b)))
+            assert _COVERS[pattern] in covers, (edges, pattern)
+            matched[pattern] += 1
+    assert all(matched.values()), matched
 
 
 def test_count_search_matches_the_signature_oracle_on_near_clique_hosts():
@@ -349,6 +364,30 @@ def test_count_search_matches_the_signature_oracle_on_near_clique_hosts():
                 assert find_near_clique(g, delta, pattern, cs) == want, (g.masks, delta, pattern)
                 hits[pattern] += want is not None
     assert min(hits.values()) >= 10, hits
+
+
+def test_search_matches_the_signature_oracle_past_twenty_vertices():
+    # C25^3, C30^3, a K5 chain and hosts of n = 21-40 (sparse random edges
+    # and two cliques of 5-9 vertices less 2-4 edges each), at Delta = max
+    # degree and a random smaller Delta
+    rng = random.Random("near-cliques:21-40")
+    hosts = [cycle_power(25, 3), cycle_power(30, 3), k5_chain(6)]
+    for _ in range(50):
+        n = rng.randint(21, 40)
+        edges = {e for e in combinations(range(n), 2) if rng.random() < 0.15}
+        for _ in range(2):
+            inside = list(combinations(sorted(rng.sample(range(n), rng.randint(5, 9))), 2))
+            edges |= set(inside) - set(rng.sample(inside, rng.randint(2, 4)))
+        hosts.append(Graph(n, edges))
+    hits = dict.fromkeys(NEAR_CLIQUE_PATTERNS, 0)
+    for g in hosts:
+        cs = clique_structure(g)
+        for delta in (g.max_degree(), rng.randint(4, g.max_degree() - 1)):
+            for pattern in NEAR_CLIQUE_PATTERNS:
+                want = signature_find_near_clique(g, delta, pattern)
+                assert find_near_clique(g, delta, pattern, cs) == want, (g.masks, delta, pattern)
+                hits[pattern] += want is not None
+    assert min(hits.values()) >= 2, hits
 
 
 def test_near_clique_rejects_unknown_pattern():
